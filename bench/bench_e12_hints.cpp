@@ -15,7 +15,9 @@ namespace {
 
 constexpr int kNp = 4;
 constexpr std::uint32_t kBlock = 4096;
-constexpr int kTiles = 16;
+// 4 MiB per collective: 1 MiB aggregator domains, so every cb_buffer_size
+// below 1 MiB splits each domain into rounds.
+constexpr int kTiles = 256;
 
 double run_collective(const mpiio::Info& info) {
   sim::Fabric fabric;

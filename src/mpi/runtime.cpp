@@ -7,6 +7,7 @@
 #include <cassert>
 #include <cstring>
 #include <deque>
+#include <map>
 #include <thread>
 #include <unordered_map>
 
@@ -34,12 +35,17 @@ constexpr int kTagRing = kTagBase + 4;
 constexpr int kTagA2A = kTagBase + 5;
 constexpr int kTagCommMgmt = kTagBase + 6;
 
+/// Bytes per RDMA descriptor; larger transfers are split.
+constexpr std::uint64_t kMaxRdmaPiece = 2u << 20;
+
 enum class MsgKind : std::uint8_t {
   kHello = 1,  // first message on an accepted VI: announces the peer rank
   kEager,      // payload rides in the message
   kRts,        // rendezvous request-to-send
   kCts,        // rendezvous clear-to-send (carries the target buffer)
   kFin,        // rendezvous data placed
+  kFence,      // Win::fence notification (comm = window, seq = epoch,
+               // addr = latest instant the sender's ops touched the target)
 };
 
 struct WireHdr {
@@ -118,6 +124,8 @@ class Endpoint {
   via::Nic& nic() { return nic_; }
 
  private:
+  friend class Win;
+
   struct MsgBuf {
     std::vector<std::byte> mem;
     via::MemHandle handle = via::kInvalidMemHandle;
@@ -149,11 +157,12 @@ class Endpoint {
                 const std::function<void(std::byte*)>& fill,
                 std::uint64_t payload_len);
 
-  /// RDMA-write [buf, buf+len) to the peer's (addr, mem), splitting at the
-  /// VI transfer limit.
-  void rdma_write(Peer& p, const std::byte* buf, std::uint64_t len,
-                  via::MemHandle local, std::uint64_t addr,
-                  std::uint64_t mem);
+  /// RDMA-write the gather list `runs` (offsets from `base`, all inside the
+  /// registration `local`) to the peer's contiguous (addr, mem), one
+  /// descriptor per kMaxRdmaPiece bytes.
+  void rdma_write(Peer& p, const std::byte* base,
+                  std::span<const Segment> runs, via::MemHandle local,
+                  std::uint64_t addr, std::uint64_t mem);
 
   /// Process one inbound completion. Returns false on (real-time) timeout.
   bool progress(bool block);
@@ -191,6 +200,13 @@ class Endpoint {
   std::deque<Unexpected> unexpected_;
   std::deque<WireHdr> pending_rts_;
   std::unordered_map<std::uint32_t, WireHdr> cts_;
+  /// Win::fence notifications received, by (window, epoch): how many peers
+  /// have entered the fence and the latest instant they touched this rank.
+  struct FenceAcc {
+    int count = 0;
+    sim::Time touched = 0;
+  };
+  std::map<std::pair<int, std::uint32_t>, FenceAcc> fences_;
   std::uint32_t next_seq_ = 1;
   int stall_count_ = 0;
 };
@@ -286,26 +302,37 @@ void Endpoint::post_msg(Peer& p, const WireHdr& hdr,
   (void)st;
 }
 
-void Endpoint::rdma_write(Peer& p, const std::byte* buf, std::uint64_t len,
-                          via::MemHandle local, std::uint64_t addr,
-                          std::uint64_t mem) {
-  std::uint64_t off = 0;
-  const std::uint64_t kMaxPiece = 2u << 20;
-  while (off < len) {
-    const std::uint64_t n = std::min(len - off, kMaxPiece);
-    via::Descriptor d;
+void Endpoint::rdma_write(Peer& p, const std::byte* base,
+                          std::span<const Segment> runs, via::MemHandle local,
+                          std::uint64_t addr, std::uint64_t mem) {
+  via::Descriptor d;
+  std::uint64_t placed = 0;  // bytes already at the peer
+  std::uint64_t queued = 0;  // bytes gathered into d
+  auto post = [&] {
     d.op = via::Opcode::kRdmaWrite;
-    d.segs = {via::DataSegment{const_cast<std::byte*>(buf + off), local,
-                               static_cast<std::uint32_t>(n)}};
-    d.remote = {addr + off, mem};
+    d.remote = {addr + placed, mem};
     const via::Status st = p.vi->post_send(d);
     assert(st == via::Status::kSuccess);
     (void)st;
     via::Descriptor* done = nullptr;
     while (p.vi->send_done(done) == via::Status::kSuccess) {
     }
-    off += n;
+    placed += queued;
+    queued = 0;
+    d = via::Descriptor{};
+  };
+  for (const Segment& s : runs) {
+    for (std::uint64_t off = 0; off < s.len;) {
+      const std::uint64_t n = std::min(s.len - off, kMaxRdmaPiece - queued);
+      d.segs.push_back(via::DataSegment{
+          const_cast<std::byte*>(base + s.offset) + off, local,
+          static_cast<std::uint32_t>(n)});
+      queued += n;
+      off += n;
+      if (queued == kMaxRdmaPiece) post();
+    }
   }
+  if (queued > 0) post();
 }
 
 // ---------------------------------------------------------------------------
@@ -327,6 +354,7 @@ void Endpoint::send(const void* buf, std::uint64_t count, const Datatype& type,
     u.hdr.comm = comm;
     u.hdr.len = bytes;
     type.pack(base, count, u.data);
+    if (bytes > 0) actor->charge(CostKind::kCopy, nic_.cost().copy_time(bytes));
     unexpected_.push_back(std::move(u));
     return;
   }
@@ -377,21 +405,19 @@ void Endpoint::send(const void* buf, std::uint64_t count, const Datatype& type,
   const WireHdr cts = cts_[seq];
   cts_.erase(seq);
 
-  if (type.is_contiguous()) {
-    const via::MemHandle h = reg_cache_.get(base, bytes);
-    rdma_write(p, base, bytes, h, cts.addr, cts.mem);
-  } else {
-    std::vector<std::byte> staging;
-    type.pack(base, count, staging);
-    actor->charge(CostKind::kCopy, nic_.cost().copy_time(bytes));
-    via::MemAttrs attrs;
-    const via::MemHandle h =
-        nic_.register_memory(staging.data(), staging.size(), ptag_, attrs);
-    rdma_write(p, staging.data(), staging.size(), h, cts.addr, cts.mem);
-    if (nic_.deregister_memory(h) != via::Status::kSuccess) {
-      fabric_.stats().add("via.dereg_failures");
-    }
+  // Zero-copy for any layout: the RDMA write gathers the datatype's runs
+  // straight out of user memory, under one cached registration of the
+  // extent they span.
+  const std::vector<Segment> runs = type.flatten_n(count);
+  std::int64_t lo = runs.front().offset;
+  std::int64_t hi = lo;
+  for (const Segment& s : runs) {
+    lo = std::min(lo, s.offset);
+    hi = std::max(hi, s.offset + static_cast<std::int64_t>(s.len));
   }
+  const via::MemHandle h =
+      reg_cache_.get(base + lo, static_cast<std::size_t>(hi - lo));
+  rdma_write(p, base, runs, h, cts.addr, cts.mem);
   WireHdr fin;
   fin.kind = MsgKind::kFin;
   fin.src = rank_;
@@ -553,9 +579,9 @@ bool Endpoint::progress(bool block) {
     if (block && ++stall_count_ == 80) {
       std::fprintf(stderr,
                    "[mpi stall] rank=%d posted=%zu unexpected=%zu rts=%zu "
-                   "cts=%zu mapped=%d\n",
+                   "cts=%zu fences=%zu mapped=%d\n",
                    rank_, posted_.size(), unexpected_.size(),
-                   pending_rts_.size(), cts_.size(), mapped_);
+                   pending_rts_.size(), cts_.size(), fences_.size(), mapped_);
       for (const RecvOp* op : posted_) {
         std::fprintf(stderr,
                      "[mpi stall]   rank=%d posted src=%d tag=%d comm=%d "
@@ -607,6 +633,12 @@ bool Endpoint::progress(bool block) {
     case MsgKind::kFin:
       handle_fin(hdr);
       break;
+    case MsgKind::kFence: {
+      FenceAcc& f = fences_[{hdr.comm, hdr.seq}];
+      ++f.count;
+      f.touched = std::max<sim::Time>(f.touched, hdr.addr);
+      break;
+    }
   }
   // Return the buffer to its VI's receive pool. A repost can fail if the
   // connection died under us; the buffer then just sits out the rest of the
@@ -624,6 +656,12 @@ bool Endpoint::progress(bool block) {
 // ---------------------------------------------------------------------------
 
 sim::Actor& Comm::actor() const { return *sim::Actor::current(); }
+
+void Comm::charge_copy(std::uint64_t bytes) const {
+  if (bytes > 0) {
+    actor().charge(CostKind::kCopy, world_->fabric().cost().copy_time(bytes));
+  }
+}
 
 namespace {
 // Each communicator owns two matching contexts, exactly as the MPI standard
@@ -766,6 +804,7 @@ void Comm::allgatherv(const void* sbuf, std::uint64_t sbytes, void* rbuf,
   const int n = size();
   auto* out = static_cast<std::byte*>(rbuf);
   std::memcpy(out + displs[static_cast<std::size_t>(rank())], sbuf, sbytes);
+  charge_copy(sbytes);
   if (n == 1) return;
   // Ring: at step s, pass along the block originally from (rank - s + 1).
   const int right = (rank() + 1) % n;
@@ -794,6 +833,7 @@ void Comm::alltoallv(const void* sbuf, std::span<const std::uint64_t> scounts,
   if (scounts[me] > 0) {
     // sbuf/rbuf may legally be null when every local count is zero.
     std::memcpy(out + rdispls[me], in + sdispls[me], scounts[me]);
+    charge_copy(scounts[me]);
   }
   for (int s = 1; s < n; ++s) {
     const auto to = static_cast<std::size_t>((rank() + s) % n);
@@ -838,6 +878,143 @@ Comm Comm::split(int color, int key) const {
     if (members[i].grank == mine.grank) idx = static_cast<int>(i);
   }
   return Comm(world_, ep_, id, std::move(group), idx);
+}
+
+// ---------------------------------------------------------------------------
+// Win
+// ---------------------------------------------------------------------------
+
+Win::Win(const Comm& comm, void* base, std::uint64_t bytes)
+    : comm_(comm),
+      base_(static_cast<std::byte*>(base)),
+      bytes_(bytes),
+      touched_(static_cast<std::size_t>(comm.size()), 0) {
+  Endpoint& ep = *comm_.ep_;
+  if (bytes_ > 0) {
+    via::MemAttrs attrs;
+    attrs.enable_rdma_write = true;
+    attrs.enable_rdma_read = true;
+    handle_ = ep.nic_.register_memory(base_, bytes_, ep.ptag_, attrs);
+  }
+  // One allgather publishes every rank's region; rank 0 also draws the
+  // window id that keys fence notifications.
+  struct Entry {
+    std::uint64_t addr, handle, bytes;
+    std::int64_t id;
+  };
+  const Entry mine{reinterpret_cast<std::uint64_t>(base_), handle_, bytes_,
+                   comm_.rank() == 0 ? comm_.world_->next_comm_id_.fetch_add(1)
+                                     : 0};
+  std::vector<Entry> all(static_cast<std::size_t>(comm_.size()));
+  comm_.allgather(&mine, sizeof(Entry), all.data());
+  id_ = static_cast<int>(all[0].id);
+  for (const Entry& e : all) targets_.push_back({e.addr, e.handle, e.bytes});
+}
+
+Win::~Win() {
+  Endpoint& ep = *comm_.ep_;
+  if (handle_ != via::kInvalidMemHandle &&
+      ep.nic_.deregister_memory(handle_) != via::Status::kSuccess) {
+    ep.fabric_.stats().add("via.dereg_failures");
+  }
+}
+
+void Win::transfer(bool put, std::span<const RmaOp> ops) {
+  Endpoint& ep = *comm_.ep_;
+  const int me = comm_.rank();
+  // The local side needs one registration covering every op's memory (a
+  // registration-cache hit once warm) and one descriptor per piece.
+  const std::byte* lo = nullptr;
+  const std::byte* hi = nullptr;
+  std::size_t pieces = 0;
+  for (const RmaOp& op : ops) {
+    if (op.len == 0 || op.target == me) continue;
+    lo = lo == nullptr ? op.local : std::min<const std::byte*>(lo, op.local);
+    hi = std::max<const std::byte*>(hi, op.local + op.len);
+    pieces += (op.len + kMaxRdmaPiece - 1) / kMaxRdmaPiece;
+  }
+  const via::MemHandle local =
+      pieces > 0 ? ep.reg_cache_.get(lo, static_cast<std::size_t>(hi - lo))
+                 : via::kInvalidMemHandle;
+
+  // Post everything, then reap: the VI pipelines the descriptors on the
+  // wire, and the reaps sync this rank's clock to the last completion.
+  std::vector<via::Descriptor> descs;
+  descs.reserve(pieces);  // posted descriptors must not move
+  std::vector<int> target_of;
+  std::vector<via::Vi*> vis;
+  std::uint64_t bytes = 0;
+  for (const RmaOp& op : ops) {
+    if (op.len == 0) continue;
+    const Target& t = targets_[static_cast<std::size_t>(op.target)];
+    assert(op.disp + op.len <= t.bytes && "RMA op outside the target window");
+    if (op.target == me) {
+      if (put) {
+        std::memcpy(base_ + op.disp, op.local, op.len);
+      } else {
+        std::memcpy(op.local, base_ + op.disp, op.len);
+      }
+      comm_.charge_copy(op.len);
+      continue;
+    }
+    Endpoint::Peer& p = ep.peer_for(comm_.global_rank(op.target));
+    if (std::find(vis.begin(), vis.end(), p.vi.get()) == vis.end()) {
+      vis.push_back(p.vi.get());
+    }
+    for (std::uint64_t off = 0; off < op.len; off += kMaxRdmaPiece) {
+      via::Descriptor& d = descs.emplace_back();
+      d.op = put ? via::Opcode::kRdmaWrite : via::Opcode::kRdmaRead;
+      d.segs = {via::DataSegment{
+          op.local + off, local,
+          static_cast<std::uint32_t>(std::min(op.len - off, kMaxRdmaPiece))}};
+      d.remote = {t.addr + op.disp + off, t.handle};
+      const via::Status st = p.vi->post_send(d);
+      assert(st == via::Status::kSuccess);
+      (void)st;
+      target_of.push_back(op.target);
+    }
+    bytes += op.len;
+  }
+  via::Descriptor* done = nullptr;
+  for (via::Vi* vi : vis) {
+    while (vi->send_done(done) == via::Status::kSuccess) {
+    }
+  }
+  // What the next fence must tell each target: when its window was last
+  // touched. A get is done with the target's memory by its own completion;
+  // a write on a reliable-delivery VI completes once on the wire and lands
+  // one propagation delay later.
+  const sim::Time lag = ep.nic_.cost().propagation;
+  for (std::size_t i = 0; i < descs.size(); ++i) {
+    sim::Time& t = touched_[static_cast<std::size_t>(target_of[i])];
+    t = std::max(t, descs[i].done_at + (put ? lag : 0));
+  }
+  sim::Stats& stats = ep.fabric_.stats();
+  stats.add(put ? "mpi.rma_puts" : "mpi.rma_gets", descs.size());
+  stats.add(put ? "mpi.rma_put_bytes" : "mpi.rma_get_bytes", bytes);
+}
+
+void Win::fence() {
+  Endpoint& ep = *comm_.ep_;
+  const int n = comm_.size();
+  for (int r = 0; r < n; ++r) {
+    if (r == comm_.rank()) continue;
+    WireHdr hdr;
+    hdr.kind = MsgKind::kFence;
+    hdr.src = ep.rank_;
+    hdr.comm = id_;
+    hdr.seq = epoch_;
+    hdr.addr = touched_[static_cast<std::size_t>(r)];
+    ep.post_msg(ep.peer_for(comm_.global_rank(r)), hdr, nullptr, 0);
+  }
+  const std::pair<int, std::uint32_t> key{id_, epoch_};
+  while (ep.fences_[key].count < n - 1) ep.progress(true);
+  Actor::current()->sync_to(ep.fences_[key].touched);
+  ep.fences_.erase(key);
+  std::fill(touched_.begin(), touched_.end(), 0);
+  ++epoch_;
+  ep.fabric_.stats().add("mpi.rma_fences");
+  ep.fabric_.stats().add("mpi.rma_sync_msgs", static_cast<std::uint64_t>(n - 1));
 }
 
 // ---------------------------------------------------------------------------

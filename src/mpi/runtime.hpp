@@ -16,12 +16,15 @@
 /// The MPI substrate: ranks are threads, each with its own node, NIC and
 /// virtual-time actor; point-to-point messaging runs over VIA with an
 /// MVICH-style eager/rendezvous protocol (eager copies through pre-posted
-/// bounce buffers; rendezvous RTS/CTS/FIN with zero-copy RDMA writes for
-/// large contiguous payloads); collectives are built from point-to-point.
+/// bounce buffers; rendezvous RTS/CTS/FIN with zero-copy RDMA writes that
+/// gather straight from the user's registered buffer); collectives are built
+/// from point-to-point. A minimal MPI-2 one-sided subset (Win: put, get,
+/// fence) maps directly onto VIA RDMA write and read.
 namespace mpi {
 
 class World;
 class Endpoint;
+class Win;
 
 /// Completion information of a receive.
 struct RecvStatus {
@@ -103,6 +106,7 @@ class Comm {
 
  private:
   friend class World;
+  friend class Win;
   // Context-explicit transfer primitives: collectives run in a context
   // disjoint from user point-to-point traffic (MPI context separation).
   void send_ctx(const void* buf, std::uint64_t count, const Datatype& type,
@@ -125,6 +129,9 @@ class Comm {
   void reduce_bytes(void* inout, std::uint64_t bytes,
                     const std::function<void(void*, const void*)>& combine,
                     int root) const;
+  /// Charge a host copy of `bytes` (a rank's own block inside a collective,
+  /// which never crosses the wire) like every other runtime copy.
+  void charge_copy(std::uint64_t bytes) const;
 
   World* world_;
   Endpoint* ep_;
@@ -158,6 +165,7 @@ class World {
 
  private:
   friend class Comm;
+  friend class Win;
   WorldConfig cfg_;
   std::unique_ptr<sim::Fabric> owned_fabric_;
   sim::Fabric* fabric_;
@@ -166,6 +174,76 @@ class World {
   std::vector<sim::BusyBreakdown> busy_;
   std::vector<sim::Time> times_;
   std::atomic<int> next_comm_id_{1};
+};
+
+// ---------------------------------------------------------------------------
+// One-sided communication (the MPI-2 RMA subset over VIA RDMA)
+// ---------------------------------------------------------------------------
+
+/// One transfer of a Win::put / Win::get batch: `len` bytes between local
+/// memory `local` and byte displacement `disp` of rank `target`'s window.
+struct RmaOp {
+  std::byte* local = nullptr;
+  std::uint64_t len = 0;
+  int target = 0;
+  std::uint64_t disp = 0;
+};
+
+/// A window (MPI_Win) over a registered buffer, synchronized by fences.
+///  * Construction is collective: every rank registers its [base, base +
+///    bytes) once (bytes may be 0) and one allgather exchanges each rank's
+///    address and memory handle. Nothing is exchanged per transfer.
+///  * put / get post one RDMA write / read per op, straight from / into the
+///    caller's memory (registered through the rank's registration cache),
+///    and reap them all before returning: the initiator's clock ends at the
+///    latest completion, the same rule as the rendezvous RDMA write. An op
+///    on the caller's own window is a host copy.
+///  * fence is collective and closes an epoch. Each rank tells every other
+///    the latest virtual instant its puts and gets of the epoch touched that
+///    rank's window, and the fence completes at the target no earlier than
+///    that: a notification can backfill into an ingress gap ahead of a
+///    delayed put, so its own arrival proves nothing. No rank leaves a fence
+///    before every rank has entered it, which separates epochs.
+/// Destruction is local; fence (or otherwise synchronize) first.
+class Win {
+ public:
+  Win(const Comm& comm, void* base, std::uint64_t bytes);
+  ~Win();
+
+  Win(const Win&) = delete;
+  Win& operator=(const Win&) = delete;
+
+  void put(std::span<const RmaOp> ops) { transfer(true, ops); }
+  void get(std::span<const RmaOp> ops) { transfer(false, ops); }
+  void put(const void* origin, std::uint64_t len, int target,
+           std::uint64_t disp) {
+    const RmaOp op{static_cast<std::byte*>(const_cast<void*>(origin)), len,
+                   target, disp};
+    transfer(true, {&op, 1});
+  }
+  void get(void* origin, std::uint64_t len, int target, std::uint64_t disp) {
+    const RmaOp op{static_cast<std::byte*>(origin), len, target, disp};
+    transfer(false, {&op, 1});
+  }
+  void fence();
+
+ private:
+  struct Target {
+    std::uint64_t addr = 0;
+    std::uint64_t handle = 0;
+    std::uint64_t bytes = 0;
+  };
+
+  void transfer(bool put, std::span<const RmaOp> ops);
+
+  Comm comm_;
+  std::byte* base_;
+  std::uint64_t bytes_;
+  std::uint64_t handle_ = 0;  // via::MemHandle; invalid when bytes_ == 0
+  int id_ = 0;
+  std::uint32_t epoch_ = 0;
+  std::vector<Target> targets_;      // per comm rank
+  std::vector<sim::Time> touched_;   // per comm rank, this epoch
 };
 
 // ---------------------------------------------------------------------------

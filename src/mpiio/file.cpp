@@ -15,10 +15,6 @@ using sim::CostKind;
 
 namespace {
 
-constexpr std::uint64_t kDefaultCbBufferSize = 4u << 20;
-constexpr std::uint64_t kDefaultIndRdBuffer = 4u << 20;
-constexpr std::uint64_t kDefaultIndWrBuffer = 512u << 10;
-
 void charge_copy(std::uint64_t bytes) {
   if (bytes == 0) return;
   if (Actor* a = Actor::current()) {
@@ -60,8 +56,14 @@ void File::record_phase(const char* key, sim::Time t0) const {
 sim::Tracer& File::tracer() const { return comm_.world().fabric().trace(); }
 
 bool File::trace_sampled() const {
-  if (!tracer().enabled() || trace_sample_ == 0) return false;
-  return trace_ops_++ % trace_sample_ == 0;
+  const std::uint64_t every = hints_.trace_sample();
+  if (!tracer().enabled() || every == 0) return false;
+  return trace_ops_++ % every == 0;
+}
+
+void File::apply_info(const Info& info) {
+  for (const auto& [k, v] : info.all()) info_.set(k, v);
+  hints_.update(info, info_);
 }
 
 // ---------------------------------------------------------------------------
@@ -91,17 +93,15 @@ Result<std::unique_ptr<File>> File::open(const mpi::Comm& comm,
   // ("mpiio.bad_hint") instead of aborting the rank.
   f->info_.bind_stats(&comm.world().fabric().stats());
 
-  // All dafs_* hints parse once, through the one typed HintSet. The
-  // consolidated retry policy's deadline applies to every request this file
-  // issues, including the opens below, so plumb it into the driver before
-  // anything else; likewise the cache/consistency options must reach the
-  // driver before open for a delegation to be requested.
+  // Every hint parses once, through the one typed HintSet. The consolidated
+  // retry policy's deadline applies to every request this file issues,
+  // including the opens below, so plumb it into the driver before anything
+  // else; likewise the cache/consistency options must reach the driver
+  // before open for a delegation to be requested.
   f->hints_ = HintSet::parse(f->info_);
   const dafs::RetryPolicy rpolicy = f->hints_.retry_policy();
   if (rpolicy.deadline_ns != 0) f->driver_->set_deadline(rpolicy.deadline_ns);
   f->driver_->set_open_options(f->hints_.open_options());
-  // Trace sampling: root spans on every k-th operation (0 = never).
-  f->trace_sample_ = f->hints_.trace_sample();
 
   std::uint16_t flags = 0;
   if (amode & kModeCreate) flags |= dafs::kOpenCreate;
@@ -130,7 +130,7 @@ Result<std::unique_ptr<File>> File::open(const mpi::Comm& comm,
   }
   f->comm_.barrier();
 
-  f->set_view(0, Datatype::byte(), Datatype::byte(), f->info_);
+  f->set_view(0, Datatype::byte(), Datatype::byte());
   if (amode & kModeAppend) {
     // Applied after the default view: set_view resets the file pointer.
     auto size = f->driver_->size();
@@ -165,7 +165,7 @@ Err File::set_view(std::uint64_t disp, const Datatype& etype,
   disp_ = disp;
   etype_ = etype;
   filetype_ = filetype;
-  for (const auto& [k, v] : info.all()) info_.set(k, v);
+  apply_info(info);
 
   view_runs_.clear();
   filetype_.flatten(view_runs_);
@@ -180,6 +180,11 @@ Err File::set_view(std::uint64_t disp, const Datatype& etype,
       ft_size_ == static_cast<std::uint64_t>(ft_extent_) &&
       view_runs_.size() == 1 && view_runs_[0].offset == 0;
   pos_ = 0;
+  return Err::kOk;
+}
+
+Err File::set_info(const Info& info) {
+  apply_info(info);
   return Err::kOk;
 }
 
@@ -297,10 +302,8 @@ Err File::check_readable() const {
 bool File::use_sieving(bool writing, const std::vector<IoSeg>& segs) const {
   if (segs.size() <= 1) return false;
   const bool native_list = std::string_view(driver_->name()) == "dafs";
-  const bool fallback = !native_list;  // sieve on drivers without list I/O
-  const bool enabled =
-      info_.get_switch(writing ? "romio_ds_write" : "romio_ds_read", fallback);
-  if (!enabled) return false;
+  // Sieve by default only on drivers without list I/O.
+  if (!hints_.data_sieving(writing, /*fallback=*/!native_list)) return false;
   if (writing && !driver_->supports_locks()) return false;  // RMW needs locks
   return true;
 }
@@ -308,10 +311,7 @@ bool File::use_sieving(bool writing, const std::vector<IoSeg>& segs) const {
 Result<std::uint64_t> File::sieved_read(std::vector<IoSeg> segs) {
   std::sort(segs.begin(), segs.end(),
             [](const IoSeg& a, const IoSeg& b) { return a.file_off < b.file_off; });
-  const std::uint64_t buf_size =
-      std::max<std::uint64_t>(info_.get_uint("ind_rd_buffer_size",
-                                             kDefaultIndRdBuffer),
-                              64 * 1024);
+  const std::uint64_t buf_size = hints_.sieve_buffer_size(/*writing=*/false);
   std::vector<std::byte> sieve(buf_size);
   std::uint64_t total = 0;
   std::size_t i = 0;
@@ -364,10 +364,7 @@ Result<std::uint64_t> File::sieved_read(std::vector<IoSeg> segs) {
 Result<std::uint64_t> File::sieved_write(std::vector<IoSeg> segs) {
   std::sort(segs.begin(), segs.end(),
             [](const IoSeg& a, const IoSeg& b) { return a.file_off < b.file_off; });
-  const std::uint64_t buf_size =
-      std::max<std::uint64_t>(info_.get_uint("ind_wr_buffer_size",
-                                             kDefaultIndWrBuffer),
-                              64 * 1024);
+  const std::uint64_t buf_size = hints_.sieve_buffer_size(/*writing=*/true);
   std::vector<std::byte> sieve(buf_size);
   std::uint64_t total = 0;
   std::size_t i = 0;
@@ -536,7 +533,7 @@ Err File::seek(std::int64_t offset, Whence whence) {
 }
 
 // ---------------------------------------------------------------------------
-// Collective I/O (two-phase)
+// Collective I/O (two-phase, one-sided aggregation)
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -562,18 +559,30 @@ Result<std::uint64_t> File::finish_collective(Result<std::uint64_t> r) {
   return r;
 }
 
+void File::ensure_cb_window(std::uint64_t round_len, int naggr) {
+  if (cb_win_ && round_len <= cb_round_len_ && naggr == cb_naggr_) return;
+  // Safe to drop the old window here: every rank finished its puts and gets
+  // of the previous collective before any rank left its exit agreement.
+  cb_win_.reset();
+  const bool aggregator = comm_.rank() < naggr;
+  cb_buf_ = aggregator ? std::make_unique_for_overwrite<std::byte[]>(round_len)
+                       : nullptr;
+  cb_win_.emplace(comm_, cb_buf_.get(), aggregator ? round_len : 0);
+  cb_round_len_ = round_len;
+  cb_naggr_ = naggr;
+}
+
 Result<std::uint64_t> File::collective_io(bool writing,
                                           std::uint64_t offset_etypes,
                                           void* buf, std::uint64_t count,
                                           const Datatype& type) {
   const int n = comm_.size();
+  const int me = comm_.rank();
   std::uint64_t total = 0;
   auto segs = build_segs(offset_etypes, static_cast<std::byte*>(buf), count,
                          type, &total);
 
-  const bool cb_enabled = info_.get_switch(
-      writing ? "romio_cb_write" : "romio_cb_read", true);
-  if (n == 1 || !cb_enabled) {
+  if (n == 1 || !hints_.collective_buffering(writing)) {
     auto r = independent_io(writing, offset_etypes, buf, count, type);
     if (n > 1) return finish_collective(std::move(r));
     return r;
@@ -596,9 +605,7 @@ Result<std::uint64_t> File::collective_io(bool writing,
     return finish_collective(std::uint64_t{0});  // nobody has data
   }
 
-  const auto naggr = static_cast<int>(std::min<std::uint64_t>(
-      info_.get_uint("cb_nodes", static_cast<std::uint64_t>(n)),
-      static_cast<std::uint64_t>(n)));
+  const int naggr = hints_.cb_nodes(n);
   // Striped layouts: align file domains to stripe boundaries so each
   // aggregator's two-phase exchange covers whole stripes and talks to a
   // minimal data-server subset. base <= gmin plus dlen rounded up to a
@@ -609,327 +616,271 @@ Result<std::uint64_t> File::collective_io(bool writing,
   std::uint64_t dlen = (span + static_cast<std::uint64_t>(naggr) - 1) /
                        static_cast<std::uint64_t>(naggr);
   if (ss > 0) dlen = (dlen + ss - 1) / ss * ss;
-  auto domain_of = [&](std::uint64_t off) {
-    return static_cast<int>((off - base) / dlen);
-  };
   auto domain_end = [&](int d) {
     return base + (static_cast<std::uint64_t>(d) + 1) * dlen;
   };
 
-  // Split my segments across aggregator domains.
+  // Split my segments at domain boundaries.
+  struct Mine {
+    Piece p;
+    std::byte* mem;
+    int d;
+    std::uint64_t k;      // round
+    bool direct = false;  // file I/O straight from/to mem (see Run::solo)
+  };
+  std::vector<Mine> mine;
   std::vector<std::vector<Piece>> out_pieces(static_cast<std::size_t>(naggr));
-  std::vector<std::vector<std::byte*>> out_mem(static_cast<std::size_t>(naggr));
   for (const auto& seg : segs) {
     std::uint64_t off = seg.file_off;
     std::byte* mem = seg.mem;
     std::uint64_t left = seg.len;
     while (left > 0) {
-      const int d = domain_of(off);
+      const auto d = static_cast<int>((off - base) / dlen);
       const std::uint64_t take = std::min(left, domain_end(d) - off);
       out_pieces[static_cast<std::size_t>(d)].push_back(Piece{off, take});
-      out_mem[static_cast<std::size_t>(d)].push_back(mem);
+      mine.push_back(Mine{Piece{off, take}, mem, d, 0});
       off += take;
       mem += take;
       left -= take;
     }
   }
 
+  // Everyone learns, per aggregator, how much metadata each rank sends it
+  // and the file extent its pieces span there.
+  struct Summary {
+    std::uint64_t bytes = 0;
+    std::uint64_t lo = ~0ull;
+    std::uint64_t hi = 0;
+  };
+  const auto na = static_cast<std::size_t>(naggr);
+  std::vector<Summary> my_sum(na);
+  for (std::size_t d = 0; d < na; ++d) {
+    for (const Piece& p : out_pieces[d]) {
+      my_sum[d].bytes += sizeof(Piece);
+      my_sum[d].lo = std::min(my_sum[d].lo, p.off);
+      my_sum[d].hi = std::max(my_sum[d].hi, p.off + p.len);
+    }
+  }
+  std::vector<Summary> all_sum(static_cast<std::size_t>(n) * na);
+  comm_.allgather(my_sum.data(), na * sizeof(Summary), all_sum.data());
+  // Each domain's rounds start at its first accessed byte and cover at most
+  // cb_buffer_size bytes, so a sparse domain pays no empty rounds around
+  // its data (ROMIO's st_loc/end_loc), and the buffer is sized to the
+  // largest round any domain actually uses.
+  std::vector<std::uint64_t> dom_lo(na, ~0ull), dom_hi(na, 0);
+  for (std::size_t i = 0; i < all_sum.size(); ++i) {
+    dom_lo[i % na] = std::min(dom_lo[i % na], all_sum[i].lo);
+    dom_hi[i % na] = std::max(dom_hi[i % na], all_sum[i].hi);
+  }
+  std::uint64_t widest = 0;
+  for (std::size_t d = 0; d < na; ++d) {
+    if (dom_hi[d] > dom_lo[d]) widest = std::max(widest, dom_hi[d] - dom_lo[d]);
+  }
+  const std::uint64_t round_len = std::min(widest, hints_.cb_buffer_size());
+  std::uint64_t rounds = 0;
+  for (std::size_t d = 0; d < na; ++d) {
+    if (dom_hi[d] > dom_lo[d]) {
+      rounds = std::max(rounds,
+                        (dom_hi[d] - dom_lo[d] + round_len - 1) / round_len);
+    }
+  }
+  auto round_base = [&](int d, std::uint64_t k) {
+    return dom_lo[static_cast<std::size_t>(d)] + k * round_len;
+  };
+  // Split a domain piece at its round boundaries.
+  auto for_each_round = [&](int d, Piece p, auto&& emit) {
+    while (p.len > 0) {
+      const std::uint64_t k =
+          (p.off - dom_lo[static_cast<std::size_t>(d)]) / round_len;
+      const std::uint64_t take =
+          std::min(p.len, round_base(d, k) + round_len - p.off);
+      emit(Piece{p.off, take}, k);
+      p.off += take;
+      p.len -= take;
+    }
+  };
+  std::vector<Mine> rounds_of_mine;
+  for (const Mine& m : mine) {
+    for_each_round(m.d, m.p, [&](const Piece& p, std::uint64_t k) {
+      rounds_of_mine.push_back(Mine{p, m.mem + (p.off - m.p.off), m.d, k});
+    });
+  }
+  mine = std::move(rounds_of_mine);
+  // Round by round, each rank starts on a different aggregator (ring order),
+  // so no aggregator's link takes every rank's first transfer at once.
+  auto ring = [&](int d) { return (d - me + n) % n; };
+  std::stable_sort(mine.begin(), mine.end(), [&](const Mine& a, const Mine& b) {
+    return a.k != b.k ? a.k < b.k : ring(a.d) < ring(b.d);
+  });
+
   // Exchange piece lists (metadata) with the aggregators.
   std::vector<std::uint64_t> meta_scounts(static_cast<std::size_t>(n), 0);
   std::vector<std::uint64_t> meta_sdispls(static_cast<std::size_t>(n), 0);
   std::vector<std::byte> meta_out;
-  for (int d = 0; d < naggr; ++d) {
-    meta_sdispls[static_cast<std::size_t>(d)] = meta_out.size();
-    const auto& ps = out_pieces[static_cast<std::size_t>(d)];
-    meta_scounts[static_cast<std::size_t>(d)] = ps.size() * sizeof(Piece);
+  for (std::size_t d = 0; d < na; ++d) {
+    const auto& ps = out_pieces[d];
+    meta_sdispls[d] = meta_out.size();
+    meta_scounts[d] = ps.size() * sizeof(Piece);
     const std::size_t at = meta_out.size();
     meta_out.resize(at + ps.size() * sizeof(Piece));
     if (!ps.empty()) {
       std::memcpy(meta_out.data() + at, ps.data(), ps.size() * sizeof(Piece));
     }
   }
-  // Everyone learns how much metadata each rank sends to each aggregator.
-  std::vector<std::uint64_t> all_meta(static_cast<std::size_t>(n) *
-                                      static_cast<std::size_t>(n));
-  comm_.allgather(meta_scounts.data(),
-                  static_cast<std::uint64_t>(n) * sizeof(std::uint64_t),
-                  all_meta.data());
-  auto meta_from = [&](int src, int dst) {
-    return all_meta[static_cast<std::size_t>(src) *
-                        static_cast<std::size_t>(n) +
-                    static_cast<std::size_t>(dst)];
-  };
-
-  const bool aggregator = comm_.rank() < naggr;
+  const bool aggregator = me < naggr;
   std::vector<std::uint64_t> meta_rcounts(static_cast<std::size_t>(n), 0);
   std::vector<std::uint64_t> meta_rdispls(static_cast<std::size_t>(n), 0);
   std::uint64_t meta_in_total = 0;
-  for (int s = 0; s < n; ++s) {
-    meta_rcounts[static_cast<std::size_t>(s)] =
-        aggregator ? meta_from(s, comm_.rank()) : 0;
-    meta_rdispls[static_cast<std::size_t>(s)] = meta_in_total;
-    meta_in_total += meta_rcounts[static_cast<std::size_t>(s)];
+  for (std::size_t s = 0; s < static_cast<std::size_t>(n); ++s) {
+    meta_rcounts[s] =
+        aggregator ? all_sum[s * na + static_cast<std::size_t>(me)].bytes : 0;
+    meta_rdispls[s] = meta_in_total;
+    meta_in_total += meta_rcounts[s];
   }
-  std::vector<std::byte> meta_in(meta_in_total);
-  comm_.alltoallv(meta_out.data(), meta_scounts, meta_sdispls, meta_in.data(),
-                  meta_rcounts, meta_rdispls);
+  // Received straight into Piece storage: an aggregator's view of every
+  // rank's pieces of its domain, split at round boundaries and sorted into
+  // file order, so each round's pieces are one contiguous stretch.
+  std::vector<Piece> received(meta_in_total / sizeof(Piece));
+  comm_.alltoallv(meta_out.data(), meta_scounts, meta_sdispls,
+                  received.data(), meta_rcounts, meta_rdispls);
+  std::vector<Piece> theirs;
+  for (const Piece& p : received) {
+    for_each_round(me, p, [&](const Piece& q, std::uint64_t) {
+      theirs.push_back(q);
+    });
+  }
+  std::sort(theirs.begin(), theirs.end(),
+            [](const Piece& a, const Piece& b) { return a.off < b.off; });
+  ensure_cb_window(round_len, naggr);
   record_phase("mpiio.twophase_meta_ns", t_meta);
 
-  const std::uint64_t cb_buffer =
-      std::max<std::uint64_t>(info_.get_uint("cb_buffer_size",
-                                             kDefaultCbBufferSize),
-                              64 * 1024);
-
-  if (writing) {
-    // Ship the data alongside, in piece order.
-    std::vector<std::uint64_t> data_scounts(static_cast<std::size_t>(n), 0);
-    std::vector<std::uint64_t> data_sdispls(static_cast<std::size_t>(n), 0);
-    std::vector<std::byte> data_out;
-    for (int d = 0; d < naggr; ++d) {
-      data_sdispls[static_cast<std::size_t>(d)] = data_out.size();
-      // Pieces bound for my own domain never cross the wire: the disk phase
-      // below writes them straight from user memory, so packing (a host
-      // copy) and a self-send would both be pure overhead.
-      if (d == comm_.rank()) continue;
-      const auto& ps = out_pieces[static_cast<std::size_t>(d)];
-      const auto& ms = out_mem[static_cast<std::size_t>(d)];
-      for (std::size_t k = 0; k < ps.size(); ++k) {
-        const std::size_t at = data_out.size();
-        data_out.resize(at + ps[k].len);
-        std::memcpy(data_out.data() + at, ms[k], ps[k].len);
-      }
-      data_scounts[static_cast<std::size_t>(d)] =
-          data_out.size() - data_sdispls[static_cast<std::size_t>(d)];
-      charge_copy(data_scounts[static_cast<std::size_t>(d)]);
-    }
-    // Data counts are derivable from the metadata on the receive side.
-    std::vector<std::uint64_t> data_rcounts(static_cast<std::size_t>(n), 0);
-    std::vector<std::uint64_t> data_rdispls(static_cast<std::size_t>(n), 0);
-    std::uint64_t data_in_total = 0;
-    for (int s = 0; s < n && aggregator; ++s) {
-      const std::uint64_t nm = meta_rcounts[static_cast<std::size_t>(s)];
-      std::uint64_t bytes = 0;
-      const auto* pieces = reinterpret_cast<const Piece*>(
-          meta_in.data() + meta_rdispls[static_cast<std::size_t>(s)]);
-      for (std::uint64_t k = 0; k < nm / sizeof(Piece); ++k) {
-        bytes += pieces[k].len;
-      }
-      // My own pieces stay in user memory (the pack loop skipped them).
-      if (s == comm_.rank()) bytes = 0;
-      data_rcounts[static_cast<std::size_t>(s)] = bytes;
-      data_rdispls[static_cast<std::size_t>(s)] = data_in_total;
-      data_in_total += bytes;
-    }
-    const sim::Time t_exchange = actor_now();
-    std::vector<std::byte> data_in(data_in_total);
-    comm_.alltoallv(data_out.data(), data_scounts, data_sdispls,
-                    data_in.data(), data_rcounts, data_rdispls);
-    record_phase("mpiio.twophase_exchange_ns", t_exchange);
-
-    const sim::Time t_disk = actor_now();
-    // A disk-phase failure is remembered, not returned: the exit below is
-    // collective, so the other ranks must not be left waiting on a rank
-    // that bailed out early.
-    Err disk_st = Err::kOk;
-    const bool have_self_pieces =
-        aggregator &&
-        !out_pieces[static_cast<std::size_t>(comm_.rank())].empty();
-    if (aggregator && (data_in_total > 0 || have_self_pieces)) {
-      // Assemble (off, len, src-bytes) triples, sort, coalesce and write.
-      struct Item {
-        std::uint64_t off;
-        std::uint64_t len;
-        const std::byte* data;
-      };
-      std::vector<Item> items;
-      for (int s = 0; s < n; ++s) {
-        if (s == comm_.rank()) {
-          // My own pieces: straight out of the caller's buffers.
-          const auto& ps = out_pieces[static_cast<std::size_t>(s)];
-          const auto& ms = out_mem[static_cast<std::size_t>(s)];
-          for (std::size_t k = 0; k < ps.size(); ++k) {
-            items.push_back(Item{ps[k].off, ps[k].len, ms[k]});
-          }
-          continue;
-        }
-        const auto* pieces = reinterpret_cast<const Piece*>(
-            meta_in.data() + meta_rdispls[static_cast<std::size_t>(s)]);
-        const std::uint64_t np =
-            meta_rcounts[static_cast<std::size_t>(s)] / sizeof(Piece);
-        const std::byte* pd =
-            data_in.data() + data_rdispls[static_cast<std::size_t>(s)];
-        for (std::uint64_t k = 0; k < np; ++k) {
-          items.push_back(Item{pieces[k].off, pieces[k].len, pd});
-          pd += pieces[k].len;
-        }
-      }
-      std::sort(items.begin(), items.end(),
-                [](const Item& a, const Item& b) { return a.off < b.off; });
-      std::vector<std::byte> stage;
-      std::size_t i = 0;
-      while (i < items.size()) {
-        // Extent of the contiguous run starting at i, bounded by the
-        // collective buffer (an over-sized piece forms a run of its own).
-        std::uint64_t run_len = items[i].len;
-        std::size_t j = i + 1;
-        while (run_len <= cb_buffer && j < items.size() &&
-               items[j].off == items[i].off + run_len &&
-               run_len + items[j].len <= cb_buffer) {
-          run_len += items[j].len;
-          ++j;
-        }
-        if (j == i + 1) {
-          // A single piece is already contiguous in its source buffer;
-          // staging it would buy nothing but a host copy.
-          auto r = driver_->pwrite(
-              items[i].off,
-              std::span<const std::byte>(items[i].data, items[i].len));
-          if (!r.ok()) {
-            disk_st = r.error();
-            break;
-          }
-          i = j;
-          continue;
-        }
-        stage.clear();
-        for (std::size_t k = i; k < j; ++k) {
-          stage.insert(stage.end(), items[k].data,
-                       items[k].data + items[k].len);
-        }
-        charge_copy(stage.size());
-        auto r = driver_->pwrite(items[i].off, stage);
-        if (!r.ok()) {
-          disk_st = r.error();
-          break;
-        }
-        i = j;
-      }
-      comm_.world().fabric().stats().add("mpiio.twophase_writes");
-      record_phase("mpiio.twophase_disk_ns", t_disk);
-    }
-    // Writes visible (and failures agreed on) before anyone proceeds.
-    if (disk_st != Err::kOk) return finish_collective(disk_st);
-    return finish_collective(total);
-  }
-
-  // Collective read: aggregators fetch and reply with piece data.
-  std::vector<std::uint64_t> reply_scounts(static_cast<std::size_t>(n), 0);
-  std::vector<std::uint64_t> reply_sdispls(static_cast<std::size_t>(n), 0);
-  std::vector<std::byte> reply_out;
-  const sim::Time t_disk = actor_now();
-  // A failed read is remembered and the (partially zero-filled) reply still
-  // flows through the alltoallv below — returning here would deadlock the
-  // non-aggregator ranks already waiting in that exchange.
+  // Data phase. Writes: every rank RDMA-puts its pieces straight from user
+  // memory into the owning aggregator's buffer, a fence makes them visible,
+  // and the aggregator writes each covered run with one direct pwrite.
+  // Reads: the aggregator preads each covered run into its buffer, a fence
+  // publishes it, and every rank RDMA-gets its pieces straight into user
+  // memory. An aggregator's own pieces are the only host copies, and a run
+  // that is exactly one of them skips the buffer altogether. A failure is
+  // remembered, not returned: the fences are collective, so every rank runs
+  // every round.
+  struct Run {
+    Piece p;
+    Mine* solo;  // the run is exactly this own piece: no buffer, no copy
+  };
   Err disk_st = Err::kOk;
-  if (aggregator && meta_in_total > 0) {
-    struct Item {
-      std::uint64_t off;
-      std::uint64_t len;
-      std::byte* dst;  // into reply_out
+  bool did_disk = false;
+  std::byte* const cb = cb_buf_.get();
+  std::vector<Run> runs;
+  std::vector<mpi::RmaOp> ops;
+  auto next = mine.begin();  // first piece of the current round
+  std::size_t ti = 0;        // theirs[ti..): this round onwards
+  for (std::uint64_t k = 0; k < rounds; ++k) {
+    // File offset of my buffer this round (aggregators only).
+    const std::uint64_t rb = aggregator ? round_base(me, k) : 0;
+    const auto first = next;
+    next = std::find_if(first, mine.end(),
+                        [k](const Mine& m) { return m.k != k; });
+    // Own pieces lead the round (ring distance 0); sort them for lookup.
+    const auto own_end = std::find_if(
+        first, next, [me](const Mine& m) { return m.d != me; });
+    std::sort(first, own_end, [](const Mine& a, const Mine& b) {
+      return a.p.off < b.p.off;
+    });
+    auto own_piece = [&](const Piece& p) -> Mine* {
+      const auto it = std::lower_bound(
+          first, own_end, p.off,
+          [](const Mine& m, std::uint64_t off) { return m.p.off < off; });
+      return it != own_end && it->p.off == p.off && it->p.len == p.len
+                 ? &*it
+                 : nullptr;
     };
-    // First size the reply buffer: piece data goes back in (src, piece)
-    // order.
-    std::uint64_t out_total = 0;
-    for (int s = 0; s < n; ++s) {
-      const std::uint64_t nm = meta_rcounts[static_cast<std::size_t>(s)];
-      const auto* pieces = reinterpret_cast<const Piece*>(
-          meta_in.data() + meta_rdispls[static_cast<std::size_t>(s)]);
-      reply_sdispls[static_cast<std::size_t>(s)] = out_total;
-      std::uint64_t bytes = 0;
-      for (std::uint64_t k = 0; k < nm / sizeof(Piece); ++k) {
-        bytes += pieces[k].len;
-      }
-      reply_scounts[static_cast<std::size_t>(s)] = bytes;
-      out_total += bytes;
-    }
-    reply_out.resize(out_total);
-    std::vector<Item> items;
-    for (int s = 0; s < n; ++s) {
-      const auto* pieces = reinterpret_cast<const Piece*>(
-          meta_in.data() + meta_rdispls[static_cast<std::size_t>(s)]);
-      const std::uint64_t np =
-          meta_rcounts[static_cast<std::size_t>(s)] / sizeof(Piece);
-      std::byte* pd = reply_out.data() +
-                      reply_sdispls[static_cast<std::size_t>(s)];
-      for (std::uint64_t k = 0; k < np; ++k) {
-        items.push_back(Item{pieces[k].off, pieces[k].len, pd});
-        pd += pieces[k].len;
-      }
-    }
-    std::sort(items.begin(), items.end(),
-              [](const Item& a, const Item& b) { return a.off < b.off; });
-    // Read coalesced ranges through a cb-buffer-sized staging area.
-    std::vector<std::byte> stage(cb_buffer);
-    std::size_t i = 0;
-    while (i < items.size()) {
-      const std::uint64_t run_off = items[i].off;
-      std::uint64_t run_len = 0;
-      std::size_t j = i;
-      while (j < items.size() && items[j].off < run_off + cb_buffer) {
-        const std::uint64_t end = items[j].off + items[j].len - run_off;
-        if (end > cb_buffer) break;
-        run_len = std::max(run_len, end);
-        ++j;
-      }
-      if (j == i) {  // giant piece: read it directly
-        auto r = driver_->pread(items[i].off,
-                                std::span(items[i].dst, items[i].len));
-        if (!r.ok()) {
-          disk_st = r.error();
-          break;
-        }
-        ++i;
-        continue;
-      }
-      auto r = driver_->pread(run_off, std::span(stage.data(), run_len));
-      if (!r.ok()) {
-        disk_st = r.error();
-        break;
-      }
-      for (std::size_t k = i; k < j; ++k) {
-        std::memcpy(items[k].dst, stage.data() + (items[k].off - run_off),
-                    items[k].len);
-        charge_copy(items[k].len);
-      }
-      i = j;
-    }
-    comm_.world().fabric().stats().add("mpiio.twophase_reads");
-    record_phase("mpiio.twophase_disk_ns", t_disk);
-  }
-  // Reply counts mirror the request metadata; both sides can compute them.
-  std::vector<std::uint64_t> reply_rcounts(static_cast<std::size_t>(n), 0);
-  std::vector<std::uint64_t> reply_rdispls(static_cast<std::size_t>(n), 0);
-  std::uint64_t reply_in_total = 0;
-  for (int d = 0; d < n; ++d) {
-    std::uint64_t bytes = 0;
-    if (d < naggr) {
-      for (const Piece& p : out_pieces[static_cast<std::size_t>(d)]) {
-        bytes += p.len;
-      }
-    }
-    reply_rcounts[static_cast<std::size_t>(d)] = bytes;
-    reply_rdispls[static_cast<std::size_t>(d)] = reply_in_total;
-    reply_in_total += bytes;
-  }
-  const sim::Time t_exchange = actor_now();
-  std::vector<std::byte> reply_in(reply_in_total);
-  comm_.alltoallv(reply_out.data(), reply_scounts, reply_sdispls,
-                  reply_in.data(), reply_rcounts, reply_rdispls);
-  record_phase("mpiio.twophase_exchange_ns", t_exchange);
 
-  // Scatter the returned bytes into the user buffer, in the same piece
-  // order they were generated.
-  for (int d = 0; d < naggr; ++d) {
-    const auto& ps = out_pieces[static_cast<std::size_t>(d)];
-    const auto& ms = out_mem[static_cast<std::size_t>(d)];
-    const std::byte* pd =
-        reply_in.data() + reply_rdispls[static_cast<std::size_t>(d)];
-    for (std::size_t k = 0; k < ps.size(); ++k) {
-      std::memcpy(ms[k], pd, ps[k].len);
-      pd += ps[k].len;
+    // Covered runs of my domain in this round; holes stay untouched.
+    runs.clear();
+    for (; aggregator && ti < theirs.size() && theirs[ti].off < rb + round_len;
+         ++ti) {
+      const Piece& p = theirs[ti];
+      if (!runs.empty() && p.off <= runs.back().p.off + runs.back().p.len) {
+        Run& r = runs.back();
+        r.p.len = std::max(r.p.len, p.off + p.len - r.p.off);
+        r.solo = nullptr;
+      } else {
+        runs.push_back(Run{p, own_piece(p)});
+      }
     }
-    charge_copy(reply_rcounts[static_cast<std::size_t>(d)]);
+    for (const Run& r : runs) {
+      if (r.solo != nullptr) r.solo->direct = true;
+    }
+    ops.clear();
+    for (auto it = own_end; it != next; ++it) {
+      ops.push_back(mpi::RmaOp{it->mem, it->p.len, it->d,
+                               it->p.off - round_base(it->d, k)});
+    }
+    auto copy_own = [&] {
+      std::uint64_t bytes = 0;
+      for (auto it = first; it != own_end; ++it) {
+        if (it->direct) continue;
+        std::byte* slot = cb + (it->p.off - rb);
+        if (writing) {
+          std::memcpy(slot, it->mem, it->p.len);
+        } else {
+          std::memcpy(it->mem, slot, it->p.len);
+        }
+        bytes += it->p.len;
+      }
+      charge_copy(bytes);
+    };
+
+    // The previous round's buffer is flushed (writes) or served (reads)
+    // before anyone touches it again.
+    if (k > 0) cb_win_->fence();
+    if (writing) {
+      const sim::Time t_exchange = actor_now();
+      copy_own();
+      cb_win_->put(ops);
+      cb_win_->fence();
+      record_phase("mpiio.twophase_exchange_ns", t_exchange);
+      const sim::Time t_disk = actor_now();
+      for (const Run& r : runs) {
+        if (disk_st != Err::kOk) break;
+        const std::byte* src = r.solo ? r.solo->mem : cb + (r.p.off - rb);
+        auto w = driver_->pwrite(r.p.off,
+                                 std::span<const std::byte>(src, r.p.len));
+        if (!w.ok()) disk_st = w.error();
+      }
+      if (!runs.empty()) {
+        did_disk = true;
+        record_phase("mpiio.twophase_disk_ns", t_disk);
+      }
+    } else {
+      const sim::Time t_disk = actor_now();
+      for (const Run& r : runs) {
+        if (disk_st != Err::kOk) break;
+        std::byte* dst = r.solo ? r.solo->mem : cb + (r.p.off - rb);
+        auto got = driver_->pread(r.p.off, std::span(dst, r.p.len));
+        if (!got.ok()) {
+          disk_st = got.error();
+        } else if (got.value() < r.p.len && r.solo == nullptr) {
+          // Past EOF: those pieces read as zeros, not as a stale round.
+          std::memset(dst + got.value(), 0, r.p.len - got.value());
+        }
+      }
+      if (!runs.empty()) {
+        did_disk = true;
+        record_phase("mpiio.twophase_disk_ns", t_disk);
+      }
+      const sim::Time t_exchange = actor_now();
+      cb_win_->fence();
+      copy_own();
+      cb_win_->get(ops);
+      record_phase("mpiio.twophase_exchange_ns", t_exchange);
+    }
   }
+  if (did_disk) {
+    comm_.world().fabric().stats().add(writing ? "mpiio.twophase_writes"
+                                               : "mpiio.twophase_reads");
+  }
+  // Writes visible (and failures agreed on) before anyone proceeds.
   if (disk_st != Err::kOk) return finish_collective(disk_st);
   return finish_collective(total);
 }

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -12,9 +13,9 @@
 /// \file file.hpp
 /// The portable MPI-IO layer (the MPI-2 I/O chapter) over the ADIO drivers:
 /// file views from derived datatypes, independent and collective reads and
-/// writes (two-phase collective buffering), data sieving for noncontiguous
-/// independent access, shared file pointers, nonblocking operations, hints
-/// and atomic mode.
+/// writes (two-phase collective buffering with one-sided aggregation over
+/// RDMA), data sieving for noncontiguous independent access, shared file
+/// pointers, nonblocking operations, hints and atomic mode.
 namespace mpiio {
 
 // Access modes (MPI_MODE_*).
@@ -58,6 +59,10 @@ class File {
   /// the view described by `filetype` displaced by `disp` bytes.
   Err set_view(std::uint64_t disp, const mpi::Datatype& etype,
                const mpi::Datatype& filetype, const Info& info = {});
+  /// Layer more hints over the open-time ones (MPI_File_set_info). The
+  /// collective and sieving hints apply from the next operation on; the
+  /// dafs_* transport hints are fixed at open.
+  Err set_info(const Info& info);
   std::uint64_t view_disp() const { return disp_; }
   const mpi::Datatype& etype() const { return etype_; }
   const mpi::Datatype& filetype() const { return filetype_; }
@@ -162,6 +167,11 @@ class File {
                                       std::uint64_t offset_etypes, void* buf,
                                       std::uint64_t count,
                                       const mpi::Datatype& type);
+  /// Collective: make sure every aggregator (ranks below `naggr`) exposes a
+  /// collective buffer of at least `round_len` bytes in cb_win_. Both
+  /// arguments derive from values all ranks agree on, so all ranks regrow
+  /// together.
+  void ensure_cb_window(std::uint64_t round_len, int naggr);
   /// Fetch-add the shared file pointer by `total_etypes` on rank 0 and
   /// broadcast base + status, so a counter failure surfaces on every rank.
   Result<std::uint64_t> ordered_base(std::uint64_t total_etypes);
@@ -182,6 +192,8 @@ class File {
   /// Should this operation open a root trace span? Consults the
   /// `dafs_trace_sample` hint: 0 never, k every k-th operation (default 1).
   bool trace_sampled() const;
+  /// Merge `info` into info_ and layer its hints over hints_.
+  void apply_info(const Info& info);
   Err check_writable() const;
   Err check_readable() const;
   std::uint64_t etypes_of(std::uint64_t count, const mpi::Datatype& type) const;
@@ -190,11 +202,20 @@ class File {
   std::string path_;
   int amode_;
   Info info_;
-  /// Every dafs_* hint, parsed once at open (info is fixed for the file's
-  /// lifetime); the collective and trace paths read from here instead of
+  /// Every hint, parsed at open and updated by set_view / set_info; the
+  /// collective, sieving and trace paths read from here instead of
   /// re-parsing strings per operation.
   HintSet hints_;
   std::unique_ptr<AdioDriver> driver_;
+
+  // One-sided two-phase aggregation: on aggregators, a registered buffer
+  // holding one round of the rank's file domain in file order, exposed to
+  // every rank through cb_win_. Kept for the file's lifetime and regrown
+  // only when a larger round (or another aggregator set) is needed.
+  std::unique_ptr<std::byte[]> cb_buf_;
+  std::optional<mpi::Win> cb_win_;
+  std::uint64_t cb_round_len_ = 0;
+  int cb_naggr_ = 0;
 
   // view
   std::uint64_t disp_ = 0;
@@ -210,9 +231,7 @@ class File {
   bool atomic_ = false;
   std::string sfp_key_;
 
-  // Tracing: sampling interval from the dafs_trace_sample hint and the
-  // per-file operation counter it divides.
-  std::uint64_t trace_sample_ = 1;
+  // Tracing: operations so far, divided by the dafs_trace_sample hint.
   mutable std::uint64_t trace_ops_ = 0;
 
   // Split-collective state: the access runs at begin (the standard permits

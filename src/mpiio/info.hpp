@@ -15,18 +15,10 @@
 
 namespace mpiio {
 
-/// MPI_Info: string key/value hints. The ROMIO-compatible keys this
-/// implementation honours:
-///   cb_buffer_size       two-phase collective buffer per aggregator (bytes)
-///   cb_nodes             number of aggregator ranks
-///   romio_cb_read        "enable" | "disable" | "automatic"
-///   romio_cb_write       "enable" | "disable" | "automatic"
-///   ind_rd_buffer_size   data-sieving read buffer (bytes)
-///   ind_wr_buffer_size   data-sieving write buffer (bytes)
-///   romio_ds_read        "enable" | "disable" | "automatic"
-///   romio_ds_write       "enable" | "disable" | "automatic"
-/// Every DAFS-specific (`dafs_*`) hint parses through mpiio::HintSet below;
-/// kDafsHints is the authoritative table.
+/// MPI_Info: string key/value hints. Every hint this implementation honours
+/// (the ROMIO collective-buffering and data-sieving keys and the DAFS
+/// `dafs_*` keys) parses through mpiio::HintSet below; kHints is the
+/// authoritative table.
 class Info {
  public:
   Info() = default;
@@ -63,15 +55,6 @@ class Info {
     return out;
   }
 
-  /// Tri-state hint: returns fallback for "automatic"/absent.
-  bool get_switch(const std::string& key, bool fallback) const {
-    auto v = get(key);
-    if (!v) return fallback;
-    if (*v == "enable" || *v == "true") return true;
-    if (*v == "disable" || *v == "false") return false;
-    return fallback;
-  }
-
   const std::map<std::string, std::string>& all() const { return kv_; }
 
   /// Hint values that failed to parse so far (monotone; also mirrored into
@@ -97,15 +80,15 @@ class Info {
 };
 
 // ---------------------------------------------------------------------------
-// HintSet: the single typed parse point for every `dafs_*` hint.
+// HintSet: the single typed parse point for every hint.
 // ---------------------------------------------------------------------------
 
-/// Value grammar of a `dafs_*` hint; drives per-key validation in
-/// HintSet::parse.
+/// Value grammar of a hint; drives per-key validation in HintSet::parse.
 enum class HintKind : std::uint8_t {
-  kUint,  // base-10 unsigned integer, nothing else (no size suffixes)
-  kEnum,  // one of a fixed word set
-  kList,  // comma-separated names, whitespace-trimmed, duplicates dropped
+  kUint,    // base-10 unsigned integer, nothing else (no size suffixes)
+  kEnum,    // one of a fixed word set
+  kList,    // comma-separated names, whitespace-trimmed, duplicates dropped
+  kSwitch,  // ROMIO tri-state: enable | disable | automatic (true | false)
 };
 
 struct HintDesc {
@@ -114,15 +97,33 @@ struct HintDesc {
   std::string_view doc;
 };
 
-/// The authoritative table of every `dafs_*` hint this implementation
-/// honours — parsing, validation and documentation all come from here. A
-/// `dafs_*` key NOT in this table is a bad hint (typo'd hints should be
-/// loud, not silently inert), as is any value that fails its kind's grammar;
-/// both bump Info::bad_hints() / "mpiio.bad_hint" and fall back as if the
-/// key were absent.
+/// The authoritative table of every hint this implementation honours —
+/// parsing, validation and documentation all come from here. A `dafs_*` key
+/// NOT in this table is a bad hint (typo'd hints should be loud, not
+/// silently inert), as is any value that fails its kind's grammar; both
+/// bump Info::bad_hints() / "mpiio.bad_hint" and fall back as if the key
+/// were absent. Other keys not in the table are ignored, as MPI requires.
 ///
 ///   key                        kind   meaning
 ///   -------------------------  -----  ------------------------------------
+///   cb_buffer_size             uint   per-aggregator collective buffer in
+///                                     bytes: the most one two-phase round
+///                                     moves per aggregator (default 4 MiB,
+///                                     at least 64 KiB)
+///   cb_nodes                   uint   aggregator ranks (default and cap:
+///                                     the communicator size; at least 1)
+///   romio_cb_read              switch two-phase collective reads (default
+///                                     enable)
+///   romio_cb_write             switch two-phase collective writes (default
+///                                     enable)
+///   ind_rd_buffer_size         uint   data-sieving read window (default
+///                                     4 MiB, at least 64 KiB)
+///   ind_wr_buffer_size         uint   data-sieving write window (default
+///                                     512 KiB, at least 64 KiB)
+///   romio_ds_read              switch data sieving for noncontiguous
+///                                     independent reads (default: on for
+///                                     drivers without list I/O)
+///   romio_ds_write             switch same for writes (also needs locks)
 ///   dafs_endpoints             list   filer services; first = metadata /
 ///                                     preferred primary, rest failover
 ///   dafs_stripe_size           uint   stripe width in bytes (0 = default,
@@ -149,7 +150,15 @@ struct HintDesc {
 ///   dafs_attr_ttl_ms           uint   attribute-cache TTL under a
 ///                                     delegation, ms (0 = always
 ///                                     revalidate)
-inline constexpr HintDesc kDafsHints[] = {
+inline constexpr HintDesc kHints[] = {
+    {"cb_buffer_size", HintKind::kUint, "collective buffer (bytes)"},
+    {"cb_nodes", HintKind::kUint, "aggregator count"},
+    {"romio_cb_read", HintKind::kSwitch, "collective buffering, reads"},
+    {"romio_cb_write", HintKind::kSwitch, "collective buffering, writes"},
+    {"ind_rd_buffer_size", HintKind::kUint, "sieving read window (bytes)"},
+    {"ind_wr_buffer_size", HintKind::kUint, "sieving write window (bytes)"},
+    {"romio_ds_read", HintKind::kSwitch, "data sieving, reads"},
+    {"romio_ds_write", HintKind::kSwitch, "data sieving, writes"},
     {"dafs_endpoints", HintKind::kList, "filer service list"},
     {"dafs_stripe_size", HintKind::kUint, "stripe width (bytes)"},
     {"dafs_stripe_count", HintKind::kUint, "data-server count"},
@@ -167,30 +176,61 @@ inline constexpr HintDesc kDafsHints[] = {
     {"dafs_attr_ttl_ms", HintKind::kUint, "attr-cache TTL (ms)"},
 };
 
-/// Every `dafs_*` hint, parsed once and validated per kDafsHints, exposed as
-/// the typed values the layers below consume: a dafs::RetryPolicy, a
+/// Every hint, parsed once and validated per kHints, exposed as the typed
+/// values the layers below consume: the collective-buffering and sieving
+/// knobs of the portable layer, and a dafs::RetryPolicy, a
 /// dafs::IntegrityMode, a dafs::MountSpec and the dafs::OpenOptions that
 /// select the client cache's consistency level. "Absent keeps the base
 /// value" holds per key, so a HintSet layered over an existing policy or
 /// mount spec only overrides what the application actually set.
 class HintSet {
  public:
-  /// THE parse point. Walks every key in `info`: known `dafs_*` hints
+  /// THE parse point (File::open). Walks every key in `info`: known hints
   /// validate against their kind, unknown `dafs_*` keys and malformed
-  /// values both count as bad hints. Non-`dafs_*` (ROMIO) keys are not
-  /// this layer's business and pass untouched.
+  /// values both count as bad hints.
   static HintSet parse(const Info& info) {
     HintSet h;
-    for (const auto& [key, value] : info.all()) {
-      if (!key.starts_with("dafs_")) continue;
-      const HintDesc* d = find_desc(key);
-      if (d == nullptr) {
-        info.note_bad_hint();
-        continue;
-      }
-      h.apply(*d, value, info);
-    }
+    h.update(info, info);
     return h;
+  }
+
+  /// Layer `delta`'s keys over this set (hints passed to set_view or
+  /// set_info after open); bad ones count through `sink`, the file's bound
+  /// Info. Keys absent from `delta` keep their current value.
+  void update(const Info& delta, const Info& sink) {
+    for (const auto& [key, value] : delta.all()) {
+      if (const HintDesc* d = find_desc(key); d != nullptr) {
+        apply(*d, value, sink);
+      } else if (key.starts_with("dafs_")) {
+        sink.note_bad_hint();
+      }
+    }
+  }
+
+  /// romio_cb_read / romio_cb_write: two-phase collective buffering.
+  bool collective_buffering(bool writing) const {
+    return (writing ? cb_write_ : cb_read_).value_or(true);
+  }
+  /// cb_buffer_size: bytes one aggregator moves per two-phase round.
+  std::uint64_t cb_buffer_size() const {
+    return std::max<std::uint64_t>(cb_buffer_size_.value_or(4u << 20),
+                                   64u << 10);
+  }
+  /// cb_nodes, clamped to [1, nprocs]: ranks 0..cb_nodes-1 aggregate.
+  int cb_nodes(int nprocs) const {
+    const std::uint64_t n = static_cast<std::uint64_t>(nprocs);
+    return static_cast<int>(std::clamp<std::uint64_t>(
+        cb_nodes_.value_or(n), 1, n));
+  }
+  /// romio_ds_read / romio_ds_write; `fallback` is the driver's default.
+  bool data_sieving(bool writing, bool fallback) const {
+    return (writing ? ds_write_ : ds_read_).value_or(fallback);
+  }
+  /// ind_rd_buffer_size / ind_wr_buffer_size: the sieving window.
+  std::uint64_t sieve_buffer_size(bool writing) const {
+    const std::uint64_t v = writing ? ind_wr_buffer_.value_or(512u << 10)
+                                    : ind_rd_buffer_.value_or(4u << 20);
+    return std::max<std::uint64_t>(v, 64u << 10);
   }
 
   /// The consolidated retry/deadline policy shared by client
@@ -279,7 +319,7 @@ class HintSet {
 
  private:
   static const HintDesc* find_desc(std::string_view key) {
-    for (const auto& d : kDafsHints) {
+    for (const auto& d : kHints) {
       if (d.key == key) return &d;
     }
     return nullptr;
@@ -304,7 +344,11 @@ class HintSet {
           info.note_bad_hint();
           return;
         }
-        if (d.key == "dafs_stripe_size") stripe_size_ = *u;
+        if (d.key == "cb_buffer_size") cb_buffer_size_ = *u;
+        else if (d.key == "cb_nodes") cb_nodes_ = *u;
+        else if (d.key == "ind_rd_buffer_size") ind_rd_buffer_ = *u;
+        else if (d.key == "ind_wr_buffer_size") ind_wr_buffer_ = *u;
+        else if (d.key == "dafs_stripe_size") stripe_size_ = *u;
         else if (d.key == "dafs_stripe_count") stripe_count_ = *u;
         else if (d.key == "dafs_retry_attempts") retry_attempts_ = *u;
         else if (d.key == "dafs_retry_backoff_ns") retry_backoff_ns_ = *u;
@@ -336,10 +380,27 @@ class HintSet {
         }
         return;
       }
+      case HintKind::kSwitch: {
+        std::optional<bool> on;  // "automatic": the implementation decides
+        if (value == "enable" || value == "true") {
+          on = true;
+        } else if (value == "disable" || value == "false") {
+          on = false;
+        } else if (value != "automatic") {
+          info.note_bad_hint();
+          return;
+        }
+        if (d.key == "romio_cb_read") cb_read_ = on;
+        else if (d.key == "romio_cb_write") cb_write_ = on;
+        else if (d.key == "romio_ds_read") ds_read_ = on;
+        else if (d.key == "romio_ds_write") ds_write_ = on;
+        return;
+      }
       case HintKind::kList: {
         // dafs_endpoints: trim surrounding whitespace ("a, b" must not
         // yield an endpoint named " b" that can never resolve) and drop
         // duplicate names. An all-junk list parses to empty = absent.
+        endpoints_.clear();
         std::size_t start = 0;
         while (start <= value.size()) {
           std::size_t comma = value.find(',', start);
@@ -360,6 +421,14 @@ class HintSet {
     }
   }
 
+  std::optional<bool> cb_read_;
+  std::optional<bool> cb_write_;
+  std::optional<std::uint64_t> cb_buffer_size_;
+  std::optional<std::uint64_t> cb_nodes_;
+  std::optional<bool> ds_read_;
+  std::optional<bool> ds_write_;
+  std::optional<std::uint64_t> ind_rd_buffer_;
+  std::optional<std::uint64_t> ind_wr_buffer_;
   std::optional<std::uint64_t> retry_attempts_;
   std::optional<std::uint64_t> retry_backoff_ns_;
   std::optional<std::uint64_t> retry_backoff_cap_ns_;

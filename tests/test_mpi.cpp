@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <cstring>
 #include <thread>
 #include <numeric>
@@ -377,6 +379,87 @@ TEST(MpiTiming, EagerChargesCopiesBothSides) {
   EXPECT_GE(w.rank_busy(1)[sim::CostKind::kCopy], cm.copy_time(8 * 1024));
 }
 
+TEST(MpiTiming, WarmNoncontiguousRendezvousIsZeroCopy) {
+  // 256 KiB of data in a 512 KiB strided extent: the RDMA write gathers the
+  // runs straight out of user memory. Once the extent's registration is
+  // cached, a send charges neither a copy nor a registration.
+  World w(config(2));
+  const auto stride = Datatype::hvector(256, 1024, 2048, Datatype::byte());
+  std::array<sim::BusyBreakdown, 2> warm{};
+  w.run([&](Comm& c) {
+    if (c.rank() == 0) {
+      std::vector<std::byte> src(512 * 1024);
+      for (std::size_t i = 0; i < src.size(); ++i) {
+        src[i] = static_cast<std::byte>((i / 2048) * 7 + i % 1024);
+      }
+      c.send(src.data(), 1, stride, 1, 0);  // cold: registers the extent
+      const sim::BusyBreakdown b0 = c.actor().busy();
+      c.send(src.data(), 1, stride, 1, 1);
+      const sim::BusyBreakdown b1 = c.actor().busy();
+      for (std::size_t k = 0; k < b0.by_kind.size(); ++k) {
+        warm[0].by_kind[k] = b1.by_kind[k] - b0.by_kind[k];
+      }
+    } else {
+      std::vector<std::byte> dst(256 * 1024);
+      for (int tag = 0; tag < 2; ++tag) {
+        c.recv(dst.data(), dst.size(), Datatype::byte(), 0, tag);
+        std::size_t i = 0;
+        while (i < dst.size() &&
+               dst[i] == static_cast<std::byte>((i / 1024) * 7 + i % 1024)) {
+          i += 997;
+        }
+        EXPECT_GE(i, dst.size()) << "tag " << tag;
+      }
+    }
+  });
+  EXPECT_EQ(warm[0][sim::CostKind::kCopy], 0u);
+  EXPECT_EQ(warm[0][sim::CostKind::kRegistration], 0u);
+  EXPECT_GT(warm[0][sim::CostKind::kProtocol], 0u);  // doorbells did happen
+}
+
+TEST(MpiTiming, SelfSendChargesThePackCopy) {
+  World w(config(1));
+  sim::Time send_copy = 0;
+  w.run([&](Comm& c) {
+    std::vector<std::byte> buf(8 * 1024, std::byte{3});
+    const sim::Time c0 = c.actor().busy()[sim::CostKind::kCopy];
+    c.send(buf.data(), buf.size(), Datatype::byte(), 0, 5);
+    send_copy = c.actor().busy()[sim::CostKind::kCopy] - c0;
+    std::vector<std::byte> got(buf.size());
+    c.recv(got.data(), got.size(), Datatype::byte(), 0, 5);
+    EXPECT_EQ(got, buf);
+  });
+  EXPECT_EQ(send_copy, sim::CostModel{}.copy_time(8 * 1024));
+}
+
+TEST(MpiTiming, AlltoallvChargesTheSelfBlockCopy) {
+  World w(config(1));
+  sim::Time copy = 0;
+  w.run([&](Comm& c) {
+    std::vector<std::byte> in(64 * 1024, std::byte{9}), out(64 * 1024);
+    const std::vector<std::uint64_t> counts = {in.size()}, displs = {0};
+    const sim::Time c0 = c.actor().busy()[sim::CostKind::kCopy];
+    c.alltoallv(in.data(), counts, displs, out.data(), counts, displs);
+    copy = c.actor().busy()[sim::CostKind::kCopy] - c0;
+    EXPECT_EQ(out, in);
+  });
+  EXPECT_EQ(copy, sim::CostModel{}.copy_time(64 * 1024));
+}
+
+TEST(MpiTiming, AllgathervChargesTheOwnBlockCopy) {
+  World w(config(1));
+  sim::Time copy = 0;
+  w.run([&](Comm& c) {
+    std::vector<std::byte> in(32 * 1024, std::byte{4}), out(32 * 1024);
+    const std::vector<std::uint64_t> counts = {in.size()}, displs = {0};
+    const sim::Time c0 = c.actor().busy()[sim::CostKind::kCopy];
+    c.allgatherv(in.data(), in.size(), out.data(), counts, displs);
+    copy = c.actor().busy()[sim::CostKind::kCopy] - c0;
+    EXPECT_EQ(out, in);
+  });
+  EXPECT_EQ(copy, sim::CostModel{}.copy_time(32 * 1024));
+}
+
 TEST(MpiTiming, VirtualTimeAdvancesWithTraffic) {
   World w(config(2));
   w.run([](Comm& c) {
@@ -394,6 +477,104 @@ TEST(MpiTiming, VirtualTimeAdvancesWithTraffic) {
   EXPECT_GE(w.rank_time(1), cm.wire_time(4u << 20));
 }
 
+// ---------------------------------------------------------------------------
+// One-sided communication (Win)
+// ---------------------------------------------------------------------------
+
+TEST(MpiRma, PutAndGetAreByteExact) {
+  World w(config(4));
+  w.run([&w](Comm& c) {
+    const int n = c.size();
+    constexpr std::uint64_t kSlot = 40'000;  // > eager threshold, odd-sized
+    std::vector<std::byte> exposed(kSlot * static_cast<std::size_t>(n));
+    mpi::Win win(c, exposed.data(), exposed.size());
+    // Everyone puts its pattern into slot `rank` of every window, its own
+    // included.
+    std::vector<std::byte> mine(kSlot);
+    sim::Rng rng(100 + static_cast<std::uint64_t>(c.rank()));
+    for (auto& b : mine) b = static_cast<std::byte>(rng.next() & 0xff);
+    for (int t = 0; t < n; ++t) {
+      win.put(mine.data(), kSlot, t, static_cast<std::uint64_t>(c.rank()) * kSlot);
+    }
+    win.fence();
+    // EXPECT, not ASSERT: a rank bailing out would strand the others in
+    // the next fence.
+    auto matches = [](const std::byte* p, std::uint64_t seed) {
+      sim::Rng expect(seed);
+      for (std::uint64_t i = 0; i < kSlot; ++i) {
+        if (p[i] != static_cast<std::byte>(expect.next() & 0xff)) return false;
+      }
+      return true;
+    };
+    for (int s = 0; s < n; ++s) {
+      EXPECT_TRUE(matches(exposed.data() + static_cast<std::size_t>(s) * kSlot,
+                          100 + static_cast<std::uint64_t>(s)))
+          << "slot " << s;
+    }
+    // Get the right neighbour's slot of the left neighbour's window back.
+    const int left = (c.rank() + n - 1) % n;
+    const int right = (c.rank() + 1) % n;
+    std::vector<std::byte> got(kSlot);
+    win.get(got.data(), kSlot, left, static_cast<std::uint64_t>(right) * kSlot);
+    win.fence();
+    EXPECT_TRUE(matches(got.data(), 100 + static_cast<std::uint64_t>(right)));
+    if (c.rank() == 0) {
+      EXPECT_GT(w.fabric().stats().get("mpi.rma_puts"), 0u);
+      EXPECT_GT(w.fabric().stats().get("mpi.rma_gets"), 0u);
+    }
+  });
+}
+
+TEST(MpiRma, FenceCompletesNoEarlierThanCoveredPuts) {
+  // Rank 1 puts 1 MiB into rank 0's window; rank 0 does nothing but fence.
+  // Its clock must then be at or past the put's arrival: at least the wire
+  // time of the payload after rank 1 started it.
+  World w(config(2));
+  std::atomic<sim::Time> put_start{0}, fenced_at{0};
+  w.run([&](Comm& c) {
+    std::vector<std::byte> exposed(c.rank() == 0 ? (1u << 20) : 0);
+    mpi::Win win(c, exposed.data(), exposed.size());
+    if (c.rank() == 1) {
+      std::vector<std::byte> data(1u << 20, std::byte{7});
+      put_start = c.actor().now();
+      win.put(data.data(), data.size(), 0, 0);
+    }
+    win.fence();
+    if (c.rank() == 0) {
+      fenced_at = c.actor().now();
+      EXPECT_EQ(exposed.back(), std::byte{7});
+    }
+  });
+  const sim::CostModel cm;
+  EXPECT_GE(fenced_at.load(), put_start.load() + cm.wire_time(1u << 20));
+}
+
+TEST(MpiRma, WindowIsReusedAcrossEpochs) {
+  World w(config(3));
+  w.run([&w](Comm& c) {
+    const int n = c.size();
+    std::vector<std::uint64_t> exposed(static_cast<std::size_t>(n), 0);
+    mpi::Win win(c, exposed.data(), exposed.size() * sizeof(std::uint64_t));
+    for (std::uint64_t epoch = 1; epoch <= 5; ++epoch) {
+      // Epoch e: every rank writes e*100+rank into its slot of rank (e % n).
+      const int target = static_cast<int>(epoch % static_cast<std::uint64_t>(n));
+      std::uint64_t v = epoch * 100 + static_cast<std::uint64_t>(c.rank());
+      win.put(&v, sizeof(v), target,
+              static_cast<std::uint64_t>(c.rank()) * sizeof(std::uint64_t));
+      win.fence();
+      if (c.rank() == target) {
+        for (int s = 0; s < n; ++s) {
+          EXPECT_EQ(exposed[static_cast<std::size_t>(s)],
+                    epoch * 100 + static_cast<std::uint64_t>(s));
+        }
+      }
+      // The next epoch's puts must not overtake this epoch's checks.
+      win.fence();
+    }
+  });
+  // Ten fences on each of three ranks, all on the one window.
+  EXPECT_EQ(w.fabric().stats().get("mpi.rma_fences"), 3u * 10u);
+}
 
 TEST(MpiWorlds, TwoConcurrentWorldsOnOneFabric) {
   // Two independent MPI jobs share the cluster fabric (distinct bootstrap

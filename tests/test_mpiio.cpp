@@ -533,6 +533,225 @@ TEST_F(MpiioTest, CollectiveWithZeroDataRanks) {
   });
 }
 
+TEST_F(MpiioTest, CollectiveWriteLeavesHolesUntouched) {
+  // Sparse view: rank r owns bytes [r*1 KiB, (r+1)*1 KiB) of every 8 KiB
+  // tile, so the upper half of each tile is a hole inside the aggregators'
+  // domains. The aggregators must write only the covered runs.
+  constexpr std::uint64_t kTile = 8 * 1024;
+  constexpr std::uint64_t kTiles = 32;
+  const auto before = pattern(kTile * kTiles, 777);
+  world_->run([&](Comm& c) {
+    DafsCtx ctx(*fabric_, world_->node_of(c.rank()));
+    auto f = OpenDafs(c, ctx, "/holes.dat", kModeCreate | kModeRdwr);
+    ASSERT_NE(f, nullptr);
+    if (c.rank() == 0) {
+      ASSERT_TRUE(
+          f->write_at(0, before.data(), before.size(), Datatype::byte()).ok());
+    }
+    c.barrier();
+    constexpr std::uint32_t kBlock = 1024;
+    const std::array<std::uint32_t, 1> sizes = {kTile};
+    const std::array<std::uint32_t, 1> subsizes = {kBlock};
+    const std::array<std::uint32_t, 1> starts = {
+        static_cast<std::uint32_t>(c.rank()) * kBlock};
+    ASSERT_EQ(f->set_view(0, Datatype::byte(),
+                          Datatype::subarray(sizes, subsizes, starts,
+                                             Datatype::byte())),
+              Err::kOk);
+    std::vector<std::byte> mine(kBlock * kTiles, std::byte(0xA0 + c.rank()));
+    ASSERT_TRUE(
+        f->write_at_all(0, mine.data(), mine.size(), Datatype::byte()).ok());
+    c.barrier();
+    if (c.rank() == 0) {
+      auto raw = ctx.session->open("/holes.dat").value();
+      std::vector<std::byte> all(kTile * kTiles);
+      EXPECT_EQ(ctx.session->pread(raw, 0, all).value(), all.size());
+      // No ASSERT inside a rank: bailing out early would strand the other
+      // ranks in close().
+      std::uint64_t bad = 0;
+      while (bad < all.size()) {
+        const std::uint64_t in_tile = bad % kTile;
+        const std::byte expect =
+            in_tile < kNp * kBlock ? std::byte(0xA0 + in_tile / kBlock)
+                                   : before[bad];
+        if (all[bad] != expect) break;
+        ++bad;
+      }
+      EXPECT_EQ(bad, all.size()) << "first wrong byte";
+    }
+    f->close();
+  });
+}
+
+TEST_F(MpiioTest, CollectiveRunsInRoundsWhenDomainExceedsBuffer) {
+  // 1 MiB block-cyclic collective with a 64 KiB cb_buffer_size: 256 KiB
+  // domains move through each aggregator's buffer in four rounds.
+  world_->run([this](Comm& c) {
+    DafsCtx ctx(*fabric_, world_->node_of(c.rank()));
+    Info info;
+    info.set("cb_buffer_size", std::uint64_t{64 * 1024});
+    auto f = OpenDafs(c, ctx, "/rounds.dat", kModeCreate | kModeRdwr, info);
+    ASSERT_NE(f, nullptr);
+    constexpr std::uint32_t kBlock = 4096;
+    const std::array<std::uint32_t, 1> sizes = {kBlock * kNp};
+    const std::array<std::uint32_t, 1> subsizes = {kBlock};
+    const std::array<std::uint32_t, 1> starts = {
+        static_cast<std::uint32_t>(c.rank()) * kBlock};
+    ASSERT_EQ(f->set_view(0, Datatype::byte(),
+                          Datatype::subarray(sizes, subsizes, starts,
+                                             Datatype::byte())),
+              Err::kOk);
+    auto mine = pattern(kBlock * 64, 1200 + c.rank());
+    const std::uint64_t fences0 = fabric_->stats().get("mpi.rma_fences");
+    ASSERT_TRUE(
+        f->write_at_all(0, mine.data(), mine.size(), Datatype::byte()).ok());
+    std::vector<std::byte> back(mine.size());
+    ASSERT_TRUE(
+        f->read_at_all(0, back.data(), back.size(), Datatype::byte()).ok());
+    EXPECT_EQ(std::memcmp(mine.data(), back.data(), mine.size()), 0);
+    // Four rounds each way: 2 * 4 - 1 fences per call on every rank.
+    EXPECT_EQ(fabric_->stats().get("mpi.rma_fences") - fences0,
+              2u * 7u * kNp);
+    f->close();
+  });
+}
+
+TEST_F(MpiioTest, SparseCollectiveRunsRoundsOnlyOverAccessedBytes) {
+  // Ranks 0 and 3 write 8 KiB each, 64 MiB apart, with a 64 KiB
+  // cb_buffer_size: the 16 MiB domains are almost empty, and rounds start
+  // at each domain's first accessed byte, so one round covers everything
+  // (a fixed grid over the domains would take 256).
+  constexpr std::uint64_t kLen = 8 * 1024;
+  constexpr std::uint64_t kFar = 64ull << 20;
+  world_->run([this](Comm& c) {
+    DafsCtx ctx(*fabric_, world_->node_of(c.rank()));
+    Info info;
+    info.set("cb_buffer_size", std::uint64_t{64 * 1024});
+    auto f = OpenDafs(c, ctx, "/sparse.dat", kModeCreate | kModeRdwr, info);
+    ASSERT_NE(f, nullptr);
+    const bool writer = c.rank() == 0 || c.rank() == 3;
+    const std::uint64_t off = c.rank() == 3 ? kFar : 0;
+    const auto mine = pattern(writer ? kLen : 0, 1400 + c.rank());
+    const std::uint64_t fences0 = fabric_->stats().get("mpi.rma_fences");
+    ASSERT_TRUE(
+        f->write_at_all(off, mine.data(), mine.size(), Datatype::byte()).ok());
+    std::vector<std::byte> back(mine.size());
+    ASSERT_TRUE(
+        f->read_at_all(off, back.data(), back.size(), Datatype::byte()).ok());
+    EXPECT_EQ(back, mine);
+    EXPECT_EQ(fabric_->stats().get("mpi.rma_fences") - fences0, 2u * kNp);
+    f->close();
+  });
+}
+
+TEST_F(MpiioTest, BackToBackCollectivesWithUnevenSizes) {
+  // Write then read, no barrier in between, with per-rank sizes that differ
+  // every iteration: a rank racing into the read must never see a buffer an
+  // aggregator is still flushing, nor clobber one still being served.
+  world_->run([this](Comm& c) {
+    DafsCtx ctx(*fabric_, world_->node_of(c.rank()));
+    auto f = OpenDafs(c, ctx, "/b2b.dat", kModeCreate | kModeRdwr);
+    ASSERT_NE(f, nullptr);
+    const int n = c.size();
+    for (std::uint64_t it = 0; it < 6; ++it) {
+      std::vector<std::uint64_t> sizes(static_cast<std::size_t>(n));
+      std::uint64_t total = 0, at = 0;
+      for (int r = 0; r < n; ++r) {
+        sizes[static_cast<std::size_t>(r)] =
+            1000 + 7919 * ((static_cast<std::uint64_t>(r) + it) % 4) + 13 * it;
+        if (r < c.rank()) at += sizes[static_cast<std::size_t>(r)];
+        total += sizes[static_cast<std::size_t>(r)];
+      }
+      const auto mine = pattern(sizes[static_cast<std::size_t>(c.rank())],
+                                5000 + it * 10 + c.rank());
+      ASSERT_TRUE(
+          f->write_at_all(it * total + at, mine.data(), mine.size(),
+                          Datatype::byte())
+              .ok());
+      // Read the next rank's record of this iteration.
+      const int next = (c.rank() + 1) % n;
+      std::uint64_t next_at = 0;
+      for (int r = 0; r < next; ++r) next_at += sizes[static_cast<std::size_t>(r)];
+      std::vector<std::byte> got(sizes[static_cast<std::size_t>(next)]);
+      ASSERT_TRUE(f->read_at_all(it * total + next_at, got.data(), got.size(),
+                                 Datatype::byte())
+                      .ok());
+      EXPECT_EQ(got, pattern(got.size(), 5000 + it * 10 + next))
+          << "iteration " << it;
+    }
+    f->close();
+  });
+}
+
+TEST_F(MpiioTest, CollectiveReadWithZeroDataRanksAndStridedMemory) {
+  // Ranks 1 and 3 bring no data; ranks 0 and 2 read into every other 512 B
+  // slot of a strided memory buffer (a noncontiguous memory datatype).
+  constexpr std::uint64_t kLen = 24 * 1024;
+  const auto file = pattern(kLen * 2, 61);
+  world_->run([&](Comm& c) {
+    DafsCtx ctx(*fabric_, world_->node_of(c.rank()));
+    auto f = OpenDafs(c, ctx, "/zread.dat", kModeCreate | kModeRdwr);
+    ASSERT_NE(f, nullptr);
+    if (c.rank() == 0) {
+      ASSERT_TRUE(
+          f->write_at(0, file.data(), file.size(), Datatype::byte()).ok());
+    }
+    c.barrier();
+    const bool reader = c.rank() % 2 == 0;
+    const auto slots = Datatype::resized(
+        Datatype::hvector(1, 512, 1024, Datatype::byte()), 0, 1024);
+    const std::uint64_t count = reader ? kLen / 512 : 0;
+    std::vector<std::byte> mem(kLen * 2, std::byte{0x55});
+    const std::uint64_t off = static_cast<std::uint64_t>(c.rank() / 2) * kLen;
+    auto r = f->read_at_all(off, mem.data(), count, slots);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value(), count * 512);
+    std::uint64_t s = 0;
+    while (s < count &&
+           std::memcmp(mem.data() + s * 1024, file.data() + off + s * 512,
+                       512) == 0 &&
+           mem[s * 1024 + 512] == std::byte{0x55}) {
+      ++s;
+    }
+    EXPECT_EQ(s, count) << "first wrong slot (data or gap)";
+    f->close();
+  });
+}
+
+TEST_F(MpiioTest, CollectiveWriteCopiesOnlyTheAggregatorsOwnPieces) {
+  // 4-rank block-cyclic write with 16 KiB blocks and 64 KiB domains: each
+  // rank owns one block of every domain. Its own block is copied into its
+  // collective buffer; the other three move by RDMA straight out of user
+  // memory. The only other copies are the small metadata messages.
+  constexpr std::uint32_t kBlock = 16 * 1024;
+  const sim::CostModel cm;
+  world_->run([&](Comm& c) {
+    DafsCtx ctx(*fabric_, world_->node_of(c.rank()));
+    auto f = OpenDafs(c, ctx, "/copies.dat", kModeCreate | kModeRdwr);
+    ASSERT_NE(f, nullptr);
+    const std::array<std::uint32_t, 1> sizes = {kBlock * kNp};
+    const std::array<std::uint32_t, 1> subsizes = {kBlock};
+    const std::array<std::uint32_t, 1> starts = {
+        static_cast<std::uint32_t>(c.rank()) * kBlock};
+    ASSERT_EQ(f->set_view(0, Datatype::byte(),
+                          Datatype::subarray(sizes, subsizes, starts,
+                                             Datatype::byte())),
+              Err::kOk);
+    auto mine = pattern(kBlock * kNp, 1300 + c.rank());
+    // Warm the window and the registrations first.
+    ASSERT_TRUE(
+        f->write_at_all(0, mine.data(), mine.size(), Datatype::byte()).ok());
+    const sim::Time c0 = c.actor().busy()[sim::CostKind::kCopy];
+    ASSERT_TRUE(
+        f->write_at_all(0, mine.data(), mine.size(), Datatype::byte()).ok());
+    const sim::Time copied = c.actor().busy()[sim::CostKind::kCopy] - c0;
+    EXPECT_GE(copied, cm.copy_time(kBlock)) << "rank " << c.rank();
+    EXPECT_LT(copied, cm.copy_time(kBlock) + cm.copy_time(4096))
+        << "rank " << c.rank();
+    f->close();
+  });
+}
+
 // ---------------------------------------------------------------------------
 // Shared file pointers
 // ---------------------------------------------------------------------------

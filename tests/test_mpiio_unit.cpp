@@ -162,18 +162,11 @@ TEST(InfoHints, GettersAndDefaults) {
   Info info;
   EXPECT_FALSE(info.get("missing").has_value());
   EXPECT_EQ(info.get_uint("missing", 42), 42u);
-  EXPECT_TRUE(info.get_switch("missing", true));
-  EXPECT_FALSE(info.get_switch("missing", false));
 
   info.set("cb_buffer_size", std::uint64_t{1024});
   EXPECT_EQ(info.get_uint("cb_buffer_size", 0), 1024u);
   info.set("romio_ds_read", "enable");
-  EXPECT_TRUE(info.get_switch("romio_ds_read", false));
-  info.set("romio_ds_read", "disable");
-  EXPECT_FALSE(info.get_switch("romio_ds_read", true));
-  info.set("romio_ds_read", "automatic");
-  EXPECT_TRUE(info.get_switch("romio_ds_read", true));
-  EXPECT_FALSE(info.get_switch("romio_ds_read", false));
+  EXPECT_EQ(info.get("romio_ds_read"), "enable");
   EXPECT_EQ(info.all().size(), 2u);
 }
 
@@ -261,9 +254,133 @@ TEST(InfoHints, UnknownDafsKeyIsABadHint) {
   // other prefixes are not this layer's business.
   Info info;
   info.set("dafs_cache_byte", std::uint64_t{1 << 20});  // typo'd
-  info.set("cb_buffer_size", "banana");                 // not ours to judge
+  info.set("striping_factor", "banana");                // not ours to judge
   (void)mpiio::HintSet::parse(info);
   EXPECT_EQ(info.bad_hints(), 1u);
+}
+
+TEST(InfoHints, CollectiveAndSievingHintsAreTyped) {
+  // Defaults with no hints at all.
+  const auto d = mpiio::HintSet::parse(Info{});
+  EXPECT_TRUE(d.collective_buffering(/*writing=*/true));
+  EXPECT_TRUE(d.collective_buffering(/*writing=*/false));
+  EXPECT_EQ(d.cb_buffer_size(), 4u << 20);
+  EXPECT_EQ(d.cb_nodes(4), 4);
+  EXPECT_TRUE(d.data_sieving(false, /*fallback=*/true));
+  EXPECT_FALSE(d.data_sieving(true, /*fallback=*/false));
+  EXPECT_EQ(d.sieve_buffer_size(false), 4u << 20);
+  EXPECT_EQ(d.sieve_buffer_size(true), 512u << 10);
+
+  Info info;
+  info.set("cb_buffer_size", std::uint64_t{128 * 1024});
+  info.set("cb_nodes", std::uint64_t{2});
+  info.set("romio_cb_write", "disable");
+  info.set("romio_cb_read", "automatic");  // legal: the default applies
+  info.set("romio_ds_read", "enable");
+  info.set("romio_ds_write", "false");
+  info.set("ind_wr_buffer_size", std::uint64_t{1 << 20});
+  const auto h = mpiio::HintSet::parse(info);
+  EXPECT_EQ(info.bad_hints(), 0u);
+  EXPECT_FALSE(h.collective_buffering(true));
+  EXPECT_TRUE(h.collective_buffering(false));
+  EXPECT_EQ(h.cb_buffer_size(), 128u * 1024u);
+  EXPECT_EQ(h.cb_nodes(4), 2);
+  EXPECT_TRUE(h.data_sieving(false, /*fallback=*/false));
+  EXPECT_FALSE(h.data_sieving(true, /*fallback=*/true));
+  EXPECT_EQ(h.sieve_buffer_size(true), 1u << 20);
+
+  // Clamps: a buffer below 64 KiB, zero aggregators, more aggregators than
+  // ranks.
+  Info edge;
+  edge.set("cb_buffer_size", std::uint64_t{1000});
+  edge.set("cb_nodes", std::uint64_t{0});
+  EXPECT_EQ(mpiio::HintSet::parse(edge).cb_buffer_size(), 64u * 1024u);
+  EXPECT_EQ(mpiio::HintSet::parse(edge).cb_nodes(4), 1);
+  edge.set("cb_nodes", std::uint64_t{99});
+  EXPECT_EQ(mpiio::HintSet::parse(edge).cb_nodes(4), 4);
+}
+
+TEST(InfoHints, MalformedCollectiveHintsAreBadHints) {
+  Info info;
+  info.set("cb_buffer_size", "banana");
+  info.set("cb_nodes", "2x");
+  info.set("romio_cb_read", "maybe");
+  info.set("romio_ds_write", "");
+  const auto h = mpiio::HintSet::parse(info);
+  EXPECT_EQ(info.bad_hints(), 4u);
+  // Each falls back as if absent.
+  EXPECT_EQ(h.cb_buffer_size(), 4u << 20);
+  EXPECT_EQ(h.cb_nodes(4), 4);
+  EXPECT_TRUE(h.collective_buffering(false));
+  EXPECT_TRUE(h.data_sieving(true, /*fallback=*/true));
+}
+
+TEST(InfoHints, CollectiveHintsParseOncePerOpenNotPerCall) {
+  // A malformed hint counts once, at open, however many collective and
+  // sieving calls follow: the per-call paths read the typed HintSet.
+  constexpr int kNp = 2;
+  mpi::WorldConfig cfg;
+  cfg.nprocs = kNp;
+  mpi::World world(cfg);
+  std::array<std::uint64_t, kNp> bad{};
+  world.run([&](Comm& c) {
+    Info info;
+    info.set("cb_nodes", "lots");
+    info.set("ind_rd_buffer_size", "64k");
+    auto f = std::move(File::open(c, "/once",
+                                  mpiio::kModeCreate | mpiio::kModeRdwr, info,
+                                  std::make_unique<FakeDriver>())
+                           .value());
+    auto data = pattern(8192, 21);
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(f->write_at_all(static_cast<std::uint64_t>(c.rank()) * 8192,
+                                  data.data(), data.size(), Datatype::byte())
+                      .ok());
+      ASSERT_TRUE(f->read_at_all(static_cast<std::uint64_t>(c.rank()) * 8192,
+                                 data.data(), data.size(), Datatype::byte())
+                      .ok());
+    }
+    auto ft = Datatype::resized(
+        Datatype::hvector(1, 128, 1024, Datatype::byte()), 0, 1024);
+    ASSERT_EQ(f->set_view(0, Datatype::byte(), ft), Err::kOk);
+    std::vector<std::byte> out(4 * 128);
+    ASSERT_TRUE(f->read_at(0, out.data(), out.size(), Datatype::byte()).ok());
+    bad[static_cast<std::size_t>(c.rank())] = f->info().bad_hints();
+    f->close();
+  });
+  EXPECT_EQ(bad[0], 2u);
+  EXPECT_EQ(bad[1], 2u);
+  EXPECT_EQ(world.fabric().stats().get("mpiio.bad_hint"), 2u * kNp);
+}
+
+TEST(InfoHints, SetInfoAndSetViewLayerOverOpenHints) {
+  // The fake driver has no list I/O, so strided reads sieve by default:
+  // set_info turns that off, a later set_view hint turns it back on.
+  FakeDriver::Counters counters;
+  with_file(&counters, Info{}, [&](File& f, FakeDriver&) {
+    auto base = pattern(64 * 1024, 22);
+    f.write_at(0, base.data(), base.size(), Datatype::byte());
+    auto ft = Datatype::resized(
+        Datatype::hvector(1, 128, 1024, Datatype::byte()), 0, 1024);
+    std::vector<std::byte> out(16 * 128);
+
+    Info off;
+    off.set("romio_ds_read", "disable");
+    ASSERT_EQ(f.set_info(off), Err::kOk);
+    ASSERT_EQ(f.set_view(0, Datatype::byte(), ft), Err::kOk);
+    counters = {};
+    ASSERT_TRUE(f.read_at(0, out.data(), out.size(), Datatype::byte()).ok());
+    EXPECT_EQ(counters.preads, 16);  // one per segment
+
+    Info on;
+    on.set("romio_ds_read", "enable");
+    ASSERT_EQ(f.set_view(0, Datatype::byte(), ft, on), Err::kOk);
+    counters = {};
+    ASSERT_TRUE(f.read_at(0, out.data(), out.size(), Datatype::byte()).ok());
+    EXPECT_EQ(counters.preads, 1);  // one sieve window
+    EXPECT_EQ(std::memcmp(out.data() + 128, base.data() + 1024, 128), 0);
+    EXPECT_EQ(f.info().bad_hints(), 0u);
+  });
 }
 
 TEST(InfoHints, ConsistencyAndCacheHintsMakeOpenOptions) {

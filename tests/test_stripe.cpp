@@ -334,6 +334,80 @@ TEST(Stripe, CollectiveWriteReadbackOverStripedClient) {
   v.reset();
 }
 
+TEST(Stripe, CollectiveRoundsOverStripeAlignedDomains) {
+  // Block-cyclic 3 KiB blocks (never stripe-aligned) over 16 KiB stripes,
+  // with a 64 KiB collective buffer: every aggregator's stripe-aligned
+  // domain takes several one-sided rounds, and a round's covered run spans
+  // stripe boundaries the client then splits across filers.
+  constexpr std::uint64_t kStripe = 16 * 1024;
+  constexpr std::uint32_t kBlock = 3 * 1024;
+  constexpr std::uint64_t kTiles = 40;
+  constexpr int kRanks = 4;
+  sim::Fabric fabric;
+  StripedFilers filers(fabric, 4);
+
+  mpi::WorldConfig wcfg;
+  wcfg.nprocs = kRanks;
+  wcfg.fabric = &fabric;
+  wcfg.name = "stripe-rounds";
+  mpi::World world(wcfg);
+  world.run([&](Comm& c) {
+    via::Nic nic(fabric, world.node_of(c.rank()), "cli");
+    auto client = std::move(
+        dafs::Client::connect(nic, striped_cfg(filers, kStripe, 5, c.rank()))
+            .value());
+    Info info;
+    info.set("cb_buffer_size", std::uint64_t{64 * 1024});
+    auto f = std::move(File::open(c, "/rounds.dat",
+                                  mpiio::kModeCreate | mpiio::kModeRdwr, info,
+                                  mpiio::dafs_driver(*client))
+                           .value());
+    const std::array<std::uint32_t, 1> sizes = {kBlock * kRanks};
+    const std::array<std::uint32_t, 1> subsizes = {kBlock};
+    const std::array<std::uint32_t, 1> starts = {
+        static_cast<std::uint32_t>(c.rank()) * kBlock};
+    ASSERT_EQ(f->set_view(0, Datatype::byte(),
+                          Datatype::subarray(sizes, subsizes, starts,
+                                             Datatype::byte())),
+              Err::kOk);
+    const auto data = pattern(kBlock * kTiles, 4100 + c.rank());
+    const std::uint64_t fences0 = fabric.stats().get("mpi.rma_fences");
+    ASSERT_TRUE(
+        f->write_at_all(0, data.data(), data.size(), Datatype::byte()).ok());
+    std::vector<std::byte> back(data.size());
+    ASSERT_TRUE(
+        f->read_at_all(0, back.data(), back.size(), Datatype::byte()).ok());
+    EXPECT_EQ(std::memcmp(back.data(), data.data(), data.size()), 0)
+        << "rank " << c.rank();
+    // 480 KiB over 4 aggregators -> 128 KiB stripe-aligned domains -> two
+    // 64 KiB rounds each way: three fences per call on every rank (no rank
+    // can fence before all have entered the write, nor leave the read
+    // before all have fenced).
+    EXPECT_EQ(fabric.stats().get("mpi.rma_fences") - fences0, 2u * 3u * kRanks);
+    f->close();
+  });
+
+  const auto node = fabric.add_node("verify");
+  Actor actor("verify", &fabric.node(node));
+  ActorScope scope(actor);
+  via::Nic nic(fabric, node, "vnic");
+  auto v = std::move(
+      dafs::Client::connect(nic, striped_cfg(filers, kStripe, 5, 99)).value());
+  auto fh = v->open("/rounds.dat").value();
+  std::vector<std::byte> all(kBlock * kTiles * kRanks);
+  ASSERT_EQ(v->pread(fh, 0, all).value(), all.size());
+  for (int r = 0; r < kRanks; ++r) {
+    const auto expect = pattern(kBlock * kTiles, 4100 + r);
+    for (std::uint64_t t = 0; t < kTiles; ++t) {
+      ASSERT_EQ(std::memcmp(all.data() + (t * kRanks + r) * kBlock,
+                            expect.data() + t * kBlock, kBlock),
+                0)
+          << "rank " << r << " tile " << t;
+    }
+  }
+  v.reset();
+}
+
 // ---------------------------------------------------------------------------
 // The capstone: seeded data-server-crash-mid-transfer sweep
 // ---------------------------------------------------------------------------
