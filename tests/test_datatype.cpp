@@ -407,6 +407,26 @@ struct DarrayCase {
   std::uint32_t esize;
 };
 
+// Prints a case by value, HPF style: "6x8 block,cyclic(2) on 2x2 esize 2".
+// Without this gtest dumps the raw struct bytes, which include the vectors'
+// heap pointers, and test discovery then names each case after addresses
+// that change from run to run.
+void PrintTo(const DarrayCase& c, std::ostream* os) {
+  auto dims = [os](const std::vector<std::uint32_t>& v) {
+    for (std::size_t i = 0; i < v.size(); ++i) *os << (i ? "x" : "") << v[i];
+  };
+  dims(c.gsizes);
+  for (std::size_t i = 0; i < c.dists.size(); ++i) {
+    const Dist d = c.dists[i];
+    *os << (i ? "," : " ")
+        << (d == Dist::kBlock ? "block" : d == Dist::kCyclic ? "cyclic" : "none");
+    if (c.dargs[i] != Datatype::kDfltDarg) *os << "(" << c.dargs[i] << ")";
+  }
+  *os << " on ";
+  dims(c.psizes);
+  *os << " esize " << c.esize;
+}
+
 class DarrayVsReference : public ::testing::TestWithParam<DarrayCase> {};
 
 TEST_P(DarrayVsReference, EveryRankMatchesBruteForce) {
