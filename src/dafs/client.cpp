@@ -54,7 +54,9 @@ Session::Session(via::Nic& nic, MountSpec spec)
       eps_(std::move(spec.endpoints)),
       ptag_(nic.create_ptag()),
       vi_(std::make_unique<via::Vi>(nic, session_vi_attrs(ptag_))),
-      backoff_rng_(1) {
+      backoff_rng_(1),
+      reg_cache_(nic, ptag_, cfg_.reg_cache_entries, cfg_.reg_cache,
+                 "dafs.regcache_evictions") {
   // Normalize: an empty endpoint list means one default endpoint at the
   // ClientConfig's service (also what the deprecated shim produces).
   if (eps_.empty()) eps_.push_back(Endpoint{cfg_.service, RetryPolicy{}});
@@ -225,8 +227,8 @@ Session::~Session() {
     }
   }
   vi_->disconnect();
-  // NIC registrations are dropped with the registry; explicit deregistration
-  // here would charge an actor that may already be gone.
+  // Message-buffer registrations are dropped with the registry; the
+  // registration cache deregisters its entries as it is destroyed.
 }
 
 // ---------------------------------------------------------------------------
@@ -257,14 +259,8 @@ Result<OpId> Session::alloc_slot() {
 
 void Session::free_slot(OpId id) {
   Slot& sl = slots_[id];
-  if (!sl.temp_handles.empty()) {
-    for (const via::MemHandle h : sl.temp_handles) {
-      if (nic_.deregister_memory(h) != via::Status::kSuccess) {
-        nic_.fabric().stats().add("via.dereg_failures");
-      }
-    }
-    sl.temp_handles.clear();
-  }
+  for (const via::MemHandle h : sl.temp_handles) reg_cache_.release(h);
+  sl.temp_handles.clear();
   sl.in_use = false;
   free_slots_.push_back(id);
 }
@@ -964,53 +960,67 @@ void Session::record_rtt(const Slot& sl) {
 }
 
 // ---------------------------------------------------------------------------
-// Registration cache
+// Registration
 // ---------------------------------------------------------------------------
 
-void Session::note_use(RegEntry& e) { e.last_use = ++reg_clock_; }
-
-via::MemHandle Session::reg_for(const std::byte* buf, std::size_t len,
-                                OpId slot) {
-  const auto base = reinterpret_cast<std::uintptr_t>(buf);
-  via::MemAttrs attrs;
-  attrs.enable_rdma_write = true;
-  attrs.enable_rdma_read = true;
-
-  if (!cfg_.reg_cache) {
-    ++reg_misses_;
-    const via::MemHandle h = nic_.register_memory(
-        const_cast<std::byte*>(buf), len, ptag_, attrs);
-    if (h != via::kInvalidMemHandle) slots_[slot].temp_handles.push_back(h);
-    return h;
+Result<std::vector<via::MemHandle>> Session::register_segments(
+    std::span<const IoVec> iovs, OpId slot) {
+  // Segments inside a cached registration need nothing more. The rest are
+  // sorted by address and cut into clusters wherever the hull would outgrow
+  // both 16x the bytes it carries and 1 MiB; each cluster's hull is one
+  // registration through the cache. A list mixing two buffers (a collective
+  // buffer and user memory) thus settles into two cached registrations
+  // wherever the allocator put them. A request that needs more handles than
+  // the cache holds pins its clusters for its own lifetime instead, so it
+  // cannot evict a handle an earlier segment of it still needs.
+  std::vector<via::MemHandle> handles(iovs.size(), via::kInvalidMemHandle);
+  std::vector<std::size_t> todo;  // segments still needing a handle
+  for (std::size_t i = 0; i < iovs.size(); ++i) {
+    if (iovs[i].len == 0) continue;
+    handles[i] = reg_cache_.find(iovs[i].buf, iovs[i].len);
+    if (handles[i] == via::kInvalidMemHandle) todo.push_back(i);
   }
-  for (auto& e : reg_cache_entries_) {
-    if (base >= e.base && base + len <= e.base + e.len) {
-      note_use(e);
-      ++reg_hits_;
-      return e.handle;
+  std::sort(todo.begin(), todo.end(), [&](std::size_t a, std::size_t b) {
+    return iovs[a].buf < iovs[b].buf;
+  });
+  struct Cluster {
+    std::byte* lo;
+    std::byte* hi;
+    std::size_t end;  // todo[..end) belong to this or an earlier cluster
+  };
+  std::vector<Cluster> clusters;
+  std::uint64_t bytes = 0;  // carried by the open cluster
+  for (std::size_t j = 0; j < todo.size(); ++j) {
+    const IoVec& v = iovs[todo[j]];
+    if (!clusters.empty()) {
+      Cluster& c = clusters.back();
+      std::byte* hi = std::max(c.hi, v.buf + v.len);
+      if (static_cast<std::uint64_t>(hi - c.lo) <=
+          std::max<std::uint64_t>(16 * (bytes + v.len), 1 << 20)) {
+        c.hi = hi;
+        c.end = j + 1;
+        bytes += v.len;
+        continue;
+      }
     }
+    clusters.push_back(Cluster{v.buf, v.buf + v.len, j + 1});
+    bytes = v.len;
   }
-  ++reg_misses_;
-  const via::MemHandle h =
-      nic_.register_memory(const_cast<std::byte*>(buf), len, ptag_, attrs);
-  // Registration can fail (NIC out of resources); the caller turns that
-  // into kNoResource. Never cache the invalid handle.
-  if (h == via::kInvalidMemHandle) return h;
-  if (reg_cache_entries_.size() >= cfg_.reg_cache_entries) {
-    auto victim = std::min_element(
-        reg_cache_entries_.begin(), reg_cache_entries_.end(),
-        [](const RegEntry& a, const RegEntry& b) {
-          return a.last_use < b.last_use;
-        });
-    if (nic_.deregister_memory(victim->handle) != via::Status::kSuccess) {
-      nic_.fabric().stats().add("via.dereg_failures");
-    }
-    reg_cache_entries_.erase(victim);
-    nic_.fabric().stats().add("dafs.regcache_evictions");
+  const std::size_t found = iovs.size() - todo.size();
+  const bool cache = reg_cache_.enabled() &&
+                     clusters.size() + found <= reg_cache_.capacity();
+  std::size_t j = 0;
+  for (const Cluster& c : clusters) {
+    const auto len = static_cast<std::size_t>(c.hi - c.lo);
+    const via::MemHandle h =
+        cache ? reg_cache_.get(c.lo, len) : reg_cache_.pin(c.lo, len);
+    // Registration can fail (NIC out of resources); the caller turns that
+    // into kNoResource.
+    if (h == via::kInvalidMemHandle) return PStatus::kNoResource;
+    if (!cache) slots_[slot].temp_handles.push_back(h);
+    for (; j < c.end; ++j) handles[todo[j]] = h;
   }
-  reg_cache_entries_.push_back(RegEntry{base, len, h, 0});
-  note_use(reg_cache_entries_.back());
-  return h;
+  return handles;
 }
 
 // ---------------------------------------------------------------------------
@@ -1085,53 +1095,17 @@ Result<OpId> Session::submit_io(Proc proc, Fh fh, std::span<const IoVec> iovs,
     }
   }
 
-  // Registration strategy: a batch may carry hundreds of segments; taking a
-  // cache entry per segment could evict a handle that an earlier segment of
-  // this same request still needs. When the segments live in one compact
-  // buffer (the common MPI-IO case), register the hull once; otherwise pin
-  // each segment with a per-request temporary registration.
-  std::uintptr_t lo = UINTPTR_MAX, hi = 0;
-  std::uint64_t total_len = 0;
-  for (const IoVec& v : iovs) {
-    lo = std::min(lo, reinterpret_cast<std::uintptr_t>(v.buf));
-    hi = std::max(hi, reinterpret_cast<std::uintptr_t>(v.buf) + v.len);
-    total_len += v.len;
-  }
-  via::MemHandle hull = via::kInvalidMemHandle;
-  const bool use_hull =
-      iovs.size() > 1 && hi > lo && (hi - lo) <= std::max<std::uint64_t>(
-                                                     16 * total_len, 1 << 20);
-  if (use_hull) {
-    hull = reg_for(reinterpret_cast<const std::byte*>(lo), hi - lo,
-                   id.value());
-    if (hull == via::kInvalidMemHandle) {
-      free_slot(id.value());
-      return PStatus::kNoResource;
-    }
+  auto handles = register_segments(iovs, id.value());
+  if (!handles.ok()) {
+    free_slot(id.value());
+    return handles.error();
   }
 
   // Build the direct-segment list, splitting at max_rdma_seg.
   std::vector<DirectSeg> segs;
-  for (const IoVec& v : iovs) {
-    via::MemHandle h = hull;
-    if (!use_hull) {
-      if (iovs.size() == 1) {
-        h = reg_for(v.buf, v.len, id.value());
-      } else {
-        // Scattered buffers: pin for the lifetime of this request only.
-        via::MemAttrs attrs;
-        attrs.enable_rdma_write = true;
-        attrs.enable_rdma_read = true;
-        h = nic_.register_memory(v.buf, v.len, ptag_, attrs);
-        if (h != via::kInvalidMemHandle) {
-          slots_[id.value()].temp_handles.push_back(h);
-        }
-      }
-      if (h == via::kInvalidMemHandle) {
-        free_slot(id.value());
-        return PStatus::kNoResource;
-      }
-    }
+  for (std::size_t i = 0; i < iovs.size(); ++i) {
+    const IoVec& v = iovs[i];
+    const via::MemHandle h = handles.value()[i];
     std::uint64_t off = 0;
     while (off < v.len) {
       const std::uint64_t n = std::min<std::uint64_t>(

@@ -16,6 +16,7 @@
 #include "sim/expected.hpp"
 #include "sim/metrics.hpp"
 #include "sim/rng.hpp"
+#include "via/reg_cache.hpp"
 #include "via/vi.hpp"
 
 namespace dafs {
@@ -197,8 +198,8 @@ class Session {
   /// Times the session rotated to a different endpoint (failovers).
   std::uint64_t failovers() const { return failovers_; }
   /// Registration-cache counters (hits/misses/evictions).
-  std::uint64_t reg_cache_hits() const { return reg_hits_; }
-  std::uint64_t reg_cache_misses() const { return reg_misses_; }
+  std::uint64_t reg_cache_hits() const { return reg_cache_.hits(); }
+  std::uint64_t reg_cache_misses() const { return reg_cache_.misses(); }
   /// Change the per-request deadline budget (virtual ns, 0 = none).
   void set_deadline(std::uint64_t ns) { deadline_ns_ = ns; }
   std::uint64_t deadline() const { return deadline_ns_; }
@@ -229,7 +230,7 @@ class Session {
     /// (memory and file): the server's payload CRC then covers exactly the
     /// first resp.len bytes here. Null = skip client-side wire verification.
     std::byte* verify_buf = nullptr;
-    std::vector<via::MemHandle> temp_handles;  // dereg on completion
+    std::vector<via::MemHandle> temp_handles;  // released on completion
     std::vector<std::byte> send_buf;
     via::MemHandle send_handle = via::kInvalidMemHandle;
     via::Descriptor send_desc;
@@ -239,13 +240,6 @@ class Session {
     std::vector<std::byte> mem;
     via::MemHandle handle = via::kInvalidMemHandle;
     via::Descriptor desc;
-  };
-
-  struct RegEntry {
-    std::uintptr_t base = 0;
-    std::size_t len = 0;
-    via::MemHandle handle = via::kInvalidMemHandle;
-    std::uint64_t last_use = 0;
   };
 
   Session(via::Nic& nic, MountSpec spec);
@@ -329,9 +323,11 @@ class Session {
   /// registry, keyed by procedure ("dafs.rtt_ns.<proc>").
   void record_rtt(const Slot& sl);
 
-  /// Get a NIC handle for [buf, buf+len) suitable for server-side RDMA.
-  via::MemHandle reg_for(const std::byte* buf, std::size_t len, OpId slot);
-  void note_use(RegEntry& e);
+  /// One NIC handle per segment of a direct request (kNoResource when a
+  /// registration failed). Handles pinned outside the cache land in the
+  /// slot's temp_handles and are released with it.
+  Result<std::vector<via::MemHandle>> register_segments(
+      std::span<const IoVec> iovs, OpId slot);
 
   Result<OpId> submit_io(Proc proc, Fh fh, std::span<const IoVec> iovs,
                          bool writing);
@@ -408,10 +404,7 @@ class Session {
   via::MemHandle resume_handle_ = via::kInvalidMemHandle;
   via::Descriptor resume_desc_;
 
-  std::vector<RegEntry> reg_cache_entries_;
-  std::uint64_t reg_clock_ = 0;
-  std::uint64_t reg_hits_ = 0;
-  std::uint64_t reg_misses_ = 0;
+  via::RegCache reg_cache_;
 };
 
 /// The striped multi-filer client: one metadata Session (filer 0) plus one

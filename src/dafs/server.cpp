@@ -28,6 +28,12 @@ namespace {
 using namespace std::chrono_literals;
 constexpr auto kPollPeriod = 50ms;
 constexpr auto kSendWait = std::chrono::milliseconds(5'000);
+/// RDMA bytes one request keeps in flight. Enough to cover a round trip
+/// many times over (64 KiB is about 0.5 ms on the wire, a round trip about
+/// 10 us), so small segments stream back to back; a large segment goes out
+/// alone, so one request never books a client's link for a whole batch in
+/// one go, much as a NIC bounds its outstanding RDMA reads.
+constexpr std::uint64_t kRdmaWindowBytes = 64 * 1024;
 }  // namespace
 
 Server::Server(sim::Fabric& fabric, sim::NodeId node, ServerConfig cfg)
@@ -562,16 +568,36 @@ void Server::worker_loop(int idx) {
 // Request dispatch
 // ---------------------------------------------------------------------------
 
-via::DescStatus Server::post_and_reap(Session& s, Descriptor& d) {
-  if (s.vi->post_send(d) != via::Status::kSuccess) {
-    return DescStatus::kFlushed;
+std::size_t Server::post_and_reap(Session& s, std::span<Descriptor> ds) {
+  std::size_t posted = 0;
+  std::size_t ok = 0;
+  std::uint64_t in_flight = 0;
+  bool stop = false;  // a post was refused or a completion failed
+  // Every posted descriptor is reaped before the descriptors go out of
+  // scope, failed or not: the send queue must not keep pointers into them.
+  for (std::size_t reaped = 0; reaped < ds.size(); ++reaped) {
+    // Top up the window; the oldest unreaped descriptor always goes.
+    while (!stop && posted < ds.size() &&
+           (posted == reaped ||
+            in_flight + ds[posted].total_bytes() <= kRdmaWindowBytes)) {
+      if (s.vi->post_send(ds[posted]) != via::Status::kSuccess) {
+        stop = true;
+        break;
+      }
+      in_flight += ds[posted++].total_bytes();
+    }
+    if (reaped == posted) break;  // nothing in flight
+    Descriptor* done = nullptr;
+    if (s.vi->send_wait(done, kSendWait) != via::Status::kSuccess) break;
+    assert(done == &ds[reaped]);
+    in_flight -= done->total_bytes();
+    if (done->status != DescStatus::kSuccess) {
+      stop = true;
+    } else if (ok == reaped) {
+      ++ok;
+    }
   }
-  Descriptor* done = nullptr;
-  if (s.vi->send_wait(done, kSendWait) != via::Status::kSuccess) {
-    return DescStatus::kFlushed;
-  }
-  assert(done == &d);
-  return done->status;
+  return ok;
 }
 
 void Server::send_response(Session& s, MsgBuf& out) {
@@ -585,7 +611,7 @@ void Server::send_response(Session& s, MsgBuf& out) {
   std::lock_guard lock(s.send_mu);
   // A lost response is not rolled back: the operation has executed, and the
   // client's retransmission is answered from the replay cache.
-  if (post_and_reap(s, out.desc) != DescStatus::kSuccess) {
+  if (post_and_reap(s, std::span(&out.desc, 1)) != 1) {
     fabric_.stats().add("dafs.response_send_failures");
   }
 }
@@ -2712,14 +2738,29 @@ void Server::do_write_inline(MsgView& req, MsgView& resp) {
   fabric_.stats().add("dafs.inline_write_bytes", r.value());
 }
 
+namespace {
+/// CRC-32C chained over the local side of RDMA descriptors, in order.
+std::uint32_t crc_of(std::span<const Descriptor> ds) {
+  std::uint32_t crc = 0;
+  for (const Descriptor& d : ds) {
+    for (const DataSegment& g : d.segs) {
+      crc = fstore::crc32c({g.addr, g.len}, crc);
+    }
+  }
+  return crc;
+}
+}  // namespace
+
 void Server::do_read_direct(Session& s, MsgView& req, MsgView& resp) {
   Actor* actor = Actor::current();
   actor->charge(CostKind::kDispatch, fabric_.cost().fs_op);
   const bool verify = (req.header().flags & kFlagVerifyStore) != 0;
   const bool stamp = (req.header().flags & kFlagPayloadCrc) != 0;
-  std::uint32_t crc = 0;
+  // One RDMA write per segment that has bytes before EOF, posted ahead of
+  // the reaps: the segments pipeline on the link instead of each paying a
+  // round trip.
+  std::vector<Descriptor> ds;
   std::uint64_t total = 0;
-  std::lock_guard lock(s.send_mu);
   for (const DirectSeg& seg : req.segs()) {
     auto extents = store_->extents_for_read(req.header().ino, seg.file_off,
                                             seg.len, verify);
@@ -2727,34 +2768,30 @@ void Server::do_read_direct(Session& s, MsgView& req, MsgView& resp) {
       resp.header().status = to_pstatus(extents.error());
       return;
     }
-    std::uint64_t actual = 0;
-    Descriptor d;
+    if (extents.value().empty()) continue;  // read past EOF: nothing to move
+    Descriptor& d = ds.emplace_back();
     d.op = via::Opcode::kRdmaWrite;
+    d.remote = {seg.addr, seg.mem};
     for (const auto& span : extents.value()) {
       d.segs.push_back(DataSegment{span.data(), slab_handle(span.data()),
                                    static_cast<std::uint32_t>(span.size())});
-      actual += span.size();
+      total += span.size();
     }
-    if (actual == 0) continue;  // read past EOF: nothing to move
-    d.remote = {seg.addr, seg.mem};
-    if (post_and_reap(s, d) != DescStatus::kSuccess) {
+  }
+  {
+    std::lock_guard lock(s.send_mu);
+    if (post_and_reap(s, ds) != ds.size()) {
       resp.header().status = PStatus::kProtoError;
       return;
     }
-    if (stamp) {
-      // Chained over the moved bytes in segment order — the same order a
-      // contiguous client buffer receives them, so the client can re-hash
-      // its landed prefix against payload_crc.
-      for (const auto& span : extents.value()) {
-        crc = fstore::crc32c(span, crc);
-      }
-    }
-    total += actual;
   }
   resp.header().len = total;
   if (stamp && total > 0) {
+    // Chained over the moved bytes in segment order — the same order a
+    // contiguous client buffer receives them, so the client can re-hash its
+    // landed prefix against payload_crc.
     resp.header().flags |= kFlagPayloadCrc;
-    resp.header().payload_crc = crc;
+    resp.header().payload_crc = crc_of(ds);
     actor->charge(CostKind::kCopy, fabric_.cost().copy_time(total));
     fabric_.stats().add("dafs.integrity_crc_bytes", total);
   }
@@ -2765,59 +2802,60 @@ void Server::do_write_direct(Session& s, MsgView& req, MsgView& resp) {
   Actor* actor = Actor::current();
   actor->charge(CostKind::kDispatch, fabric_.cost().fs_op);
   const bool check = (req.header().flags & kFlagPayloadCrc) != 0;
-  std::uint32_t crc = 0;
-  std::uint64_t total = 0;
-  // With a payload CRC, commits are deferred until every segment has been
-  // pulled and the whole-request checksum verified, so a damaged transfer
-  // never reaches the durable image (size, mtime and journal untouched).
-  // The pulled bytes do land in cache chunks transiently; the client's
-  // fresh-seq rewrite overwrites them — and their checksums — either way.
-  struct PendingCommit {
-    std::uint64_t off;
-    std::uint32_t len;
-  };
-  std::vector<PendingCommit> pending;
-  std::lock_guard lock(s.send_mu);
-  for (const DirectSeg& seg : req.segs()) {
+  const auto segs = req.segs();
+  // One RDMA read per segment, pipelined like the reads above.
+  std::vector<Descriptor> ds;
+  ds.reserve(segs.size());
+  for (const DirectSeg& seg : segs) {
     auto extents =
         store_->ensure_extents(req.header().ino, seg.file_off, seg.len);
     if (!extents.ok()) {
       resp.header().status = to_pstatus(extents.error());
       return;
     }
-    Descriptor d;
+    Descriptor& d = ds.emplace_back();
     d.op = via::Opcode::kRdmaRead;
+    d.remote = {seg.addr, seg.mem};
     for (const auto& span : extents.value()) {
       d.segs.push_back(DataSegment{span.data(), slab_handle(span.data()),
                                    static_cast<std::uint32_t>(span.size())});
     }
-    d.remote = {seg.addr, seg.mem};
-    if (post_and_reap(s, d) != DescStatus::kSuccess) {
-      resp.header().status = PStatus::kProtoError;
-      return;
-    }
-    if (check) {
-      for (const auto& span : extents.value()) {
-        crc = fstore::crc32c(span, crc);
-      }
-      pending.push_back({seg.file_off, seg.len});
-    } else {
-      store_->commit_write(req.header().ino, seg.file_off, seg.len);
-    }
-    total += seg.len;
   }
-  if (check && total > 0) {
-    actor->charge(CostKind::kCopy, fabric_.cost().copy_time(total));
-    fabric_.stats().add("dafs.integrity_crc_bytes", total);
-    if (crc != req.header().payload_crc) {
+  std::size_t pulled = 0;
+  {
+    std::lock_guard lock(s.send_mu);
+    pulled = post_and_reap(s, ds);
+  }
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < pulled; ++i) total += segs[i].len;
+  // With a payload CRC, nothing commits until every segment has been pulled
+  // and the whole-request checksum verified, so a damaged transfer never
+  // reaches the durable image (size, mtime and journal untouched). The
+  // pulled bytes do land in cache chunks transiently; the client's
+  // fresh-seq rewrite overwrites them — and their checksums — either way.
+  // Without one, whatever landed before a transport failure commits.
+  if (pulled < ds.size()) resp.header().status = PStatus::kProtoError;
+  if (check) {
+    if (pulled < ds.size()) return;
+    if (total > 0) {
+      actor->charge(CostKind::kCopy, fabric_.cost().copy_time(total));
+      fabric_.stats().add("dafs.integrity_crc_bytes", total);
+    }
+    if (crc_of(ds) != req.header().payload_crc) {
       resp.header().status = PStatus::kCorrupt;
       fabric_.stats().add("dafs.integrity_server_rejects");
       return;
     }
   }
-  for (const PendingCommit& p : pending) {
-    store_->commit_write(req.header().ino, p.off, p.len);
+  // One commit per file-contiguous range: each commit re-checksums the
+  // chunks it touches and journals one record.
+  for (std::size_t i = 0; i < pulled;) {
+    const std::uint64_t off = segs[i].file_off;
+    std::uint64_t end = off + segs[i].len;
+    while (++i < pulled && segs[i].file_off == end) end += segs[i].len;
+    store_->commit_write(req.header().ino, off, end - off);
   }
+  if (resp.header().status != PStatus::kOk) return;
   resp.header().len = total;
   fabric_.stats().add("dafs.direct_write_bytes", total);
 }

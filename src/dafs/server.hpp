@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -337,9 +338,12 @@ class Server {
   /// Evict replay entries (and durable dup-filter records) the client has
   /// acknowledged via the piggybacked cumulative ack.
   void apply_ack(Session& s, const MsgHeader& req);
-  /// Post a send-side descriptor on the session VI and reap its completion.
-  /// Caller must hold s.send_mu.
-  via::DescStatus post_and_reap(Session& s, via::Descriptor& d);
+  /// Post send-side descriptors on the session VI ahead of their reaps,
+  /// within a window of bytes in flight, and reap every one posted, in
+  /// order (the worker syncs to the last completion). Returns how many
+  /// leading descriptors succeeded; posting stops at the first refusal or
+  /// failed completion. Caller must hold s.send_mu.
+  std::size_t post_and_reap(Session& s, std::span<via::Descriptor> ds);
 
   // ---- delegations (volatile leader state; see proto.hpp [ext]) ----------
   /// One live delegation. Never journaled or replicated: a restart, a

@@ -24,7 +24,7 @@ std::vector<dafs::IoVec> to_iovecs(std::span<const IoSeg> segs) {
 template <typename S>
 Result<std::uint64_t> AdDafsT<S>::read_list(std::span<const IoSeg> segs) {
   // Small segments would each pay a direct-I/O registration; fall back to
-  // the per-segment path (inline transfers) when everything is tiny.
+  // the default per-run path (inline transfers) when everything is tiny.
   std::uint64_t total_len = 0;
   for (const IoSeg& s : segs) total_len += s.len;
   if (total_len < s_.config().direct_threshold) {

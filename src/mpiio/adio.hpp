@@ -111,8 +111,8 @@ class AdioDriver {
   virtual Result<std::uint64_t> pwrite(std::uint64_t off,
                                        std::span<const std::byte> in) = 0;
 
-  /// Scatter/gather list I/O. Default: one operation per segment; drivers
-  /// with native batch support (DAFS) override.
+  /// Scatter/gather list I/O. Default: one operation per file-contiguous
+  /// run of segments; drivers with native batch support (DAFS) override.
   virtual Result<std::uint64_t> read_list(std::span<const IoSeg> segs);
   virtual Result<std::uint64_t> write_list(std::span<const IoSeg> segs);
 

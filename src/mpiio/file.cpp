@@ -625,8 +625,7 @@ Result<std::uint64_t> File::collective_io(bool writing,
     Piece p;
     std::byte* mem;
     int d;
-    std::uint64_t k;      // round
-    bool direct = false;  // file I/O straight from/to mem (see Run::solo)
+    std::uint64_t k;  // round
   };
   std::vector<Mine> mine;
   std::vector<std::vector<Piece>> out_pieces(static_cast<std::size_t>(naggr));
@@ -749,29 +748,39 @@ Result<std::uint64_t> File::collective_io(bool writing,
       theirs.push_back(q);
     });
   }
-  std::sort(theirs.begin(), theirs.end(),
-            [](const Piece& a, const Piece& b) { return a.off < b.off; });
+  auto by_extent = [](const Piece& a, const Piece& b) {
+    return a.off != b.off ? a.off < b.off : a.len < b.len;
+  };
+  std::sort(theirs.begin(), theirs.end(), by_extent);
   ensure_cb_window(round_len, naggr);
   record_phase("mpiio.twophase_meta_ns", t_meta);
 
   // Data phase. Writes: every rank RDMA-puts its pieces straight from user
   // memory into the owning aggregator's buffer, a fence makes them visible,
-  // and the aggregator writes each covered run with one direct pwrite.
-  // Reads: the aggregator preads each covered run into its buffer, a fence
-  // publishes it, and every rank RDMA-gets its pieces straight into user
-  // memory. An aggregator's own pieces are the only host copies, and a run
-  // that is exactly one of them skips the buffer altogether. A failure is
-  // remembered, not returned: the fences are collective, so every rank runs
-  // every round.
-  struct Run {
-    Piece p;
-    Mine* solo;  // the run is exactly this own piece: no buffer, no copy
-  };
+  // and the aggregator writes the round with one list request. Reads: the
+  // aggregator reads the round with one list request, a fence publishes the
+  // buffer, and every rank RDMA-gets its pieces straight into user memory.
+  // The list covers the round's covered runs in file order (holes stay
+  // untouched): peers' pieces point into the buffer, the aggregator's own
+  // point at user memory, and the NIC gathers and scatters, so no host copy
+  // remains. An own piece that overlaps another meets it in the buffer
+  // through the window instead, so the list names each file byte once. A
+  // failure is remembered, not returned: the fences are collective, so every
+  // rank runs every round.
   Err disk_st = Err::kOk;
   bool did_disk = false;
   std::byte* const cb = cb_buf_.get();
-  std::vector<Run> runs;
+  std::vector<IoSeg> list;
   std::vector<mpi::RmaOp> ops;
+  auto add_seg = [&](std::uint64_t off, std::byte* mem, std::uint64_t len) {
+    IoSeg* last = list.empty() ? nullptr : &list.back();
+    if (last != nullptr && last->file_off + last->len == off &&
+        last->mem + last->len == mem) {
+      last->len += len;
+    } else {
+      list.push_back(IoSeg{off, mem, len});
+    }
+  };
   auto next = mine.begin();  // first piece of the current round
   std::size_t ti = 0;        // theirs[ti..): this round onwards
   for (std::uint64_t k = 0; k < rounds; ++k) {
@@ -780,98 +789,83 @@ Result<std::uint64_t> File::collective_io(bool writing,
     const auto first = next;
     next = std::find_if(first, mine.end(),
                         [k](const Mine& m) { return m.k != k; });
-    // Own pieces lead the round (ring distance 0); sort them for lookup.
+    // Own pieces lead the round (ring distance 0); sort them like theirs.
     const auto own_end = std::find_if(
         first, next, [me](const Mine& m) { return m.d != me; });
-    std::sort(first, own_end, [](const Mine& a, const Mine& b) {
-      return a.p.off < b.p.off;
+    std::sort(first, own_end, [&](const Mine& a, const Mine& b) {
+      return by_extent(a.p, b.p);
     });
-    auto own_piece = [&](const Piece& p) -> Mine* {
-      const auto it = std::lower_bound(
-          first, own_end, p.off,
-          [](const Mine& m, std::uint64_t off) { return m.p.off < off; });
-      return it != own_end && it->p.off == p.off && it->p.len == p.len
-                 ? &*it
-                 : nullptr;
-    };
-
-    // Covered runs of my domain in this round; holes stay untouched.
-    runs.clear();
-    for (; aggregator && ti < theirs.size() && theirs[ti].off < rb + round_len;
-         ++ti) {
-      const Piece& p = theirs[ti];
-      if (!runs.empty() && p.off <= runs.back().p.off + runs.back().p.len) {
-        Run& r = runs.back();
-        r.p.len = std::max(r.p.len, p.off + p.len - r.p.off);
-        r.solo = nullptr;
-      } else {
-        runs.push_back(Run{p, own_piece(p)});
-      }
-    }
-    for (const Run& r : runs) {
-      if (r.solo != nullptr) r.solo->direct = true;
-    }
     ops.clear();
     for (auto it = own_end; it != next; ++it) {
       ops.push_back(mpi::RmaOp{it->mem, it->p.len, it->d,
                                it->p.off - round_base(it->d, k)});
     }
-    auto copy_own = [&] {
-      std::uint64_t bytes = 0;
-      for (auto it = first; it != own_end; ++it) {
-        if (it->direct) continue;
-        std::byte* slot = cb + (it->p.off - rb);
-        if (writing) {
-          std::memcpy(slot, it->mem, it->p.len);
+    list.clear();
+    std::uint64_t covered = rb;  // this round's file bytes below are listed
+    auto own = first;            // theirs holds my pieces in the same order
+    for (; aggregator && ti < theirs.size() && theirs[ti].off < rb + round_len;
+         ++ti) {
+      const Piece& p = theirs[ti];
+      const std::uint64_t end = p.off + p.len;
+      std::byte* mem = cb + (p.off - rb);
+      if (own != own_end && own->p.off == p.off && own->p.len == p.len) {
+        const bool alone =
+            p.off >= covered &&
+            (ti + 1 == theirs.size() || theirs[ti + 1].off >= end);
+        if (alone) {
+          mem = own->mem;
         } else {
-          std::memcpy(it->mem, slot, it->p.len);
+          ops.push_back(mpi::RmaOp{own->mem, p.len, me, p.off - rb});
         }
-        bytes += it->p.len;
+        ++own;
       }
-      charge_copy(bytes);
-    };
+      if (end > covered) {
+        const std::uint64_t from = std::max(p.off, covered);
+        add_seg(from, mem + (from - p.off), end - from);
+        covered = end;
+      }
+    }
 
     // The previous round's buffer is flushed (writes) or served (reads)
     // before anyone touches it again.
     if (k > 0) cb_win_->fence();
     if (writing) {
       const sim::Time t_exchange = actor_now();
-      copy_own();
       cb_win_->put(ops);
       cb_win_->fence();
       record_phase("mpiio.twophase_exchange_ns", t_exchange);
-      const sim::Time t_disk = actor_now();
-      for (const Run& r : runs) {
-        if (disk_st != Err::kOk) break;
-        const std::byte* src = r.solo ? r.solo->mem : cb + (r.p.off - rb);
-        auto w = driver_->pwrite(r.p.off,
-                                 std::span<const std::byte>(src, r.p.len));
-        if (!w.ok()) disk_st = w.error();
-      }
-      if (!runs.empty()) {
+      if (!list.empty()) {
+        const sim::Time t_disk = actor_now();
+        if (disk_st == Err::kOk) {
+          auto w = driver_->write_list(list);
+          if (!w.ok()) disk_st = w.error();
+        }
         did_disk = true;
         record_phase("mpiio.twophase_disk_ns", t_disk);
       }
     } else {
-      const sim::Time t_disk = actor_now();
-      for (const Run& r : runs) {
-        if (disk_st != Err::kOk) break;
-        std::byte* dst = r.solo ? r.solo->mem : cb + (r.p.off - rb);
-        auto got = driver_->pread(r.p.off, std::span(dst, r.p.len));
-        if (!got.ok()) {
-          disk_st = got.error();
-        } else if (got.value() < r.p.len && r.solo == nullptr) {
-          // Past EOF: those pieces read as zeros, not as a stale round.
-          std::memset(dst + got.value(), 0, r.p.len - got.value());
+      if (!list.empty()) {
+        const sim::Time t_disk = actor_now();
+        if (disk_st == Err::kOk) {
+          auto got = driver_->read_list(list);
+          if (!got.ok()) {
+            disk_st = got.error();
+          } else {
+            // Past EOF: every piece beyond the returned prefix reads as
+            // zeros, in the buffer and in user memory alike.
+            std::uint64_t left = got.value();
+            for (const IoSeg& sg : list) {
+              const std::uint64_t n = std::min(left, sg.len);
+              if (n < sg.len) std::memset(sg.mem + n, 0, sg.len - n);
+              left -= n;
+            }
+          }
         }
-      }
-      if (!runs.empty()) {
         did_disk = true;
         record_phase("mpiio.twophase_disk_ns", t_disk);
       }
       const sim::Time t_exchange = actor_now();
       cb_win_->fence();
-      copy_own();
       cb_win_->get(ops);
       record_phase("mpiio.twophase_exchange_ns", t_exchange);
     }

@@ -16,33 +16,40 @@ namespace via {
 /// structures around it.
 class RegCache {
  public:
-  RegCache(Nic& nic, ProtectionTag tag, std::size_t capacity, bool enabled)
-      : nic_(nic), tag_(tag), capacity_(capacity), enabled_(enabled) {}
+  /// `eviction_stat`, when set, names a fabric counter bumped per eviction.
+  RegCache(Nic& nic, ProtectionTag tag, std::size_t capacity, bool enabled,
+           const char* eviction_stat = nullptr)
+      : nic_(nic),
+        tag_(tag),
+        capacity_(capacity),
+        enabled_(enabled),
+        eviction_stat_(eviction_stat) {}
 
   ~RegCache() { clear(); }
 
   RegCache(const RegCache&) = delete;
   RegCache& operator=(const RegCache&) = delete;
 
+  /// Cached handle covering [buf, buf+len), or kInvalidMemHandle: a lookup
+  /// that never registers (a hit counts and refreshes the entry's LRU age).
+  MemHandle find(const void* buf, std::size_t len) {
+    if (!enabled_) return kInvalidMemHandle;
+    const auto base = reinterpret_cast<std::uintptr_t>(buf);
+    for (auto& e : entries_) {
+      if (base >= e.base && base + len <= e.base + e.len) {
+        e.last_use = ++clock_;
+        ++hits_;
+        return e.handle;
+      }
+    }
+    return kInvalidMemHandle;
+  }
+
   /// Handle covering [buf, buf+len), registered with RDMA read+write access.
   /// When caching is disabled the caller owns releasing via `release`.
   MemHandle get(const void* buf, std::size_t len) {
-    const auto base = reinterpret_cast<std::uintptr_t>(buf);
-    MemAttrs attrs;
-    attrs.enable_rdma_write = true;
-    attrs.enable_rdma_read = true;
-    if (enabled_) {
-      for (auto& e : entries_) {
-        if (base >= e.base && base + len <= e.base + e.len) {
-          e.last_use = ++clock_;
-          ++hits_;
-          return e.handle;
-        }
-      }
-    }
-    ++misses_;
-    const MemHandle h =
-        nic_.register_memory(const_cast<void*>(buf), len, tag_, attrs);
+    if (const MemHandle h = find(buf, len); h != kInvalidMemHandle) return h;
+    const MemHandle h = pin(buf, len);
     // A failed registration (resource exhaustion) is the caller's problem;
     // never cache the invalid handle.
     if (h == kInvalidMemHandle || !enabled_) return h;
@@ -55,14 +62,26 @@ class RegCache {
       drop(victim->handle);
       entries_.erase(victim);
       ++evictions_;
+      if (eviction_stat_ != nullptr) nic_.fabric().stats().add(eviction_stat_);
     }
-    entries_.push_back(Entry{base, len, h, ++clock_});
+    entries_.push_back(Entry{reinterpret_cast<std::uintptr_t>(buf), len, h,
+                             ++clock_});
     return h;
   }
 
-  /// Release a handle obtained while caching was disabled.
+  /// Register [buf, buf+len) outside the cache (counted as a miss); the
+  /// caller releases it with `release`.
+  MemHandle pin(const void* buf, std::size_t len) {
+    ++misses_;
+    MemAttrs attrs;
+    attrs.enable_rdma_write = true;
+    attrs.enable_rdma_read = true;
+    return nic_.register_memory(const_cast<void*>(buf), len, tag_, attrs);
+  }
+
+  /// Release a handle from `pin` (or from `get` while caching is disabled).
   void release(MemHandle h) {
-    if (!enabled_ && h != kInvalidMemHandle) drop(h);
+    if (h != kInvalidMemHandle) drop(h);
   }
 
   /// Deregister everything (requires an ActorScope for cost accounting).
@@ -72,6 +91,7 @@ class RegCache {
   }
 
   bool enabled() const { return enabled_; }
+  std::size_t capacity() const { return capacity_; }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t evictions() const { return evictions_; }
@@ -96,6 +116,7 @@ class RegCache {
   ProtectionTag tag_;
   std::size_t capacity_;
   bool enabled_;
+  const char* eviction_stat_;
   std::vector<Entry> entries_;
   std::uint64_t clock_ = 0;
   std::uint64_t hits_ = 0;

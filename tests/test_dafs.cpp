@@ -348,6 +348,94 @@ TEST_F(DafsTest, BatchListIoRoundTrip) {
   s.reset();
 }
 
+TEST_F(DafsTest, ListSegmentsPipelineOnTheWire) {
+  // 32 x 4 KiB segments, file-adjacent but every other 4 KiB slot in memory
+  // (so nothing merges): the filer keeps a window of segments' RDMA in
+  // flight, so each segment past the first adds its wire time, not a round
+  // trip. The adjacent segments commit as one journal record.
+  constexpr std::uint64_t kSeg = 4096;
+  constexpr std::size_t kSegs = 32;
+  const sim::CostModel cm;
+  auto s = Connect();
+  ActorScope scope(client_actor_);
+  auto fh = s->open("/pipe", kOpenCreate);
+  const auto data = pattern(kSeg * kSegs, 14);
+  std::vector<std::byte> mem(2 * data.size());
+  std::vector<IoVec> iovs;
+  for (std::size_t i = 0; i < kSegs; ++i) {
+    std::memcpy(mem.data() + 2 * i * kSeg, data.data() + i * kSeg, kSeg);
+    iovs.push_back(IoVec{i * kSeg, mem.data() + 2 * i * kSeg, kSeg});
+  }
+  // Virtual time of a batch, second run (registrations and slabs warm).
+  auto elapsed = [&](std::span<const IoVec> v, bool writing) {
+    sim::Time t = 0;
+    for (int run = 0; run < 2; ++run) {
+      const sim::Time t0 = client_actor_.now();
+      auto r = writing ? s->write_batch(fh.value(), v)
+                       : s->read_batch(fh.value(), v);
+      EXPECT_TRUE(r.ok());
+      t = client_actor_.now() - t0;
+    }
+    return t;
+  };
+  const sim::Time wire = cm.wire_time(kSeg + via::kWireHeaderBytes) +
+                         cm.per_packet;
+  const std::uint64_t journal0 =
+      server_.store().stats().get("fstore.journal_intents");
+  const sim::Time w_one = elapsed(std::span(iovs).first(1), true);
+  const sim::Time w_all = elapsed(iovs, true);
+  EXPECT_EQ(server_.store().stats().get("fstore.journal_intents") - journal0,
+            4u)
+      << "one record per write_batch";
+  // Serial, each extra segment would also pay the RDMA read's round trip:
+  // two propagation delays, the request header and two DMA setups.
+  EXPECT_LT(w_all - w_one, (kSegs - 1) * (wire + cm.propagation))
+      << "write: " << w_one << " ns for one segment, " << w_all << " for "
+      << kSegs;
+  std::fill(mem.begin(), mem.end(), std::byte{0});
+  const sim::Time r_one = elapsed(std::span(iovs).first(1), false);
+  const sim::Time r_all = elapsed(iovs, false);
+  // Serial, each extra segment would also pay a doorbell, a DMA setup and
+  // a completion with the link idle.
+  EXPECT_LT(r_all - r_one,
+            (kSegs - 1) * (wire + cm.doorbell + cm.dma_setup + cm.completion))
+      << "read: " << r_one << " ns for one segment, " << r_all << " for "
+      << kSegs;
+  for (std::size_t i = 0; i < kSegs; ++i) {
+    ASSERT_EQ(std::memcmp(iovs[i].buf, data.data() + i * kSeg, kSeg), 0)
+        << "segment " << i;
+  }
+  s.reset();
+}
+
+TEST_F(DafsTest, FarApartSegmentsRegisterOneCachedHullPerCluster) {
+  // Two 32 KiB groups of segments 32 MiB apart in one allocation: no compact
+  // hull covers both, so the request registers one hull per group through
+  // the cache, and the repeat registers nothing.
+  constexpr std::uint64_t kSeg = 4096;
+  constexpr std::uint64_t kFar = 32ull << 20;
+  auto s = Connect();
+  ActorScope scope(client_actor_);
+  auto fh = s->open("/far", kOpenCreate);
+  std::vector<std::byte> mem(kFar + 16 * kSeg);
+  std::vector<IoVec> iovs;
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    const std::uint64_t at = (i % 2) * kFar + (i / 2) * kSeg;
+    iovs.push_back(IoVec{i * 3 * kSeg, mem.data() + at, kSeg});
+  }
+  auto regs = [&] {
+    const std::uint64_t r0 = fabric_.stats().get("via.registrations");
+    EXPECT_TRUE(s->write_batch(fh.value(), iovs).ok());
+    return fabric_.stats().get("via.registrations") - r0;
+  };
+  // Warm the server's slab cache, whose registrations count too.
+  ASSERT_TRUE(s->pwrite(fh.value(), 0, std::vector<std::byte>(64 * kSeg)).ok());
+  EXPECT_EQ(regs(), 2u);
+  EXPECT_EQ(regs(), 0u);
+  EXPECT_EQ(s->reg_cache_misses(), 3u);  // the pwrite's buffer + two hulls
+  s.reset();
+}
+
 // ---------------------------------------------------------------------------
 // Async I/O
 // ---------------------------------------------------------------------------

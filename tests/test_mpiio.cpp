@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -718,11 +719,12 @@ TEST_F(MpiioTest, CollectiveReadWithZeroDataRanksAndStridedMemory) {
   });
 }
 
-TEST_F(MpiioTest, CollectiveWriteCopiesOnlyTheAggregatorsOwnPieces) {
-  // 4-rank block-cyclic write with 16 KiB blocks and 64 KiB domains: each
-  // rank owns one block of every domain. Its own block is copied into its
-  // collective buffer; the other three move by RDMA straight out of user
-  // memory. The only other copies are the small metadata messages.
+TEST_F(MpiioTest, CollectiveIoCopiesNothingBeyondMetadata) {
+  // 4-rank block-cyclic access with 16 KiB blocks and 64 KiB domains: each
+  // rank owns one block of every domain. Peers' blocks move by RDMA between
+  // user memory and the aggregator's buffer, and the aggregator's own block
+  // rides its list request straight from/to user memory. The only host
+  // copies left are the small metadata messages.
   constexpr std::uint32_t kBlock = 16 * 1024;
   const sim::CostModel cm;
   world_->run([&](Comm& c) {
@@ -738,17 +740,205 @@ TEST_F(MpiioTest, CollectiveWriteCopiesOnlyTheAggregatorsOwnPieces) {
                                              Datatype::byte())),
               Err::kOk);
     auto mine = pattern(kBlock * kNp, 1300 + c.rank());
+    std::vector<std::byte> back(mine.size());
     // Warm the window and the registrations first.
     ASSERT_TRUE(
         f->write_at_all(0, mine.data(), mine.size(), Datatype::byte()).ok());
-    const sim::Time c0 = c.actor().busy()[sim::CostKind::kCopy];
     ASSERT_TRUE(
+        f->read_at_all(0, back.data(), back.size(), Datatype::byte()).ok());
+    auto copies = [&] { return c.actor().busy()[sim::CostKind::kCopy]; };
+    const sim::Time c0 = copies();
+    EXPECT_TRUE(
         f->write_at_all(0, mine.data(), mine.size(), Datatype::byte()).ok());
-    const sim::Time copied = c.actor().busy()[sim::CostKind::kCopy] - c0;
-    EXPECT_GE(copied, cm.copy_time(kBlock)) << "rank " << c.rank();
-    EXPECT_LT(copied, cm.copy_time(kBlock) + cm.copy_time(4096))
-        << "rank " << c.rank();
+    const sim::Time c1 = copies();
+    std::fill(back.begin(), back.end(), std::byte{0});
+    EXPECT_TRUE(
+        f->read_at_all(0, back.data(), back.size(), Datatype::byte()).ok());
+    const sim::Time c2 = copies();
+    EXPECT_LT(c1 - c0, cm.copy_time(4096)) << "write, rank " << c.rank();
+    EXPECT_LT(c2 - c1, cm.copy_time(4096)) << "read, rank " << c.rank();
+    EXPECT_EQ(back, mine);
     f->close();
+  });
+}
+
+TEST_F(MpiioTest, CollectiveReadPastEofZeroesEveryPiece) {
+  // The file holds 20 KiB; every rank reads 16 KiB with its buffer
+  // pre-filled, once per layout. Contiguous per-rank regions make each
+  // aggregator's own piece the only piece of its domain; 4 KiB blocks dealt
+  // round robin make it share its run with its peers'. Either way every
+  // byte past EOF must read as zero, never as stale user bytes.
+  constexpr std::uint64_t kEof = 20 * 1024;
+  constexpr std::uint32_t kPer = 16 * 1024;
+  const auto file = pattern(kEof, 71);
+  world_->run([&](Comm& c) {
+    DafsCtx ctx(*fabric_, world_->node_of(c.rank()));
+    auto f = OpenDafs(c, ctx, "/eof.dat", kModeCreate | kModeRdwr);
+    ASSERT_NE(f, nullptr);
+    if (c.rank() == 0) {
+      ASSERT_TRUE(
+          f->write_at(0, file.data(), file.size(), Datatype::byte()).ok());
+    }
+    c.barrier();
+    const auto r = static_cast<std::uint32_t>(c.rank());
+    constexpr std::uint32_t kBlk = 4096;
+    const std::array<std::uint32_t, 2> cyc_sizes = {kPer / kBlk, kBlk * kNp};
+    const std::array<std::uint32_t, 2> cyc_sub = {kPer / kBlk, kBlk};
+    const std::array<std::uint32_t, 2> cyc_starts = {0, r * kBlk};
+    struct Layout {
+      const char* name;
+      bool contiguous;
+      Datatype filetype;
+    };
+    const Layout layouts[] = {
+        {"contiguous", true, Datatype::contiguous(kPer, Datatype::byte())},
+        {"block-cyclic", false,
+         Datatype::subarray(cyc_sizes, cyc_sub, cyc_starts, Datatype::byte())},
+    };
+    for (const Layout& l : layouts) {
+      const bool contiguous = l.contiguous;
+      ASSERT_EQ(f->set_view(contiguous ? r * kPer : 0, Datatype::byte(),
+                            l.filetype),
+                Err::kOk);
+      std::vector<std::byte> got(kPer, std::byte{0x55});
+      EXPECT_TRUE(
+          f->read_at_all(0, got.data(), got.size(), Datatype::byte()).ok());
+      std::uint64_t i = 0;  // first wrong byte
+      for (; i < kPer; ++i) {
+        const std::uint64_t at =
+            contiguous ? r * kPer + i
+                       : (i / kBlk) * kBlk * kNp + r * kBlk + i % kBlk;
+        if (got[i] != (at < kEof ? file[at] : std::byte{0})) break;
+      }
+      EXPECT_EQ(i, kPer) << l.name << ", rank " << r;
+    }
+    f->close();
+  });
+}
+
+TEST_F(MpiioTest, CollectiveReadOfBytesEveryRankWants) {
+  // Every rank reads the same 48 KiB, the last 8 KiB past EOF: each
+  // aggregator's own piece overlaps its peers' identical ones, so it meets
+  // them in the collective buffer instead of riding the list straight into
+  // user memory, and every rank still gets the bytes (and the zeros).
+  constexpr std::uint64_t kEof = 40 * 1024;
+  constexpr std::uint64_t kLen = 48 * 1024;
+  const auto file = pattern(kEof, 91);
+  world_->run([&](Comm& c) {
+    DafsCtx ctx(*fabric_, world_->node_of(c.rank()));
+    auto f = OpenDafs(c, ctx, "/same.dat", kModeCreate | kModeRdwr);
+    ASSERT_NE(f, nullptr);
+    if (c.rank() == 0) {
+      ASSERT_TRUE(
+          f->write_at(0, file.data(), file.size(), Datatype::byte()).ok());
+    }
+    c.barrier();
+    std::vector<std::byte> got(kLen, std::byte{0x55});
+    EXPECT_TRUE(
+        f->read_at_all(0, got.data(), got.size(), Datatype::byte()).ok());
+    auto want = file;
+    want.resize(kLen, std::byte{0});
+    EXPECT_EQ(got, want) << "rank " << c.rank();
+    f->close();
+  });
+}
+
+TEST_F(MpiioTest, CollectiveWithFarApartBuffersRegistersOnlyOnce) {
+  // Each rank's data sits at the end of a 33 MiB allocation, tens of MiB
+  // from any collective buffer, so no compact hull covers both. The client
+  // registers each buffer's cluster once, through its cache: the second
+  // collective registers nothing.
+  constexpr std::uint32_t kBlock = 4096;
+  constexpr std::uint64_t kLen = std::uint64_t{kBlock} * 16;
+  constexpr std::uint64_t kFar = 33ull << 20;
+  world_->run([&](Comm& c) {
+    DafsCtx ctx(*fabric_, world_->node_of(c.rank()));
+    auto f = OpenDafs(c, ctx, "/far.dat", kModeCreate | kModeRdwr);
+    ASSERT_NE(f, nullptr);
+    const std::array<std::uint32_t, 1> sizes = {kBlock * kNp};
+    const std::array<std::uint32_t, 1> subsizes = {kBlock};
+    const std::array<std::uint32_t, 1> starts = {
+        static_cast<std::uint32_t>(c.rank()) * kBlock};
+    ASSERT_EQ(f->set_view(0, Datatype::byte(),
+                          Datatype::subarray(sizes, subsizes, starts,
+                                             Datatype::byte())),
+              Err::kOk);
+    std::vector<std::byte> far(kFar);
+    std::byte* data = far.data() + kFar - kLen;
+    const auto mine = pattern(kLen, 1500 + c.rank());
+    std::memcpy(data, mine.data(), kLen);
+    auto registrations = [&](auto&& call) {
+      c.barrier();
+      const std::uint64_t r0 = fabric_->stats().get("via.registrations");
+      call();
+      c.barrier();
+      return fabric_->stats().get("via.registrations") - r0;
+    };
+    for (const bool writing : {true, false}) {
+      auto call = [&] {
+        auto r = writing ? f->write_at_all(0, data, kLen, Datatype::byte())
+                         : f->read_at_all(0, data, kLen, Datatype::byte());
+        EXPECT_TRUE(r.ok());
+      };
+      (void)registrations(call);
+      EXPECT_EQ(registrations(call), 0u)
+          << (writing ? "write" : "read") << ", rank " << c.rank();
+      EXPECT_EQ(std::memcmp(data, mine.data(), kLen), 0);
+    }
+    f->close();
+  });
+}
+
+TEST_F(MpiioTest, FileContiguousListOnNfsCostsOneRunsRpcs) {
+  // 32 file-contiguous 4 KiB pieces scattered in memory: the NFS driver
+  // gathers them into the run's RPC payloads, so the list costs exactly the
+  // RPCs of one pwrite (and one pread) of the whole run.
+  constexpr std::uint64_t kPiece = 4096;
+  constexpr std::size_t kPieces = 32;
+  world_->run([&](Comm& c) {
+    if (c.rank() != 0) return;
+    auto client =
+        nfs::Client::connect(*fabric_, world_->node_of(c.rank())).value();
+    mpiio::AdNfs drv(*client);
+    ASSERT_EQ(drv.open("/nfslist.dat", nfs::kOpenCreate), Err::kOk);
+    const auto data = pattern(kPiece * kPieces, 81);
+    std::vector<std::byte> mem(2 * data.size());  // every other 4 KiB slot
+    std::vector<mpiio::IoSeg> segs;
+    for (std::size_t i = 0; i < kPieces; ++i) {
+      std::byte* slot = mem.data() + 2 * i * kPiece;
+      std::memcpy(slot, data.data() + i * kPiece, kPiece);
+      segs.push_back(mpiio::IoSeg{i * kPiece, slot, kPiece});
+    }
+    auto rpcs = [&](auto&& call) {
+      const std::uint64_t r0 = fabric_->stats().get("nfs.requests");
+      call();
+      return fabric_->stats().get("nfs.requests") - r0;
+    };
+    const std::uint64_t one_write = rpcs([&] {
+      ASSERT_TRUE(drv.pwrite(0, data).ok());
+    });
+    EXPECT_EQ(rpcs([&] {
+                auto w = drv.write_list(segs);
+                ASSERT_TRUE(w.ok());
+                EXPECT_EQ(w.value(), data.size());
+              }),
+              one_write);
+    std::vector<std::byte> flat(data.size());
+    const std::uint64_t one_read = rpcs([&] {
+      ASSERT_TRUE(drv.pread(0, flat).ok());
+    });
+    std::fill(mem.begin(), mem.end(), std::byte{0});
+    EXPECT_EQ(rpcs([&] {
+                auto r = drv.read_list(segs);
+                ASSERT_TRUE(r.ok());
+                EXPECT_EQ(r.value(), data.size());
+              }),
+              one_read);
+    for (std::size_t i = 0; i < kPieces; ++i) {
+      ASSERT_EQ(std::memcmp(segs[i].mem, data.data() + i * kPiece, kPiece), 0)
+          << "piece " << i;
+    }
+    drv.close();
   });
 }
 
