@@ -1,23 +1,26 @@
-// E18 (quorum, beyond the paper): the same kill-the-leader fault plan hits
-// both replication designs and the bench times the outage each one leaves:
-//   - pair (PR 5): semi-sync journal shipping to one standby. The crash
-//     kills the primary; the standby promotes itself when the replication
-//     channel dies and the client rotates to it.
-//   - quorum (this PR): a three-member Raft group. The crash kills the
-//     leader; the survivors elect a successor (randomized 50-100 ms
-//     timeouts), clients chase kNotLeader hints to it, and the rebooted
-//     ex-leader rejoins as a follower and re-silvers its journal.
-// The headline number is the worst single-write wall-clock stall — the
-// window in which the stream was actually blocked — alongside end-to-end
-// wall time. The outage is a real-time phenomenon (restart delay, election
-// timeouts, reconnect polling are real sleeps), so wall-clock is the honest
-// ruler; modeled bandwidth is reported for context. Acked-but-unsynced
-// chunks may legally die with the killed node on either path; the bench
-// proves the loss is confined to one sync window, repairs it app-side, and
-// verifies the file byte-exact before accepting the timing. A traced run
-// (DAFS_TRACE=...) must also record the election and the ex-leader's
-// catch-up: tier1.sh validates raft.election / raft.resilver spans via
-// scripts/check_trace.py --require-span.
+// E18 (quorum, beyond the paper): the same kill fault plan hits both ways a
+// filer crash can be survived, and the bench times the outage each one
+// leaves:
+//   - restart-wait: a single filer on a single_mount. The client polls the
+//     dead listener until the server's real-time restart delay elapses,
+//     then reclaims its session on the reborn instance.
+//   - quorum: a three-member Raft group. The crash kills the leader; the
+//     survivors elect a successor (randomized 50-100 ms timeouts), clients
+//     chase kNotLeader hints to it, and the rebooted ex-leader rejoins as a
+//     follower and re-silvers its journal.
+// The headline number is the worst wall-clock stall of one write_at (with
+// the sync checkpoint it closes, if any) — the window in which the stream
+// was actually blocked — alongside end-to-end wall time. The outage is a
+// real-time phenomenon (restart delay, election timeouts, reconnect polling
+// are real sleeps), so wall-clock is the honest ruler; modeled bandwidth is
+// reported for context. Acked-but-unsynced chunks may legally die with the
+// killed node on either path; the bench proves the loss is confined to one
+// sync window, repairs it app-side, and verifies the file byte-exact before
+// accepting the timing. A traced run (DAFS_TRACE=...) must record the
+// election and the ex-leader's catch-up, and every client span — including
+// the retries that crossed the crash and the leader rediscovery — must
+// chain up to the mpiio call that issued it: tier1.sh checks all three with
+// scripts/check_trace.py.
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -39,11 +42,11 @@ constexpr std::uint64_t kSeed = 18;
 
 struct RunResult {
   double wall_ms = 0;      // host wall-clock, stream start -> last sync
-  double stall_ms = 0;     // worst single-write stall (the outage window)
+  double stall_ms = 0;     // worst write (+ its sync) stall: the outage
   double virt_mbps = 0;    // modeled bandwidth over the same interval
   int lost_chunks = 0;     // acked-unsynced chunks the crash devoured
   std::uint64_t crashes = 0;
-  std::uint64_t elections = 0;  // dafs.elections_won (0 on the pair path)
+  std::uint64_t elections = 0;  // dafs.elections_won (0 on a lone filer)
 };
 
 /// Write the stream through MPI-IO with a sync checkpoint per window, then
@@ -76,12 +79,14 @@ RunResult run_world(sim::Fabric& fabric, mpi::World& world,
         std::fprintf(stderr, "bench: write chunk %d failed\n", i);
         std::abort();
       }
+      if ((i + 1) % kWindow == 0) require_ok(f->sync(), "sync");
+      // The stream is blocked for the write and for the checkpoint it
+      // closes alike: an outage that lands on a sync stalls it just as hard.
       const double stall =
           std::chrono::duration<double, std::milli>(
               std::chrono::steady_clock::now() - stall0)
               .count();
       if (stall > out.stall_ms) out.stall_ms = stall;
-      if ((i + 1) % kWindow == 0) require_ok(f->sync(), "sync");
     }
     out.wall_ms =
         std::chrono::duration<double, std::milli>(
@@ -151,42 +156,30 @@ dafs::RetryPolicy retry_policy() {
   return retry;
 }
 
-/// PR 5 path: semi-sync pair, the client rotates to the promoted standby.
-RunResult run_pair(const std::vector<std::byte>& data) {
+/// One filer: the client waits out the real restart delay.
+RunResult run_restart_wait(const std::vector<std::byte>& data) {
   sim::Fabric fabric;
-  sim::NodeId primary_node = fabric.add_node("filer-a");
-  sim::NodeId standby_node = fabric.add_node("filer-b");
-  dafs::ServerConfig pcfg;
-  pcfg.grace_period_ms = 5;
-  pcfg.service = "dafs";
-  pcfg.repl_peer = "dafs-repl";
-  dafs::ServerConfig bcfg;
-  bcfg.grace_period_ms = 5;
-  bcfg.service = "dafs-b";
-  bcfg.repl_listen = "dafs-repl";
-  dafs::Server primary(fabric, primary_node, pcfg);
-  dafs::Server standby(fabric, standby_node, bcfg);
-  primary.start();
-  standby.start();
+  dafs::ServerConfig scfg;
+  scfg.grace_period_ms = 5;
+  dafs::Server server(fabric, fabric.add_node("filer"), scfg);
+  server.start();
   mpi::WorldConfig wcfg;
   wcfg.nprocs = 1;
   wcfg.fabric = &fabric;
   mpi::World world(wcfg);
   fabric.faults().arm(kSeed);
-  fabric.faults().restrict_crash_to_node(primary_node);
   fabric.faults().crash_server_after_requests(kCrashAfter, kRestartMs);
   const RunResult r = run_world(
-      fabric, world, dafs::failover_mount({"dafs", "dafs-b"}, retry_policy()),
-      data);
+      fabric, world, dafs::single_mount("dafs", retry_policy()), data);
   fabric.faults().clear();
-  standby.stop();
-  primary.stop();
+  server.stop();
   return r;
 }
 
-/// This PR's path: a three-member quorum group; the survivors elect a new
-/// leader, the client chases kNotLeader hints, the rebooted ex-leader
-/// re-silvers. Same fault plan, restricted to the incumbent leader's node.
+/// A three-member quorum group; the survivors elect a new leader, the
+/// client chases kNotLeader hints, the rebooted ex-leader re-silvers. Same
+/// fault plan (same seed, request count and restart delay), restricted to
+/// the incumbent leader's node.
 RunResult run_quorum(const std::vector<std::byte>& data) {
   sim::Fabric fabric;
   constexpr std::size_t kMembers = 3;
@@ -220,7 +213,7 @@ RunResult run_quorum(const std::vector<std::byte>& data) {
   for (int spin = 0; spin < 15000 && leader < 0; ++spin) {
     for (std::size_t i = 0; i < kMembers; ++i) {
       if (!members[i]->crashed() &&
-          members[i]->role() == dafs::Server::Role::kPrimary) {
+          members[i]->role() == dafs::Server::Role::kLeader) {
         leader = static_cast<int>(i);
       }
     }
@@ -255,7 +248,7 @@ RunResult run_quorum(const std::vector<std::byte>& data) {
   int successor = -1;
   for (std::size_t i = 0; i < kMembers; ++i) {
     if (!members[i]->crashed() &&
-        members[i]->role() == dafs::Server::Role::kPrimary) {
+        members[i]->role() == dafs::Server::Role::kLeader) {
       successor = static_cast<int>(i);
     }
   }
@@ -294,44 +287,43 @@ RunResult run_quorum(const std::vector<std::byte>& data) {
 int main() {
   std::printf(
       "E18 [quorum]: %d x 64 KiB MPI-IO writes, sync every %d chunks, the "
-      "replica holding the client's session killed after request %llu "
-      "(restart %llu ms later). pair = PR5 semi-sync standby promotion; "
-      "quorum = 3-member Raft group, majority-commit, leader election, "
-      "kNotLeader redirection, automatic re-silvering.\n\n",
+      "filer holding the client's session killed after request %llu "
+      "(restart %llu ms later). restart-wait = single filer, client polls "
+      "through the outage; quorum = 3-member Raft group, majority-commit, "
+      "leader election, kNotLeader redirection, automatic re-silvering.\n\n",
       kChunks, kWindow, static_cast<unsigned long long>(kCrashAfter),
       static_cast<unsigned long long>(kRestartMs));
 
   const auto data = make_data(static_cast<std::size_t>(kChunks) * kChunk, 18);
 
-  const RunResult pair = run_pair(data);
+  const RunResult wait = run_restart_wait(data);
   const RunResult quorum = run_quorum(data);
 
-  Table t({"scenario", "wall ms", "outage ms", "virt MB/s", "lost chunks",
-           "crashes", "elections"});
-  t.row({"pair", fmt(pair.wall_ms), fmt(pair.stall_ms), fmt(pair.virt_mbps),
-         std::to_string(pair.lost_chunks), std::to_string(pair.crashes),
-         std::to_string(pair.elections)});
-  t.row({"quorum", fmt(quorum.wall_ms), fmt(quorum.stall_ms),
-         fmt(quorum.virt_mbps), std::to_string(quorum.lost_chunks),
-         std::to_string(quorum.crashes), std::to_string(quorum.elections)});
+  Table t({"scenario", "wall ms", "worst stall ms", "virt MB/s",
+           "lost chunks", "crashes", "elections"});
+  const auto row = [&t](const char* name, const RunResult& r) {
+    t.row({name, fmt(r.wall_ms), fmt(r.stall_ms), fmt(r.virt_mbps),
+           std::to_string(r.lost_chunks), std::to_string(r.crashes),
+           std::to_string(r.elections)});
+  };
+  row("restart-wait", wait);
+  row("quorum", quorum);
   t.print();
   std::printf(
-      "unavailability: quorum blocked %.1f ms at worst vs %.1f ms for the "
-      "pair; both must beat the %llu ms restart-wait floor.\n",
-      quorum.stall_ms, pair.stall_ms,
+      "worst write stall: quorum %.1f ms vs restart-wait %.1f ms (restart "
+      "delay %llu ms).\n",
+      quorum.stall_ms, wait.stall_ms,
       static_cast<unsigned long long>(kRestartMs));
 
-  // The acceptance bar: neither design may leave the stream blocked for the
-  // whole restart delay — recovery must come from the surviving replicas,
-  // not from waiting out the reboot. (The pair promotes one standby; the
-  // quorum runs an election first, so its window may be modestly larger but
-  // still decoupled from the restart clock.)
+  // The acceptance bar: the quorum must not leave the stream blocked for
+  // the whole restart delay — recovery must come from the surviving
+  // members, not from waiting out the reboot the way a lone filer does.
   const double floor_ms = static_cast<double>(kRestartMs);
-  if (pair.stall_ms >= floor_ms || quorum.stall_ms >= floor_ms) {
+  if (quorum.stall_ms >= wait.stall_ms || quorum.stall_ms >= floor_ms) {
     std::fprintf(stderr,
-                 "bench: outage window not decoupled from restart "
-                 "(pair %.1f ms, quorum %.1f ms, restart %.1f ms)\n",
-                 pair.stall_ms, quorum.stall_ms, floor_ms);
+                 "bench: quorum outage not decoupled from restart (quorum "
+                 "%.1f ms, restart-wait %.1f ms, restart %.1f ms)\n",
+                 quorum.stall_ms, wait.stall_ms, floor_ms);
     std::abort();
   }
   return 0;

@@ -175,55 +175,6 @@ struct DafsBed {
   }
 };
 
-/// A replicated-pair testbed: primary filer + standby on its own node, the
-/// journal streamed between them, and a client mounted on both endpoints in
-/// failover order (E16, test_failover).
-struct DafsPairBed {
-  sim::Fabric fabric;
-  sim::NodeId primary_node;
-  sim::NodeId standby_node;
-  sim::NodeId client_node;
-  std::unique_ptr<dafs::Server> primary;
-  std::unique_ptr<dafs::Server> standby;
-  std::unique_ptr<via::Nic> client_nic;
-  std::unique_ptr<sim::Actor> client_actor;
-  std::unique_ptr<dafs::Session> session;
-
-  explicit DafsPairBed(dafs::RetryPolicy retry = {},
-                       dafs::ServerConfig base_scfg = {}) {
-    primary_node = fabric.add_node("filer-a");
-    standby_node = fabric.add_node("filer-b");
-    client_node = fabric.add_node("client0");
-    dafs::ServerConfig pcfg = base_scfg;
-    pcfg.service = "dafs";
-    pcfg.repl_peer = "dafs-repl";
-    dafs::ServerConfig bcfg = base_scfg;
-    bcfg.service = "dafs-b";
-    bcfg.repl_listen = "dafs-repl";
-    primary = std::make_unique<dafs::Server>(fabric, primary_node, pcfg);
-    standby = std::make_unique<dafs::Server>(fabric, standby_node, bcfg);
-    primary->start();
-    standby->start();
-    client_nic = std::make_unique<via::Nic>(fabric, client_node, "cli-nic");
-    client_actor =
-        std::make_unique<sim::Actor>("client0", &fabric.node(client_node));
-    sim::ActorScope scope(*client_actor);
-    session = std::move(
-        dafs::Session::connect(*client_nic,
-                               dafs::failover_mount({"dafs", "dafs-b"}, retry))
-            .value());
-  }
-
-  ~DafsPairBed() {
-    sim::ActorScope scope(*client_actor);
-    session.reset();
-    // Stop the standby first: tearing the primary down first looks exactly
-    // like a crash and would promote the standby mid-teardown.
-    standby->stop();
-    primary->stop();
-  }
-};
-
 /// An NFS testbed mirror.
 struct NfsBed {
   sim::Fabric fabric;

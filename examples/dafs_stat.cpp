@@ -14,9 +14,8 @@ namespace {
 
 const char* role_name(std::uint32_t r) {
   switch (static_cast<dafs::Server::Role>(r)) {
-    case dafs::Server::Role::kPrimary: return "primary";
-    case dafs::Server::Role::kStandby: return "standby";
-    case dafs::Server::Role::kFenced: return "fenced";
+    case dafs::Server::Role::kLeader: return "leader";
+    case dafs::Server::Role::kFollower: return "follower";
     case dafs::Server::Role::kCandidate: return "candidate";
   }
   return "?";

@@ -2,7 +2,7 @@
 # Tier-1 gate: the standard build + full test suite, then an
 # AddressSanitizer/UBSan build running the fault-injection slice (ctest -L
 # fault), the server crash/restart chaos slice (ctest -L chaos), the
-# dual-filer failover slice (ctest -L failover), the causal-tracing
+# quorum failover slice (ctest -L failover), the causal-tracing
 # slice (ctest -L trace), the striped-layout slice (ctest -L stripe), the
 # quorum-replication slice (ctest -L raft), the data-integrity slice
 # (ctest -L integrity), the live-telemetry slice (ctest -L telemetry), the
@@ -15,9 +15,9 @@
 # leg runs traced end-to-end
 # benchmarks and validates the emitted Perfetto JSON (ids resolve, spans
 # nest, no negative durations) with scripts/check_trace.py — including the
-# --mpiio-rooted linkage check against the traced failover bench and the
-# traced striped collective, and the --require-span check that the traced
-# quorum bench actually recorded a leader election and a re-silver burst.
+# --mpiio-rooted linkage check against the traced striped collective and the
+# traced quorum bench, which must also have recorded a leader election and a
+# re-silver burst (--require-span).
 # A metrics-validation leg then replays the breakdown and telemetry benches
 # with stdout captured and checks their unified metrics JSON (schema,
 # dotted-lowercase keys, percentile ordering, monotone time series) with
@@ -59,12 +59,6 @@ echo "== tier1: trace-validation leg (traced benches -> check_trace.py) =="
 TRACE_OUT="$BUILD/tier1_trace.json"
 DAFS_TRACE="$TRACE_OUT" "$BUILD/bench/bench_e8_breakdown" >/dev/null
 python3 scripts/check_trace.py "$TRACE_OUT"
-# Failover bench: besides the structural checks, require every dafs.client
-# span — including the retries that crossed the crash and the endpoint
-# rotation — to chain up to the mpiio span that issued it.
-FAILOVER_TRACE="$BUILD/tier1_trace_failover.json"
-DAFS_TRACE="$FAILOVER_TRACE" "$BUILD/bench/bench_e16_failover" >/dev/null
-python3 scripts/check_trace.py --mpiio-rooted "$FAILOVER_TRACE"
 # Striped bench: the E17 sweep runs last in bench_e9_scaling, so the dump is
 # a traced striped collective — every per-server sub-transfer must chain up
 # to the write_at_all that split it across the layout.
@@ -75,9 +69,12 @@ python3 scripts/check_trace.py --mpiio-rooted "$STRIPE_TRACE"
 # (a successor won a term) and a re-silver span (the rebooted ex-leader
 # caught its journal up) — proving the traced recovery actually exercised
 # both halves of the consensus path, not just that the trace is well-formed.
+# Every dafs.client span — including the retries that crossed the crash and
+# the chase to the new leader — must also chain up to the mpiio span that
+# issued it.
 QUORUM_TRACE="$BUILD/tier1_trace_quorum.json"
 DAFS_TRACE="$QUORUM_TRACE" "$BUILD/bench/bench_e18_quorum" >/dev/null
-python3 scripts/check_trace.py --require-span raft.election \
+python3 scripts/check_trace.py --mpiio-rooted --require-span raft.election \
   --require-span raft.resilver "$QUORUM_TRACE"
 # Integrity bench: the dafs_integrity sweep runs with the background
 # scrubber on, so the traced dump must record at least one completed

@@ -125,15 +125,14 @@ PStatus Session::do_connect() {
   // sweep of the mount.
   for (std::size_t pass = 0; pass < eps_.size() + 8; ++pass) {
     last = connect_once();
-    if (last != PStatus::kFenced && last != PStatus::kNotLeader) break;
-    // The filer answered but refuses service: a deposed pair member fences
-    // every request, a quorum follower redirects. Demote it behind the
-    // rest of the rotation — unless the follower named the leader and that
-    // endpoint is in the mount, in which case jump straight there. Either
+    if (last != PStatus::kNotLeader) break;
+    // A quorum follower answered but redirects. Jump straight to the leader
+    // when it named one the mount knows; otherwise demote the follower
+    // behind the rest of the rotation and give the election time. Either
     // way the next attempt needs a fresh VI.
-    if (last != PStatus::kNotLeader || !follow_leader_hint(leader_hint_)) {
+    if (!follow_leader_hint(leader_hint_)) {
       demote_endpoint();
-      if (last == PStatus::kNotLeader) std::this_thread::sleep_for(20ms);
+      std::this_thread::sleep_for(20ms);
     }
     vi_->disconnect();
     vi_ = std::make_unique<via::Vi>(nic_, session_vi_attrs(ptag_));
@@ -145,8 +144,8 @@ PStatus Session::do_connect() {
 
 PStatus Session::connect_once() {
   // The service may still be coming up; retry name-service misses briefly.
-  // With failover targets, alternate endpoints between probes: whichever
-  // member of the pair is serving clients answers first.
+  // With several endpoints, alternate between probes: whichever one is up
+  // answers first.
   via::Status cst = via::Status::kNoMatchingListener;
   for (int attempt = 0; attempt < 200; ++attempt) {
     cst = nic_.connect(*vi_, active_service(), kIoWait);
@@ -157,7 +156,7 @@ PStatus Session::connect_once() {
   if (cst != via::Status::kSuccess) return PStatus::kProtoError;
   // Receive buffers must be posted before the first request leaves (credit
   // contract with the server). Allocation and registration happen once —
-  // a second pass (fenced first endpoint) reuses them on the fresh VI.
+  // a second pass (a follower redirected us) reuses them on the fresh VI.
   if (recv_bufs_.empty()) {
     recv_bufs_.resize(cfg_.credits);
     for (auto& rb : recv_bufs_) {
@@ -444,17 +443,6 @@ PStatus Session::wait_slot(OpId id) {
       if (recover()) continue;
       return PStatus::kConnLost;
     }
-    if (sl.resp.status == PStatus::kFenced && session_id_ != 0 &&
-        sl.reclaim_retries < kSlotReclaimRetries) {
-      // The bound filer was deposed by a standby promotion and refuses all
-      // stale-session traffic. Recovery's resume gets kFenced too and
-      // rotates to the next endpoint, where resume/reclaim + retransmit
-      // complete this request against the promoted standby.
-      ++sl.reclaim_retries;
-      sl.done = false;
-      if (recover()) continue;
-      return PStatus::kConnLost;
-    }
     if (sl.resp.status == PStatus::kNotLeader) {
       // Remember the follower's leader hint even when we surface the error:
       // do_connect and recover() both consume it to jump straight to the
@@ -561,16 +549,17 @@ bool Session::recover() {
   assert(actor && "recovery outside an ActorScope");
   auto& stats = nic_.fabric().stats();
   // Identify the starting endpoint by service, not index: demotion reorders
-  // eps_, so after a fenced home is pushed to the back the survivor we land
-  // on may occupy the very slot we started from.
+  // eps_, so after a refusing home is pushed to the back the survivor we
+  // land on may occupy the very slot we started from.
   const std::string home = eps_[ep_].service;
   const sim::Time t_fail = actor->now();
-  // Passes run the bound endpoint's retry budget; kFenced (or a dead
-  // listener on a failover mount) cuts a pass short and rotates. A
-  // single-endpoint mount gets one pass of long-polling through the outage;
-  // a failover mount instead keeps sweeping the endpoint list — a takeover
-  // is not instant, so the standby may answer only some sweeps later — and
-  // spends its whole per-endpoint budget on short cross-endpoint probes.
+  // Passes run the bound endpoint's retry budget; a follower's redirect (or
+  // a dead listener on a multi-endpoint mount) cuts a pass short and
+  // rotates. A single-endpoint mount gets one pass of long-polling through
+  // the outage; a multi-endpoint mount instead keeps sweeping the endpoint
+  // list — an election is not instant, so the new leader may answer only
+  // some sweeps later — and spends its whole per-endpoint budget on short
+  // cross-endpoint probes.
   const std::size_t max_passes =
       eps_.size() == 1
           ? 1
@@ -599,8 +588,8 @@ bool Session::recover() {
       vi_ = std::make_unique<via::Vi>(nic_, session_vi_attrs(ptag_));
       // A crashed server takes its listener down for the whole (real-time)
       // restart delay. A single-endpoint mount has nowhere else to go, so
-      // it polls through the outage; a failover mount probes briefly and
-      // rotates to the standby instead — that is the point of the pair.
+      // it polls through the outage; a multi-endpoint mount probes briefly
+      // and rotates to the surviving members instead.
       const int polls = eps_.size() == 1 ? 400 : 8;
       const auto poll_sleep =
           eps_.size() == 1 ? std::chrono::milliseconds(5)
@@ -631,14 +620,6 @@ bool Session::recover() {
       if (!armed) continue;
       const ResumeOutcome ro = resume_session();
       if (ro == ResumeOutcome::kFailed) continue;
-      if (ro == ResumeOutcome::kFenced) {
-        // Deposed filer: it will never serve this session again. Demote it
-        // to the back of the rotation so later sweeps reprobe it last.
-        demote_endpoint();
-        moved = true;
-        rotate = true;
-        continue;
-      }
       if (ro == ResumeOutcome::kNotLeader) {
         // Quorum follower: jump straight to the hinted leader when the
         // mount knows its endpoint; otherwise demote the follower and
@@ -653,9 +634,9 @@ bool Session::recover() {
         rotate = true;
         continue;
       }
-      // kBadSession after a reconnect means the server restarted (or a
-      // promoted standby never saw us): rebuild its state from our leases
-      // before retransmitting.
+      // kBadSession after a reconnect means the server restarted (or a new
+      // leader never saw us): rebuild its state from our leases before
+      // retransmitting.
       if (ro == ResumeOutcome::kLostState && !reclaim_session()) continue;
       if (!retransmit_inflight()) continue;
       nic_.fabric().histograms().record("dafs.reconnect_ns",
@@ -743,7 +724,6 @@ Session::ResumeOutcome Session::resume_session() {
     return ResumeOutcome::kResumed;
   }
   if (r.status == PStatus::kBadSession) return ResumeOutcome::kLostState;
-  if (r.status == PStatus::kFenced) return ResumeOutcome::kFenced;
   if (r.status == PStatus::kNotLeader) {
     leader_hint_ = r.hdr.aux;
     return ResumeOutcome::kNotLeader;
@@ -776,10 +756,9 @@ bool Session::reclaim_session() {
       msg.set_name(lease.path);
       const RawResp r = raw_rpc();
       if (!r.transport_ok) return false;
-      // A deposition (or quorum leadership change) mid-reclaim must not
-      // condemn the handle as stale; abort the whole reclaim so recovery
-      // rotates to whoever serves now.
-      if (r.status == PStatus::kFenced) return false;
+      // A leadership change mid-reclaim must not condemn the handle as
+      // stale; abort the whole reclaim so recovery rotates to whoever
+      // serves now.
       if (r.status == PStatus::kNotLeader) {
         leader_hint_ = r.hdr.aux;
         return false;
@@ -843,9 +822,8 @@ bool Session::reclaim_session() {
       const RawResp r = raw_rpc();
       if (!r.transport_ok) return false;
       st = r.status;
-      // Deposed (or redirected) mid-reclaim: abort so recovery rotates
-      // instead of treating the refusal as a lost lock.
-      if (st == PStatus::kFenced) return false;
+      // Redirected mid-reclaim: abort so recovery rotates instead of
+      // treating the refusal as a lost lock.
       if (st == PStatus::kNotLeader) {
         leader_hint_ = r.hdr.aux;
         return false;

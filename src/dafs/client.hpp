@@ -77,8 +77,7 @@ class Session {
  public:
   /// Mount `spec` and bind to its first reachable endpoint. Later endpoints
   /// are failover targets: the recovery path rotates to them when the bound
-  /// filer stays unreachable or answers kFenced (deposed by a standby
-  /// promotion).
+  /// filer stays unreachable or answers kNotLeader (a quorum follower).
   static Result<std::unique_ptr<Session>> connect(via::Nic& nic,
                                                   const MountSpec& spec = {});
   ~Session();
@@ -179,8 +178,7 @@ class Session {
   // ---- telemetry -------------------------------------------------------------
   /// Live stats snapshot from the bound filer. Served outside the server's
   /// admission control (succeeds while the data plane sheds kBusy) and by
-  /// fenced/follower members (which report their role/term instead of
-  /// refusing).
+  /// quorum followers (which report their role/term instead of refusing).
   Result<StatsSnapshot> query_stats();
 
   std::uint64_t session_id() const { return session_id_; }
@@ -246,16 +244,16 @@ class Session {
   PStatus do_connect();
   /// One establishment pass against the bound endpoint (connect retry loop,
   /// buffer arming, kConnect RPC). do_connect rotates endpoints between
-  /// passes when the answer is kFenced.
+  /// passes when the answer is kNotLeader.
   PStatus connect_once();
   /// Rotate to the next endpoint in the mount order (wraps; reseeds the
   /// backoff jitter from the new endpoint's policy).
   void advance_endpoint();
   /// Demote the bound endpoint to the back of the rotation and bind the
   /// next one. Used when the endpoint *answered* but refused service
-  /// (kFenced / kNotLeader): it is alive yet useless for now, so it should
-  /// be the last thing reprobed — unlike a transport failure, where the
-  /// plain in-place rotation of advance_endpoint is right.
+  /// (kNotLeader): it is alive yet useless for now, so it should be the
+  /// last thing reprobed — unlike a transport failure, where the plain
+  /// in-place rotation of advance_endpoint is right.
   void demote_endpoint();
   /// Bind the endpoint tagged with quorum member `aux - 1` (the wire
   /// encoding of a kNotLeader leader hint; aux == 0 means no hint). Returns
@@ -287,7 +285,6 @@ class Session {
     kFailed,     // transport error / garbled answer: retry the attempt
     kResumed,    // server still had the session (connection-level failure)
     kLostState,  // kBadSession: server restarted, reclaim from leases
-    kFenced,     // server was deposed: rotate to the next endpoint
     kNotLeader,  // quorum follower: follow its leader hint (or demote)
   };
   ResumeOutcome resume_session();

@@ -32,8 +32,8 @@ struct RetryPolicy {
   /// Retransmissions of a kBusy-shed request before surfacing kBusy.
   int max_busy_retries = 64;
   /// Per-request deadline budget (virtual ns) stamped on every request;
-  /// 0 = no deadline. For the replication channel this bounds the
-  /// semi-synchronous barrier wait instead.
+  /// 0 = no deadline. For a quorum filer's repl_retry this bounds the
+  /// commit-barrier wait instead.
   std::uint64_t deadline_ns = 0;
 };
 
@@ -156,9 +156,10 @@ struct Layout {
 };
 
 /// What `Session::connect` mounts: an ordered endpoint list (first is the
-/// preferred primary; later entries are failover targets tried in order when
-/// the bound endpoint dies or answers kFenced) plus the session-local knobs.
-/// An empty endpoint list means one default endpoint at `client.service`.
+/// preferred filer; later entries are failover targets tried in order when
+/// the bound endpoint dies or answers kNotLeader) plus the session-local
+/// knobs. An empty endpoint list means one default endpoint at
+/// `client.service`.
 ///
 /// `Client::connect` (the striped multi-filer client) additionally reads
 /// `data_endpoints`: when non-empty, file data round-robins across those
@@ -177,16 +178,6 @@ inline MountSpec single_mount(std::string service, RetryPolicy retry = {},
                               ClientConfig client = {}) {
   MountSpec m;
   m.endpoints.push_back(Endpoint{std::move(service), retry});
-  m.client = std::move(client);
-  return m;
-}
-
-/// An ordered failover mount over `services`, one shared policy.
-inline MountSpec failover_mount(std::vector<std::string> services,
-                                RetryPolicy retry = {},
-                                ClientConfig client = {}) {
-  MountSpec m;
-  for (auto& s : services) m.endpoints.push_back(Endpoint{std::move(s), retry});
   m.client = std::move(client);
   return m;
 }

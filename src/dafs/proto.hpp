@@ -39,8 +39,8 @@ enum class Proc : std::uint8_t {
   kSetCounter,   // [ext]
   kStatsQuery,   // [ext] live telemetry snapshot: WireStatsHeader + tables
                  // in the response payload. Served outside admission control
-                 // and by fenced/follower members — the management plane
-                 // must answer precisely when the data plane is refusing.
+                 // and by quorum followers — the management plane must
+                 // answer precisely when the data plane is refusing.
   kDelegRecall,  // [ext] delegation lease renewal / recall poll: `ino` names
                  // the delegated file, `deleg` the delegation id. A valid
                  // holder gets kOk with the renewed term (ns) in `aux`; when
@@ -122,9 +122,6 @@ enum class PStatus : std::uint8_t {
   kIo,           // backend storage error
   kBusy,         // server shed the request (admission queue full / restart
                  // grace period); retry-after hint (virtual ns) in aux
-  kFenced,       // server was deposed by a standby promotion and must not
-                 // serve stale sessions; the client rotates to the next
-                 // endpoint in its MountSpec
   kNotLeader,    // quorum follower (or deposed/stepped-down leader): only the
                  // group leader serves clients. aux carries a leader hint —
                  // 1 + the leader's member index when known, 0 when unknown —
@@ -190,7 +187,6 @@ constexpr const char* to_string(PStatus s) {
     case PStatus::kNoResource: return "no-resource";
     case PStatus::kIo: return "io-error";
     case PStatus::kBusy: return "busy";
-    case PStatus::kFenced: return "fenced";
     case PStatus::kNotLeader: return "not-leader";
     case PStatus::kCorrupt: return "corrupt";
     case PStatus::kDelegExpired: return "deleg-expired";

@@ -48,18 +48,12 @@ Server::Server(sim::Fabric& fabric, sim::NodeId node, ServerConfig cfg)
   // The filer journals so sync is a durability barrier and crash() replays.
   cfg_.store.journal_enabled = cfg_.journal;
   admission_limit_.store(cfg_.admission_max_queue, std::memory_order_relaxed);
-  // A standby serves no clients until promoted; its journal (the durable
-  // image it will materialize from) must be on.
-  if (!cfg_.repl_listen.empty()) {
-    cfg_.store.journal_enabled = true;
-    role_.store(Role::kStandby, std::memory_order_release);
-  }
   // A quorum member starts as a follower — it listens for clients (answering
   // kNotLeader with a hint) but serves nothing until it wins an election.
   // The journal is the replicated log, so it must be on.
   if (quorum()) {
     cfg_.store.journal_enabled = true;
-    role_.store(Role::kStandby, std::memory_order_release);
+    role_.store(Role::kFollower, std::memory_order_release);
     epoch_.store(0, std::memory_order_relaxed);  // terms count from 0
     const std::size_t n = cfg_.quorum_group.size();
     match_off_.assign(n, 0);
@@ -94,23 +88,12 @@ Server::Server(sim::Fabric& fabric, sim::NodeId node, ServerConfig cfg)
                        [this] { return std::uint64_t{session_count()}; });
   gauges_.emplace_back(m, "fstore.journal_pending_bytes",
                        [this] { return store_->journal_pending_bytes(); });
-  // Replication gauges: lag/acked are primary-side (the pair's standby does
-  // not register them, so they never collide within one pair); the role
-  // gauge is registered by any replicated member (last registration wins).
-  if (!cfg_.repl_peer.empty()) {
-    gauges_.emplace_back(m, "dafs.repl_lag_bytes",
-                         [this] { return repl_lag_bytes(); });
-    gauges_.emplace_back(m, "dafs.repl_acked_bytes",
-                         [this] { return repl_acked_bytes(); });
-  }
-  if (!cfg_.repl_peer.empty() || !cfg_.repl_listen.empty() || quorum()) {
+  // Quorum gauges (one member registers last and wins; benches sample them
+  // per-phase, not per-member).
+  if (quorum()) {
     gauges_.emplace_back(m, "dafs.role", [this] {
       return static_cast<std::uint64_t>(static_cast<int>(role()));
     });
-  }
-  // Quorum gauges (one member registers last and wins, same convention as
-  // dafs.role; benches sample them per-phase, not per-member).
-  if (quorum()) {
     gauges_.emplace_back(m, "dafs.term", [this] { return epoch(); });
     gauges_.emplace_back(m, "dafs.resilver_bytes",
                          [this] { return resilver_bytes(); });
@@ -122,12 +105,6 @@ Server::Server(sim::Fabric& fabric, sim::NodeId node, ServerConfig cfg)
 }
 
 Server::~Server() { stop(); }
-
-std::uint64_t Server::repl_lag_bytes() const {
-  const std::uint64_t size = store_->journal_size();
-  const std::uint64_t acked = repl_acked_.load(std::memory_order_relaxed);
-  return size > acked ? size - acked : 0;
-}
 
 void Server::start() {
   if (running_.exchange(true)) return;
@@ -185,33 +162,17 @@ void Server::start() {
         quorum_sender_loop(p);
       });
     }
-  } else if (!cfg_.repl_listen.empty()) {
-    repl_actor_ =
-        std::make_unique<Actor>("dafs-repl-recv", &fabric_.node(node_));
-    repl_thread_ = std::thread([this] {
-      pthread_setname_np(pthread_self(), "dafs-repl-r");
-      repl_receiver_loop();
-    });
-  } else if (!cfg_.repl_peer.empty()) {
-    repl_actor_ =
-        std::make_unique<Actor>("dafs-repl-send", &fabric_.node(node_));
-    repl_thread_ = std::thread([this] {
-      pthread_setname_np(pthread_self(), "dafs-repl-s");
-      repl_sender_loop();
-    });
   }
 }
 
 void Server::stop() {
   if (!running_.exchange(false)) return;
-  repl_cv_.notify_all();  // release any barrier waiter
-  raft_cv_.notify_all();
+  raft_cv_.notify_all();  // release any commit-barrier waiter
   if (accept_thread_.joinable()) accept_thread_.join();
   for (auto& t : worker_threads_) {
     if (t.joinable()) t.join();
   }
   worker_threads_.clear();
-  if (repl_thread_.joinable()) repl_thread_.join();
   if (scrub_thread_.joinable()) scrub_thread_.join();
   if (quorum_tick_thread_.joinable()) quorum_tick_thread_.join();
   for (auto& t : quorum_sender_threads_) {
@@ -274,17 +235,9 @@ via::MemHandle Server::slab_handle(const std::byte* p) const {
 
 void Server::accept_loop() {
   ActorScope scope(*accept_actor_);
+  // A quorum follower listens too: it answers kNotLeader with a leader hint,
+  // so clients discover the leader instead of probing dead air.
   while (running_.load()) {
-    // A pair standby has no client listener: connects to its service fail
-    // with kNoMatchingListener until promotion flips the role, exactly like
-    // a crashed filer. A *quorum* follower is different — it listens and
-    // answers kNotLeader with a leader hint, so clients discover the leader
-    // instead of probing dead air.
-    while (running_.load() && !quorum() &&
-           role_.load(std::memory_order_acquire) == Role::kStandby) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    if (!running_.load()) break;
     {
       // The listener lives only while the server is "up". Destroying it on a
       // crash makes new connects fail with kNoMatchingListener — exactly what
@@ -323,7 +276,7 @@ void Server::accept_loop() {
           // session, never register it) or this registration completes first
           // and the sweep — which runs strictly after — tears it down. A
           // session registered after the sweep would otherwise be served
-          // straight through the outage with writes the standby never sees.
+          // straight through the outage.
           if (crash_pending_.load()) break;
           by_vi_.emplace(vi, session.get());
           sessions_.push_back(std::move(session));
@@ -367,29 +320,16 @@ void Server::accept_loop() {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     crash_pending_.store(false);
-    // A restarted replicated primary must not serve clients until the
-    // replication handshake has resolved whether it was deposed during the
-    // outage: a promoted standby answers the hello "fenced". Serving before
-    // that answer would let stale-epoch writes land here and silently
-    // diverge from the pair. Bounded wait — with the standby also gone there
-    // is no one who could have deposed us, so after the budget the filer
-    // serves (degraded) rather than stay down forever.
-    if (!cfg_.repl_peer.empty()) {
-      const auto fence_deadline =
-          std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
-      while (running_.load() &&
-             role_.load(std::memory_order_acquire) == Role::kPrimary &&
-             !repl_connected_.load(std::memory_order_relaxed) &&
-             std::chrono::steady_clock::now() < fence_deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-    grace_until_.store((std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(cfg_.grace_period_ms))
-                           .time_since_epoch()
-                           .count());
+    arm_grace();
     fabric_.stats().add("dafs.server_restarts");
   }
+}
+
+void Server::arm_grace() {
+  grace_until_.store((std::chrono::steady_clock::now() +
+                      std::chrono::milliseconds(cfg_.grace_period_ms))
+                         .time_since_epoch()
+                         .count());
 }
 
 bool Server::in_grace() const {
@@ -420,50 +360,15 @@ void Server::do_crash(std::uint64_t restart_delay_ms) {
     tracer.flight_dump("crash");
   }
   // Publish the crash BEFORE tearing anything down. Both the accept loop's
-  // arming path (under sessions_mu_) and the barrier's degraded branch key
-  // off this flag: setting it first closes the window where a session armed
-  // concurrently with the teardown sweep — or a request that finds the
-  // replication channel already dead — would be served straight through the
-  // outage. restart_at_ is read under crash_mu_, which this function holds
-  // end to end, so the flag can never be observed with a stale restart time.
+  // arming path (under sessions_mu_) and the commit barrier key off this
+  // flag: setting it first closes the window where a session armed
+  // concurrently with the teardown sweep would be served straight through
+  // the outage, and makes a barrier waiter drop its reply instead of
+  // acknowledging. restart_at_ is read under crash_mu_, which this function
+  // holds end to end, so the flag can never be observed with a stale
+  // restart time.
   crash_pending_.store(true);
-  {
-    std::lock_guard lock(sessions_mu_);
-    for (auto& sess : sessions_) {
-      if (sess->closing) continue;
-      sess->closing = true;
-      {
-        std::lock_guard rlock(sess->replay_mu);
-        sess->replay.clear();
-        sess->replay_bytes = 0;
-      }
-      // Connected VIs die with the process. Idle (armed, pre-accept) VIs are
-      // left alone: the accept loop may be linking one right now, and the
-      // worker-side unknown-session fallback reaps that race.
-      if (sess->vi && sess->vi->state() != via::Vi::State::kIdle) {
-        sess->vi->disconnect();
-      }
-    }
-    by_vi_.clear();
-  }
-  locks_.clear();    // volatile: clients re-acquire via lease reclaim
-  {
-    // Delegations are volatile leader state: a new incarnation never honors
-    // old ids (they fence by mismatch) and re-grants from scratch.
-    std::lock_guard dlock(deleg_mu_);
-    delegs_.clear();
-    openers_.clear();
-    session_opens_.clear();
-  }
-  store_->crash();   // un-synced data vanishes; journal replays durable image
-  // Kill the replication channel with the process: the standby observes the
-  // death promptly and promotes instead of waiting out an idle timeout.
-  {
-    std::lock_guard rlock(repl_mu_);
-    if (repl_vi_) repl_vi_->disconnect();
-    repl_connected_.store(false, std::memory_order_relaxed);
-  }
-  repl_cv_.notify_all();
+  reset_incarnation();
   if (quorum()) {
     // A crashed member loses its leadership (volatile) but keeps its term
     // and vote (the durable Raft metadata a real filer fsyncs beside the
@@ -471,7 +376,7 @@ void Server::do_crash(std::uint64_t restart_delay_ms) {
     // re-silvers from whoever leads when it comes back.
     {
       std::lock_guard rlock(raft_mu_);
-      role_.store(Role::kStandby, std::memory_order_release);
+      role_.store(Role::kFollower, std::memory_order_release);
       leader_member_.store(-1, std::memory_order_relaxed);
       // store_->crash() above replayed the journal and may have truncated a
       // torn tail; the term table and commit view must match the bytes that
@@ -491,6 +396,39 @@ void Server::do_crash(std::uint64_t restart_delay_ms) {
     }
     raft_cv_.notify_all();
   }
+}
+
+void Server::reset_incarnation() {
+  {
+    std::lock_guard lock(sessions_mu_);
+    for (auto& sess : sessions_) {
+      if (sess->closing) continue;
+      sess->closing = true;
+      {
+        std::lock_guard rlock(sess->replay_mu);
+        sess->replay.clear();
+        sess->replay_bytes = 0;
+      }
+      // Connected VIs die with the incarnation, so clients re-enter through
+      // connect/resume. Idle (armed, pre-accept) VIs are left alone: the
+      // accept loop may be linking one right now, and the worker-side
+      // unknown-session fallback reaps that race.
+      if (sess->vi && sess->vi->state() != via::Vi::State::kIdle) {
+        sess->vi->disconnect();
+      }
+    }
+    by_vi_.clear();
+  }
+  locks_.clear();  // volatile: clients re-acquire via lease reclaim
+  {
+    // Delegations are volatile leader state: a new incarnation never honors
+    // old ids (they fence by mismatch) and re-grants from scratch.
+    std::lock_guard dlock(deleg_mu_);
+    delegs_.clear();
+    openers_.clear();
+    session_opens_.clear();
+  }
+  store_->crash();  // un-synced data vanishes; journal replays durable image
 }
 
 std::size_t Server::replay_cache_bytes() const {
@@ -665,8 +603,8 @@ void Server::handle_request(Session& s, MsgBuf& req_buf, MsgBuf& out) {
           : 0;
 
   // Live-telemetry fast path. kStatsQuery is answered ahead of every
-  // data-plane refusal — a fenced or follower member still reports its
-  // role/term, and an overloaded server still reports who is flooding it
+  // data-plane refusal — a follower still reports its role/term, and an
+  // overloaded server still reports who is flooding it
   // (the query never reaches the admission check below). A stats plane that
   // sheds with the data plane is useless during exactly the incidents it
   // exists to observe.
@@ -688,22 +626,11 @@ void Server::handle_request(Session& s, MsgBuf& req_buf, MsgBuf& out) {
     return;
   }
 
-  // A fenced (deposed) primary must not serve stale sessions: any write it
-  // applied now would fork history from the promoted standby. Everything but
-  // a clean disconnect is refused with kFenced, which sends the client to
-  // the next endpoint in its MountSpec.
-  if (role_.load(std::memory_order_acquire) == Role::kFenced &&
-      req.header().proc != Proc::kDisconnect) {
-    resp.header().status = PStatus::kFenced;
-    fabric_.stats().add("dafs.fenced_rejections");
-    send_response(s, out);
-    return;
-  }
   // A quorum follower (or candidate) serves nothing but redirects: the
   // kNotLeader answer carries 1 + the leader's member index in aux so the
-  // client jumps straight to the leader instead of round-robin probing.
-  if (quorum() &&
-      role_.load(std::memory_order_acquire) != Role::kPrimary &&
+  // client jumps straight to the leader instead of round-robin probing. A
+  // deposed leader is a follower too, so its stale sessions land here.
+  if (role_.load(std::memory_order_acquire) != Role::kLeader &&
       req.header().proc != Proc::kDisconnect) {
     resp.header().status = PStatus::kNotLeader;
     resp.header().aux = leader_hint();
@@ -817,10 +744,10 @@ void Server::handle_request(Session& s, MsgBuf& req_buf, MsgBuf& out) {
         do_resume(s, req, resp);
       } else {
         resp.header().aux = s.id;
-        // Ship the session-id watermark so a promoted standby mints ids the
-        // deposed primary could never have issued (no id reuse across the
-        // pair) — the same guarantee the journal gives a local restart.
-        if (!cfg_.repl_peer.empty() || quorum()) {
+        // Replicate the session-id watermark so a successor leader mints ids
+        // the deposed one could never have issued (no id reuse across the
+        // group) — the same guarantee the journal gives a local restart.
+        if (quorum()) {
           store_->journal_server_state(s.id + 1,
                                        epoch_.load(std::memory_order_relaxed));
         }
@@ -897,50 +824,41 @@ void Server::handle_request(Session& s, MsgBuf& req_buf, MsgBuf& out) {
       s.replay.pop_front();
     }
   }
-  // Semi-synchronous replication: a successful op whose loss a failover
-  // could not hide (non-idempotent execution, or a sync that just made data
-  // durable) is held until the standby holds the records it produced —
-  // otherwise an acknowledged write could vanish in a failover, which the
-  // client would never retransmit. If the barrier reports the filer is
-  // crashing, the executed-but-unshipped op must die unacknowledged: the
-  // client will retransmit it against whichever filer survives, and an ack
-  // now would promise durability the standby cannot honor.
-  if (resp.header().status == PStatus::kOk &&
+  // Quorum commit barrier: a successful op whose loss a leader change could
+  // not hide (non-idempotent execution, or a sync that just made data
+  // durable) is held until a majority holds the records it produced —
+  // otherwise an acknowledged write could vanish with the leader, and the
+  // client would never retransmit it. The barrier never degrades: an op a
+  // majority does not hold is either dropped (crash; the client retransmits
+  // against the survivors) or demoted to kNotLeader so the client re-runs it
+  // against the real leader (safe: the durable dup filter and idempotent
+  // rewrites make the retry exactly-once).
+  if (quorum() && resp.header().status == PStatus::kOk &&
       (replay_protected || proc == Proc::kSync)) {
-    if (quorum()) {
-      // Quorum commit barrier — unlike the pair's semi-sync barrier this
-      // NEVER degrades: an op a majority does not hold is either dropped
-      // (crash) or demoted to kNotLeader so the client re-runs it against
-      // the real leader (safe: the durable dup filter and idempotent
-      // rewrites make the retry exactly-once).
-      switch (quorum_commit_barrier()) {
-        case QuorumAck::kOk:
-          break;
-        case QuorumAck::kDrop:
-          fabric_.stats().add("dafs.acks_dropped_in_crash");
-          return;
-        case QuorumAck::kNotLeader:
-          resp.header().status = PStatus::kNotLeader;
-          resp.header().aux = leader_hint();
-          fabric_.stats().add("dafs.quorum_barrier_demotions");
-          // The kOk response was optimistically cached above; a later
-          // retransmission must not be answered with an ack the group never
-          // committed.
-          if (replay_protected) {
-            std::lock_guard rlock(s.replay_mu);
-            for (auto it = s.replay.begin(); it != s.replay.end(); ++it) {
-              if (it->seq == req.header().seq) {
-                s.replay_bytes -= it->bytes.size();
-                s.replay.erase(it);
-                break;
-              }
+    switch (quorum_commit_barrier()) {
+      case QuorumAck::kOk:
+        break;
+      case QuorumAck::kDrop:
+        fabric_.stats().add("dafs.acks_dropped_in_crash");
+        return;
+      case QuorumAck::kNotLeader:
+        resp.header().status = PStatus::kNotLeader;
+        resp.header().aux = leader_hint();
+        fabric_.stats().add("dafs.quorum_barrier_demotions");
+        // The kOk response was optimistically cached above; a later
+        // retransmission must not be answered with an ack the group never
+        // committed.
+        if (replay_protected) {
+          std::lock_guard rlock(s.replay_mu);
+          for (auto it = s.replay.begin(); it != s.replay.end(); ++it) {
+            if (it->seq == req.header().seq) {
+              s.replay_bytes -= it->bytes.size();
+              s.replay.erase(it);
+              break;
             }
           }
-          break;
-      }
-    } else if (!replicate_barrier()) {
-      fabric_.stats().add("dafs.acks_dropped_in_crash");
-      return;
+        }
+        break;
     }
   }
   fabric_.stats().add("dafs.requests");
@@ -1111,48 +1029,6 @@ void Server::do_stats(MsgView& resp) {
 }
 
 // ---------------------------------------------------------------------------
-// Replication
-// ---------------------------------------------------------------------------
-
-bool Server::replicate_barrier() {
-  if (cfg_.repl_peer.empty() ||
-      role_.load(std::memory_order_acquire) != Role::kPrimary) {
-    return true;
-  }
-  const std::uint64_t target = store_->journal_size();
-  if (repl_acked_.load(std::memory_order_relaxed) >= target) return true;
-  if (!repl_connected_.load(std::memory_order_relaxed)) {
-    // do_crash publishes crash_pending_ before it kills the channel, so a
-    // request that finds the channel down *because the filer is crashing*
-    // reliably sees the flag here and must not be acknowledged.
-    if (crash_pending_.load()) return false;
-    // Degraded: no standby attached (never came up, or died). Answering
-    // anyway preserves availability; the gap is visible in this counter.
-    fabric_.stats().add("dafs.repl_degraded_responses");
-    return true;
-  }
-  const std::uint64_t budget_ns = cfg_.repl_retry.deadline_ns != 0
-                                      ? cfg_.repl_retry.deadline_ns
-                                      : 200'000'000;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::nanoseconds(budget_ns);
-  std::unique_lock lock(repl_mu_);
-  while (repl_acked_.load(std::memory_order_relaxed) < target &&
-         repl_connected_.load(std::memory_order_relaxed) && running_.load()) {
-    if (repl_cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-      fabric_.stats().add("dafs.repl_barrier_timeouts");
-      return true;
-    }
-  }
-  if (repl_acked_.load(std::memory_order_relaxed) >= target) return true;
-  // The wait ended early: connection lost or shutdown. A crash in progress
-  // means the op must die unacknowledged; otherwise degrade and answer.
-  if (crash_pending_.load() || !running_.load()) return false;
-  fabric_.stats().add("dafs.repl_degraded_responses");
-  return true;
-}
-
-// ---------------------------------------------------------------------------
 // Quorum (Raft-style) replication
 // ---------------------------------------------------------------------------
 
@@ -1203,12 +1079,12 @@ void Server::become_follower_locked(std::uint64_t term) {
     leader_member_.store(-1, std::memory_order_relaxed);
   }
   const Role r = role_.load(std::memory_order_acquire);
-  if (r == Role::kPrimary || r == Role::kCandidate) {
-    if (r == Role::kPrimary) {
+  if (r == Role::kLeader || r == Role::kCandidate) {
+    if (r == Role::kLeader) {
       fabric_.stats().add("dafs.leader_stepdowns");
       leader_member_.store(-1, std::memory_order_relaxed);
     }
-    role_.store(Role::kStandby, std::memory_order_release);
+    role_.store(Role::kFollower, std::memory_order_release);
     // Barrier waiters must re-check: their ops can no longer be committed
     // by this member and will be demoted to kNotLeader.
     raft_cv_.notify_all();
@@ -1281,42 +1157,17 @@ void Server::become_leader_locked() {
   // piece of client-facing volatile state — a leadership win is a restart
   // from the journal's point of view. Sessions from a previous stint (or
   // from clients that probed this member while it followed) are severed so
-  // clients re-enter through connect/resume against the rebuilt image.
+  // clients re-enter through connect/resume against the rebuilt image, and
+  // delegations issued while (or before) this member last led fence by id
+  // mismatch against this incarnation.
+  reset_incarnation();
   {
-    std::lock_guard lock(sessions_mu_);
-    for (auto& sess : sessions_) {
-      if (sess->closing) continue;
-      sess->closing = true;
-      {
-        std::lock_guard rlock(sess->replay_mu);
-        sess->replay.clear();
-        sess->replay_bytes = 0;
-      }
-      if (sess->vi && sess->vi->state() != via::Vi::State::kIdle) {
-        sess->vi->disconnect();
-      }
-    }
-    by_vi_.clear();
-  }
-  locks_.clear();
-  {
-    // Delegations issued while (or before) this member last led are void —
-    // stale holders fence by id mismatch against this incarnation.
-    std::lock_guard dlock(deleg_mu_);
-    delegs_.clear();
-    openers_.clear();
-    session_opens_.clear();
-  }
-  store_->crash();
-  {
+    // Mint session ids no earlier leader could have issued.
     std::lock_guard lock(sessions_mu_);
     next_session_ =
         std::max(next_session_, store_->server_state_watermark() + 1024);
   }
-  grace_until_.store((std::chrono::steady_clock::now() +
-                      std::chrono::milliseconds(cfg_.grace_period_ms))
-                         .time_since_epoch()
-                         .count());
+  arm_grace();
   const std::uint64_t jsize = store_->journal_size();
   const auto now = std::chrono::steady_clock::now();
   for (std::size_t p = 0; p < cfg_.quorum_group.size(); ++p) {
@@ -1324,13 +1175,12 @@ void Server::become_leader_locked() {
     next_off_[p] = jsize;
     peer_heard_[p] = now;
   }
-  role_.store(Role::kPrimary, std::memory_order_release);
-  fabric_.stats().add("dafs.promotions");
+  role_.store(Role::kLeader, std::memory_order_release);
   raft_cv_.notify_all();
 }
 
 void Server::advance_commit_locked() {
-  if (role_.load(std::memory_order_acquire) != Role::kPrimary) return;
+  if (role_.load(std::memory_order_acquire) != Role::kLeader) return;
   std::vector<std::uint64_t> offs;
   offs.reserve(cfg_.quorum_group.size());
   offs.push_back(store_->journal_size());  // self
@@ -1363,7 +1213,7 @@ Server::QuorumAck Server::quorum_commit_barrier() {
                              // heartbeat wait so the new bytes ship now
   for (;;) {
     if (crash_pending_.load() || !running_.load()) return QuorumAck::kDrop;
-    if (role_.load(std::memory_order_acquire) != Role::kPrimary) {
+    if (role_.load(std::memory_order_acquire) != Role::kLeader) {
       return QuorumAck::kNotLeader;
     }
     if (commit_off_.load(std::memory_order_relaxed) >= target) {
@@ -1393,7 +1243,7 @@ void Server::quorum_tick_loop() {
     }
     std::lock_guard lock(raft_mu_);
     const Role r = role_.load(std::memory_order_acquire);
-    if (r == Role::kPrimary) {
+    if (r == Role::kLeader) {
       const auto now = std::chrono::steady_clock::now();
       std::uint32_t heard = 1;  // self
       for (std::uint32_t p = 0; p < cfg_.quorum_group.size(); ++p) {
@@ -1408,7 +1258,7 @@ void Server::quorum_tick_loop() {
         become_follower_locked(epoch_.load(std::memory_order_relaxed));
         reset_election_deadline_locked();
       }
-    } else if (r == Role::kStandby || r == Role::kCandidate) {
+    } else if (r == Role::kFollower || r == Role::kCandidate) {
       if (std::chrono::steady_clock::now() >= election_deadline_) {
         run_election_locked();
       }
@@ -1544,9 +1394,18 @@ void Server::quorum_conn_loop(std::unique_ptr<via::Vi> vi,
       }
     }
     assert(b != nullptr);
+    // Parse only the bytes that arrived: a short message, or a kAppend whose
+    // header claims a payload other than the one sent, would otherwise be
+    // read out of an earlier message's leftovers in this buffer (or past its
+    // end) and imported as journal records. Such a peer is dropped.
     ReplHeader h;
-    std::memcpy(&h, b->mem.data(), sizeof(h));
-    if (h.magic != kReplMagic) break;
+    if (d->length >= sizeof(h)) std::memcpy(&h, b->mem.data(), sizeof(h));
+    if (d->length < sizeof(h) || h.magic != kReplMagic ||
+        (h.op == ReplOp::kAppend &&
+         d->length != sizeof(h) + std::uint64_t{h.len})) {
+      fabric_.stats().add("dafs.raft_malformed");
+      break;
+    }
     ReplHeader r;
     r.member = cfg_.member_id;
     bool progressed = false;   // imported or truncated bytes this message
@@ -1640,11 +1499,11 @@ void Server::quorum_conn_loop(std::unique_ptr<via::Vi> vi,
       }
     } else if (h.op == ReplOp::kBlockFetch) {
       // Scrub repair: the leader asks for a verified copy of one block. A
-      // follower's live image is only materialized on promotion, so replay
-      // the imported journal first (one replay per fetch — repairs are
-      // rare), then serve the block only when it passes its own checksum: a
-      // peer whose copy is itself rotten answers status=0 rather than
-      // spreading the rot.
+      // follower's live image is only materialized when it wins an
+      // election, so replay the imported journal first (one replay per
+      // fetch — repairs are rare), then serve the block only when it passes
+      // its own checksum: a peer whose copy is itself rotten answers
+      // status=0 rather than spreading the rot.
       r.op = ReplOp::kBlockData;
       r.epoch = epoch_.load(std::memory_order_relaxed);
       r.offset = h.offset;
@@ -1653,7 +1512,7 @@ void Server::quorum_conn_loop(std::unique_ptr<via::Vi> vi,
       std::lock_guard lock(raft_mu_);
       const std::size_t want =
           std::min<std::size_t>(h.len, cfg_.store.chunk_size);
-      if (role_.load(std::memory_order_acquire) == Role::kStandby &&
+      if (role_.load(std::memory_order_acquire) == Role::kFollower &&
           want > 0 && store_->crash() == fstore::Errc::kOk) {
         auto got = store_->pread(
             h.commit, h.offset,
@@ -1666,7 +1525,7 @@ void Server::quorum_conn_loop(std::unique_ptr<via::Vi> vi,
         }
       }
     } else {
-      break;  // pair-protocol op on a quorum channel: not ours
+      break;  // not a quorum op: not a peer we can talk to
     }
     if (progressed) {
       if (!resilver_open) {
@@ -1805,7 +1664,7 @@ void Server::quorum_sender_loop(std::uint32_t peer) {
     const Role r = role_.load(std::memory_order_acquire);
     const std::uint64_t term = epoch_.load(std::memory_order_relaxed);
     const bool want_vote = r == Role::kCandidate && last_vote_term < term;
-    if (!want_vote && r != Role::kPrimary) {
+    if (!want_vote && r != Role::kLeader) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
       continue;
     }
@@ -1858,7 +1717,7 @@ void Server::quorum_sender_loop(std::uint32_t peer) {
     std::uint64_t commit = 0;
     {
       std::lock_guard lock(raft_mu_);
-      if (role_.load(std::memory_order_acquire) != Role::kPrimary ||
+      if (role_.load(std::memory_order_acquire) != Role::kLeader ||
           epoch_.load(std::memory_order_relaxed) != term) {
         continue;
       }
@@ -1895,7 +1754,7 @@ void Server::quorum_sender_loop(std::uint32_t peer) {
         become_follower_locked(resp.epoch);
         continue;
       }
-      if (role_.load(std::memory_order_acquire) == Role::kPrimary &&
+      if (role_.load(std::memory_order_acquire) == Role::kLeader &&
           epoch_.load(std::memory_order_relaxed) == term) {
         if (resp.status == 1) {
           match_off_[peer] = resp.offset;
@@ -1938,10 +1797,10 @@ void Server::scrub_loop() {
         std::chrono::milliseconds(cfg_.scrub_interval_ms));
     if (!running_.load()) break;
     // Only a serving filer scrubs: a crashed one has no live image, and in a
-    // quorum a follower's image is only materialized on promotion — the
+    // quorum a follower's image is only materialized on election — the
     // leader scrubs and repairs from its followers' verified copies.
     if (crash_pending_.load() ||
-        role_.load(std::memory_order_acquire) != Role::kPrimary) {
+        role_.load(std::memory_order_acquire) != Role::kLeader) {
       continue;
     }
     if (!pass_open) {
@@ -2081,326 +1940,6 @@ bool Server::scrub_repair_block(fstore::Ino ino, std::uint64_t chunk) {
   [[maybe_unused]] const via::Status d1 = nic_.deregister_memory(data_h);
   [[maybe_unused]] const via::Status d2 = nic_.deregister_memory(req_h);
   return repaired;
-}
-
-void Server::repl_sender_loop() {
-  ActorScope scope(*repl_actor_);
-  // One registered chunk buffer (header + journal bytes) and a small ring of
-  // receive buffers for the stop-and-wait acks.
-  std::vector<std::byte> chunk(kReplBufSize);
-  via::MemHandle chunk_h =
-      nic_.register_memory(chunk.data(), chunk.size(), ptag_, {});
-  const auto reserve_chunk = [&](std::size_t need) {
-    if (need <= chunk.size()) return;
-    [[maybe_unused]] const via::Status ds = nic_.deregister_memory(chunk_h);
-    assert(ds == via::Status::kSuccess);
-    chunk.assign(need, std::byte{});
-    chunk_h = nic_.register_memory(chunk.data(), chunk.size(), ptag_, {});
-  };
-  constexpr std::size_t kAckBufs = 4;
-  std::array<MsgBuf, kAckBufs> acks;
-  for (auto& a : acks) {
-    a.mem.resize(sizeof(ReplHeader));
-    a.handle = nic_.register_memory(a.mem.data(), a.mem.size(), ptag_, {});
-  }
-  sim::Rng jitter(cfg_.repl_retry.jitter_seed);
-  std::uint64_t reconnect_backoff_ms = 1;
-
-  const auto post_ack_recv = [&](MsgBuf& a) {
-    a.desc = Descriptor{};
-    a.desc.segs = {DataSegment{a.mem.data(), a.handle,
-                               static_cast<std::uint32_t>(a.mem.size())}};
-    return repl_vi_->post_recv(a.desc) == via::Status::kSuccess;
-  };
-  // Reap one ack (or hello-ack); false on channel death / shutdown.
-  const auto wait_ack = [&](ReplHeader& out_hdr) {
-    for (;;) {
-      Descriptor* d = nullptr;
-      const via::Status st =
-          repl_vi_->recv_wait(d, std::chrono::milliseconds(100));
-      if (st == via::Status::kTimeout) {
-        if (!running_.load() || crash_pending_.load()) return false;
-        continue;
-      }
-      if (st != via::Status::kSuccess || d->status != DescStatus::kSuccess) {
-        return false;
-      }
-      MsgBuf* a = nullptr;
-      for (auto& b : acks) {
-        if (&b.desc == d) {
-          a = &b;
-          break;
-        }
-      }
-      assert(a != nullptr);
-      std::memcpy(&out_hdr, a->mem.data(), sizeof(out_hdr));
-      const bool reposted = post_ack_recv(*a);
-      return out_hdr.magic == kReplMagic && reposted;
-    }
-  };
-  const auto send_hdr_and_payload = [&](const ReplHeader& h,
-                                        std::span<const std::byte> payload) {
-    reserve_chunk(sizeof(h) + payload.size());
-    std::memcpy(chunk.data(), &h, sizeof(h));
-    if (!payload.empty()) {
-      std::memcpy(chunk.data() + sizeof(h), payload.data(), payload.size());
-    }
-    Descriptor d;
-    d.op = via::Opcode::kSend;
-    d.segs = {DataSegment{
-        chunk.data(), chunk_h,
-        static_cast<std::uint32_t>(sizeof(h) + payload.size())}};
-    if (repl_vi_->post_send(d) != via::Status::kSuccess) return false;
-    Descriptor* done = nullptr;
-    if (repl_vi_->send_wait(done, kSendWait) != via::Status::kSuccess) {
-      return false;
-    }
-    return done->status == DescStatus::kSuccess;
-  };
-
-  while (running_.load()) {
-    if (role_.load(std::memory_order_acquire) != Role::kPrimary ||
-        crash_pending_.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      continue;
-    }
-    // Connect (with jittered backoff — the standby may still be coming up).
-    {
-      auto vi = std::make_unique<via::Vi>(nic_, via::ViAttrs{});
-      if (nic_.connect(*vi, cfg_.repl_peer, kSendWait) !=
-          via::Status::kSuccess) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            reconnect_backoff_ms + jitter.below(reconnect_backoff_ms + 1)));
-        reconnect_backoff_ms = std::min<std::uint64_t>(
-            reconnect_backoff_ms * 2, 50);
-        continue;
-      }
-      reconnect_backoff_ms = 1;
-      std::lock_guard rlock(repl_mu_);
-      repl_vi_ = std::move(vi);
-    }
-    bool armed = true;
-    for (auto& a : acks) armed = armed && post_ack_recv(a);
-    std::uint64_t sent_off = 0;
-    bool streaming = false;
-    if (armed) {
-      // Handshake: our epoch out, the standby's resume offset (or a fence)
-      // back.
-      ReplHeader hello;
-      hello.op = ReplOp::kHello;
-      hello.epoch = epoch_.load(std::memory_order_relaxed);
-      ReplHeader ack;
-      if (send_hdr_and_payload(hello, {}) && wait_ack(ack) &&
-          ack.op == ReplOp::kHelloAck) {
-        if (ack.status != 0) {
-          // The peer promoted while we were gone: we are the deposed filer.
-          peer_epoch_.store(std::max(peer_epoch_.load(), ack.epoch));
-          role_.store(Role::kFenced, std::memory_order_release);
-          fabric_.stats().add("dafs.fenced");
-        } else {
-          sent_off = ack.offset;
-          repl_acked_.store(ack.offset, std::memory_order_relaxed);
-          repl_connected_.store(true, std::memory_order_relaxed);
-          repl_cv_.notify_all();
-          streaming = true;
-        }
-      }
-    }
-    while (streaming && running_.load() && !crash_pending_.load() &&
-           role_.load(std::memory_order_acquire) == Role::kPrimary) {
-      const std::uint64_t jsize = store_->journal_size();
-      if (sent_off >= jsize) {
-        // Idle: nothing new to ship. Poll finely — the barrier latency of
-        // every sync/write rides on this.
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-        continue;
-      }
-      const auto records =
-          store_->journal_log().read(sent_off, kReplBufSize - sizeof(ReplHeader));
-      ReplHeader h;
-      h.op = ReplOp::kRecords;
-      h.epoch = epoch_.load(std::memory_order_relaxed);
-      h.offset = sent_off;
-      h.len = static_cast<std::uint32_t>(records.size());
-      if (!send_hdr_and_payload(h, records)) break;
-      ReplHeader ack;
-      if (!wait_ack(ack) || ack.op != ReplOp::kAck) break;
-      if (ack.status != 0) {
-        peer_epoch_.store(std::max(peer_epoch_.load(), ack.epoch));
-        role_.store(Role::kFenced, std::memory_order_release);
-        fabric_.stats().add("dafs.fenced");
-        break;
-      }
-      // The ack carries the standby's journal size: normally offset+len,
-      // but also the resync point after a mismatch.
-      sent_off = ack.offset;
-      repl_acked_.store(ack.offset, std::memory_order_relaxed);
-      fabric_.stats().add("dafs.repl_shipped_bytes", h.len);
-      repl_cv_.notify_all();
-    }
-    {
-      std::lock_guard rlock(repl_mu_);
-      repl_connected_.store(false, std::memory_order_relaxed);
-      if (repl_vi_) {
-        repl_vi_->disconnect();
-        repl_vi_.reset();
-      }
-    }
-    repl_cv_.notify_all();
-  }
-}
-
-void Server::repl_receiver_loop() {
-  ActorScope scope(*repl_actor_);
-  constexpr std::size_t kRecvBufs = 4;
-  std::array<MsgBuf, kRecvBufs> bufs;
-  for (auto& b : bufs) {
-    b.mem.resize(kReplBufSize);
-    b.handle = nic_.register_memory(b.mem.data(), b.mem.size(), ptag_, {});
-  }
-  std::vector<std::byte> ack_buf(sizeof(ReplHeader));
-  const via::MemHandle ack_h =
-      nic_.register_memory(ack_buf.data(), ack_buf.size(), ptag_, {});
-
-  // The replication listener outlives promotion: a deposed primary that
-  // restarts and re-handshakes must find someone to tell it it is fenced.
-  via::Listener listener(nic_, cfg_.repl_listen);
-  while (running_.load()) {
-    via::Vi vi(nic_, via::ViAttrs{});
-    const auto post_recv = [&](MsgBuf& b) {
-      b.desc = Descriptor{};
-      b.desc.segs = {DataSegment{b.mem.data(), b.handle,
-                                 static_cast<std::uint32_t>(b.mem.size())}};
-      return vi.post_recv(b.desc) == via::Status::kSuccess;
-    };
-    bool armed = true;
-    for (auto& b : bufs) armed = armed && post_recv(b);
-    if (!armed) break;  // NIC out of resources; replication is over
-    bool accepted = false;
-    while (running_.load()) {
-      if (listener.accept(vi, kPollPeriod) == via::Status::kSuccess) {
-        accepted = true;
-        break;
-      }
-    }
-    if (!accepted) break;
-    const auto send_ack = [&](ReplOp op, std::uint8_t status,
-                              std::uint64_t offset) {
-      ReplHeader a;
-      a.op = op;
-      a.status = status;
-      a.epoch = epoch_.load(std::memory_order_relaxed);
-      a.offset = offset;
-      std::memcpy(ack_buf.data(), &a, sizeof(a));
-      Descriptor d;
-      d.op = via::Opcode::kSend;
-      d.segs = {DataSegment{ack_buf.data(), ack_h,
-                            static_cast<std::uint32_t>(sizeof(a))}};
-      if (vi.post_send(d) != via::Status::kSuccess) return false;
-      Descriptor* done = nullptr;
-      return vi.send_wait(done, kSendWait) == via::Status::kSuccess &&
-             done->status == DescStatus::kSuccess;
-    };
-    bool hello_ok = false;
-    while (running_.load()) {
-      Descriptor* d = nullptr;
-      const via::Status st = vi.recv_wait(d, std::chrono::milliseconds(100));
-      if (st == via::Status::kTimeout) continue;
-      if (st != via::Status::kSuccess || d->status != DescStatus::kSuccess) {
-        // Channel death after a completed handshake, while we still hold the
-        // standby role: the primary is gone. Take over.
-        if (hello_ok && running_.load() &&
-            role_.load(std::memory_order_acquire) == Role::kStandby) {
-          promote();
-        }
-        break;
-      }
-      MsgBuf* b = nullptr;
-      for (auto& cand : bufs) {
-        if (&cand.desc == d) {
-          b = &cand;
-          break;
-        }
-      }
-      assert(b != nullptr);
-      ReplHeader h;
-      std::memcpy(&h, b->mem.data(), sizeof(h));
-      bool ok = h.magic == kReplMagic;
-      if (ok && h.op == ReplOp::kHello) {
-        peer_epoch_.store(std::max(peer_epoch_.load(), h.epoch));
-        if (role_.load(std::memory_order_acquire) == Role::kStandby) {
-          hello_ok = true;
-          ok = send_ack(ReplOp::kHelloAck, 0, store_->journal_size());
-        } else {
-          // We promoted; whoever greets us on this channel is deposed.
-          ok = send_ack(ReplOp::kHelloAck, 1, store_->journal_size());
-        }
-      } else if (ok && h.op == ReplOp::kRecords) {
-        if (role_.load(std::memory_order_acquire) != Role::kStandby) {
-          ok = send_ack(ReplOp::kAck, 1, store_->journal_size());
-        } else if (h.offset != store_->journal_size()) {
-          // Stream out of step (lost ack): our size is the resync point.
-          fabric_.stats().add("dafs.repl_resyncs");
-          ok = send_ack(ReplOp::kAck, 0, store_->journal_size());
-        } else {
-          const auto res = store_->journal_log().import(std::span(
-              b->mem.data() + sizeof(ReplHeader), std::size_t{h.len}));
-          if (res.truncated != 0) {
-            // Torn/corrupt chunk tail: keep the valid prefix, ack what we
-            // hold, and let the primary resend from there.
-            fabric_.stats().add("dafs.repl_truncated_bytes", res.truncated);
-          }
-          fabric_.stats().add("dafs.repl_applied_bytes", res.accepted);
-          ok = send_ack(ReplOp::kAck, 0, store_->journal_size());
-        }
-      }
-      if (!(ok && post_recv(*b))) {
-        if (hello_ok && running_.load() &&
-            role_.load(std::memory_order_acquire) == Role::kStandby) {
-          promote();
-        }
-        break;
-      }
-    }
-    vi.disconnect();
-  }
-}
-
-void Server::promote() {
-  fabric_.stats().add("dafs.promotions");
-  // Fence the old primary: our epoch strictly dominates everything it ever
-  // streamed, so its post-restart hello is answered "fenced".
-  epoch_.store(
-      std::max(epoch_.load(std::memory_order_relaxed),
-               peer_epoch_.load(std::memory_order_relaxed) + 1),
-      std::memory_order_relaxed);
-  // Materialize the shipped journal into the live image — the same replay a
-  // restarted filer runs over its local journal.
-  store_->crash();
-  {
-    // The deposed primary's delegations are void on this side; their ids
-    // fence by mismatch if a holder ever reaches us with cached write-backs.
-    std::lock_guard dlock(deleg_mu_);
-    delegs_.clear();
-    openers_.clear();
-    session_opens_.clear();
-  }
-  // Mint session ids the deposed primary could never have issued. The accept
-  // loop reads next_session_ only after observing the role flip below, and
-  // sessions_mu_ orders this against any straggling worker.
-  {
-    std::lock_guard lock(sessions_mu_);
-    next_session_ =
-        std::max(next_session_, store_->server_state_watermark() + 1024);
-  }
-  // Surviving clients re-establish locks via lease reclaim before fresh
-  // acquires are admitted — the same grace window as a local restart.
-  grace_until_.store((std::chrono::steady_clock::now() +
-                      std::chrono::milliseconds(cfg_.grace_period_ms))
-                         .time_since_epoch()
-                         .count());
-  role_.store(Role::kPrimary, std::memory_order_release);
-  fabric_.stats().add("dafs.server_restarts");
 }
 
 void Server::apply_ack(Session& s, const MsgHeader& req) {

@@ -65,19 +65,10 @@ struct ServerConfig {
   /// evicted first; the byte cap forces out the oldest beyond it.
   std::size_t replay_entries = 64;
   std::size_t replay_max_bytes = 256 * 1024;
-  /// Replicated-pair wiring. A *primary* names the standby's replication
-  /// service in `repl_peer` and streams its journal there, holding each
-  /// successful non-idempotent response until the standby has acknowledged
-  /// the records it depends on (semi-synchronous; see replicate_barrier).
-  /// A *standby* names its own replication service in `repl_listen`, starts
-  /// in Role::kStandby (no client listener), imports the stream, and
-  /// promotes itself when the channel dies after a completed handshake.
-  /// Both empty (default) = unreplicated, exactly the old behavior.
-  std::string repl_peer;
-  std::string repl_listen;
-  /// Policy of the replication channel: `attempts`/backoff govern sender
-  /// reconnects, `deadline_ns` bounds the semi-synchronous barrier wait
-  /// before a response is released unreplicated (degraded mode).
+  /// Policy of the quorum group's replication traffic: `deadline_ns` bounds
+  /// the commit-barrier wait before a reply is demoted to kNotLeader,
+  /// `jitter_seed` salts the election timers and peer reconnect jitter, and
+  /// `attempts`/backoff pace scrub repair's sweeps of the group.
   RetryPolicy repl_retry{.attempts = 4,
                          .backoff_ns = 200'000,
                          .backoff_cap_ns = 5'000'000,
@@ -86,11 +77,11 @@ struct ServerConfig {
                          .deadline_ns = 200'000'000};
   /// Quorum-replicated group (Raft-style, N >= 3). Every member lists the
   /// *whole* group's replication services here in the same order (index =
-  /// member id) and names its own slot in `member_id`. Non-empty supersedes
-  /// repl_peer/repl_listen: members elect a leader with randomized timeouts,
-  /// the leader ships journal bytes with (term, offset) matching and commits
-  /// at majority ack, and the fencing epoch IS the consensus term. Followers
-  /// answer clients kNotLeader with a leader hint instead of going dark.
+  /// member id) and names its own slot in `member_id`. Members elect a
+  /// leader with randomized timeouts, the leader ships journal bytes with
+  /// (term, offset) matching and commits at majority ack, and the fencing
+  /// epoch IS the consensus term. Followers answer clients kNotLeader with a
+  /// leader hint instead of going dark. Empty (default) = unreplicated.
   std::vector<std::string> quorum_group;
   std::uint32_t member_id = 0;
   /// Randomized election timeout window and leader heartbeat period (real
@@ -156,25 +147,15 @@ class Server {
   /// Total bytes currently pinned by all sessions' replay caches.
   std::size_t replay_cache_bytes() const;
 
-  /// Replicated role. Pair mode: kPrimary serves clients, kStandby only
-  /// imports the journal stream, kFenced is a deposed primary that answers
-  /// every request (except kDisconnect) with PStatus::kFenced. Quorum mode:
-  /// kPrimary is the elected leader, kStandby a follower (serving kNotLeader
-  /// with a leader hint), kCandidate a member soliciting votes.
-  enum class Role : int { kPrimary = 0, kStandby = 1, kFenced = 2,
-                          kCandidate = 3 };
+  /// Quorum role: kLeader serves clients, kFollower answers them kNotLeader
+  /// with a leader hint, kCandidate solicits votes. An unreplicated filer
+  /// is always kLeader. The numbers are the `dafs.role` gauge and the
+  /// kStatsQuery role field.
+  enum class Role : int { kLeader = 0, kFollower = 1, kCandidate = 3 };
   Role role() const { return role_.load(std::memory_order_acquire); }
-  /// Fencing epoch: starts at 1, bumped past the deposed primary's on
-  /// promotion. In quorum mode this is the consensus term.
+  /// Fencing epoch: 1 on an unreplicated filer; in quorum mode the
+  /// consensus term.
   std::uint64_t epoch() const { return epoch_.load(std::memory_order_relaxed); }
-  /// Journal bytes the standby has acknowledged / still owes (primary side).
-  std::uint64_t repl_acked_bytes() const {
-    return repl_acked_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t repl_lag_bytes() const;
-  bool repl_connected() const {
-    return repl_connected_.load(std::memory_order_relaxed);
-  }
 
   /// Quorum mode (non-empty ServerConfig::quorum_group)?
   bool quorum() const { return !cfg_.quorum_group.empty(); }
@@ -246,23 +227,13 @@ class Server {
 
   void accept_loop();
   void worker_loop(int idx);
-  /// Primary side of the replication channel: connect to repl_peer, hello,
-  /// then stream journal chunks stop-and-wait, publishing acked offsets.
-  void repl_sender_loop();
-  /// Standby side: accept the stream, import chunks into the local journal,
-  /// answer hellos (fenced once promoted), promote on channel death.
-  void repl_receiver_loop();
-  /// Standby -> primary transition: materialize the shipped journal, arm the
-  /// reclaim grace window, bump the epoch past the deposed primary's.
-  void promote();
-  /// Semi-synchronous replication barrier: hold a successful non-idempotent
-  /// response until the standby acked everything journaled so far, bounded
-  /// by repl_retry.deadline_ns (degraded skip on timeout/disconnect).
-  /// Hold a successful replicated op until the standby acks its journal
-  /// records. Returns false when the op must NOT be acknowledged (the filer
-  /// is crashing and the records never reached the standby): the caller
-  /// drops the response so the client retransmits against the survivor.
-  bool replicate_barrier();
+  /// Start a new incarnation from the journal: sever every connected
+  /// session and clear its replay cache, drop locks and delegations, and
+  /// replay the store (un-synced data vanishes). Takes sessions_mu_, then
+  /// deleg_mu_. Shared by a crash and a leadership win.
+  void reset_incarnation();
+  /// Open the post-restart reclaim window (grace_period_ms from now).
+  void arm_grace();
 
   // ---- quorum (Raft-style) machinery; all inert unless quorum() ----------
   /// What the commit barrier tells handle_request to do with a successful
@@ -346,9 +317,9 @@ class Server {
   std::size_t post_and_reap(Session& s, std::span<via::Descriptor> ds);
 
   // ---- delegations (volatile leader state; see proto.hpp [ext]) ----------
-  /// One live delegation. Never journaled or replicated: a restart, a
-  /// standby promotion or a quorum leader change invalidates every id, and
-  /// a stale holder's write-back is fenced by id mismatch (kDelegExpired).
+  /// One live delegation. Never journaled or replicated: a restart or a
+  /// quorum leader change invalidates every id, and a stale holder's
+  /// write-back is fenced by id mismatch (kDelegExpired).
   struct Deleg {
     std::uint64_t id = 0;
     std::uint64_t session_id = 0;  // granting (metadata) session
@@ -442,19 +413,8 @@ class Server {
   std::unique_ptr<sim::Actor> accept_actor_;
   std::vector<std::unique_ptr<MsgBuf>> worker_send_bufs_;
 
-  // Replication state (inert when repl_peer and repl_listen are both empty).
-  std::atomic<Role> role_{Role::kPrimary};
+  std::atomic<Role> role_{Role::kLeader};
   std::atomic<std::uint64_t> epoch_{1};
-  std::atomic<std::uint64_t> repl_acked_{0};
-  std::atomic<std::uint64_t> peer_epoch_{0};
-  std::atomic<bool> repl_connected_{false};
-  std::mutex repl_mu_;
-  std::condition_variable repl_cv_;
-  /// Sender-side channel VI, under repl_mu_. do_crash() disconnects it (so
-  /// the standby observes the death promptly); only the sender resets it.
-  std::unique_ptr<via::Vi> repl_vi_;
-  std::thread repl_thread_;
-  std::unique_ptr<sim::Actor> repl_actor_;
 
   // Quorum (Raft) state, inert when cfg_.quorum_group is empty. The current
   // term lives in epoch_ (the fencing epoch IS the term); epoch_ and

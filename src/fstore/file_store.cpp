@@ -386,8 +386,8 @@ std::uint64_t FileStore::apply_record_locked(RecType type,
       node.attrs.gen = gen;
       inodes_.emplace(ino, std::move(node));
       d->entries[name] = ino;
-      // Id watermarks never regress: a promoted standby keeps minting fresh
-      // (ino, gen) pairs past everything the primary ever handed out.
+      // Id watermarks never regress: a new leader keeps minting fresh
+      // (ino, gen) pairs past everything an earlier leader handed out.
       next_ino_ = std::max(next_ino_, ino + 1);
       next_gen_ = std::max(next_gen_, gen + 1);
       break;
@@ -537,7 +537,7 @@ Errc FileStore::crash() {
   inodes_.emplace(kRootIno, std::move(root));
   if (!opt_.journal_enabled) return Errc::kOk;  // counters survive, files don't
   // Counters and the dup filter are rebuilt from their records, so clear
-  // the live maps first (a standby importing a primary's stream starts from
+  // the live maps first (a follower importing a leader's stream starts from
   // nothing and must converge to exactly the shipped state).
   {
     std::lock_guard clock(counters_mu_);
@@ -1083,7 +1083,7 @@ std::uint64_t FileStore::counter_fetch_add_once(const std::string& key,
   if (filtered) dup_.emplace(DupKey{client_id, seq}, old);
   // Counter mutations — and their dup-filter records — are synchronously
   // journaled, which is what makes them exactly-once across crash-restart
-  // *and* across a failover to the standby the record was shipped to.
+  // *and* across a failover to any member the record was shipped to.
   if (opt_.journal_enabled) {
     RecWriter w;
     w.u64(delta);

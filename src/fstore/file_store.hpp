@@ -65,8 +65,8 @@ struct Options {
   /// un-synced intents commit atomically — a torn multi-block write is never
   /// partially visible after `crash()`); namespace/metadata ops and named
   /// counters append records durable-immediately. The record log is the
-  /// durable image: crash replay rebuilds live state from it, and the DAFS
-  /// replication channel ships its raw bytes to a standby filer. Off by
+  /// durable image: crash replay rebuilds live state from it, and a DAFS
+  /// quorum leader ships its raw bytes to the followers. Off by
   /// default (the NFS baseline and raw benches model an always-up store);
   /// the DAFS server turns it on.
   bool journal_enabled = false;
@@ -151,7 +151,7 @@ class FileStore {
   /// corrupt tail first. Cache slabs are recycled, never freed, so NIC
   /// registrations held against them stay valid across the crash. Counters
   /// and the duplicate filter are rebuilt from their synchronously-journaled
-  /// records and so survive. A standby filer that imported a primary's
+  /// records and so survive. A quorum member that imported a leader's
   /// journal stream calls this to materialize the shipped state.
   ///
   /// Returns kOk, or kCorrupt when replay found *interior* journal
@@ -170,16 +170,16 @@ class FileStore {
   std::size_t journal_pending_bytes() const;
 
   // ---- record log (replication surface) -------------------------------------
-  /// The CRC-framed record log backing durability. The DAFS server streams
-  /// its raw bytes to a standby (`read`) and a standby imports them
-  /// (`import`); both ends replay identically.
+  /// The CRC-framed record log backing durability. A DAFS quorum leader
+  /// streams its raw bytes to followers (`read`) and they import them
+  /// (`import`); every member replays identically.
   FStoreJournal& journal_log() { return jlog_; }
   const FStoreJournal& journal_log() const { return jlog_; }
   /// Current record-log size in bytes (the replication high-water mark).
   std::uint64_t journal_size() const { return jlog_.size(); }
   /// Append an opaque server-state record (session-id watermark + epoch).
   /// The store ignores it on replay except to remember the latest values,
-  /// which `server_state_watermark` exposes to a promoted standby.
+  /// which `server_state_watermark` exposes to a new quorum leader.
   void journal_server_state(std::uint64_t next_session, std::uint64_t epoch);
   std::uint64_t server_state_watermark() const;
 

@@ -25,9 +25,9 @@ std::uint32_t crc32(std::span<const std::byte> data);
 std::uint32_t crc32c(std::span<const std::byte> data, std::uint32_t seed = 0);
 
 /// Record types in the store's write-ahead log. The log *is* the durable
-/// image: local crash-restart replays it from offset 0, and the replication
-/// channel ships its raw bytes to a standby filer which imports them
-/// verbatim, so both ends apply exactly the same record stream.
+/// image: local crash-restart replays it from offset 0, and a quorum leader
+/// ships its raw bytes to followers which import them verbatim, so every
+/// member applies exactly the same record stream.
 enum class RecType : std::uint8_t {
   kCreate = 1,   // dir, ino, gen, mtime, is_dir, name
   kRemove,       // dir, name (also the rmdir form)
@@ -38,8 +38,8 @@ enum class RecType : std::uint8_t {
   kCounterAdd,   // delta, client_id, seq, old, key (dup-filter record)
   kDupForget,    // client_id, upto_seq
   kServerState,  // next_session, epoch — opaque to the store, read by the
-                 // DAFS server so a promoted standby mints session ids past
-                 // the primary's watermark
+                 // DAFS server so a new leader mints session ids past every
+                 // earlier leader's watermark
   kTermMark,     // term — opaque to the store; a quorum leader appends one on
                  // election so the byte log carries term boundaries and a
                  // follower can locate/truncate a divergent suffix
@@ -162,7 +162,7 @@ class FStoreJournal {
     bool truncated = false;      // stream had a torn/corrupt tail we dropped
   };
   /// Validate `stream` frame-by-frame (magic, bounds, CRC) and append the
-  /// longest valid prefix — the standby-side half of torn-tail truncation.
+  /// longest valid prefix — the follower-side half of torn-tail truncation.
   ImportResult import(std::span<const std::byte> stream);
 
   struct ReplayResult {

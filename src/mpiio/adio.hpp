@@ -58,7 +58,6 @@ constexpr ErrClass error_class(Err e) {
     case Err::kProtoError:
     case Err::kConnLost:
     case Err::kBusy:       // deadline/backpressure budget exhausted end-to-end
-    case Err::kFenced:     // every endpoint deposed/unreachable
     case Err::kNotLeader:  // no reachable quorum leader: transport-class
     case Err::kCorrupt:    // checksum mismatch survived every retry: the
                            // data is gone, not the transport — still the

@@ -125,7 +125,7 @@ struct HintDesc {
 ///                                     drivers without list I/O)
 ///   romio_ds_write             switch same for writes (also needs locks)
 ///   dafs_endpoints             list   filer services; first = metadata /
-///                                     preferred primary, rest failover
+///                                     preferred filer, rest failover
 ///   dafs_stripe_size           uint   stripe width in bytes (0 = default,
 ///                                     64 KiB); also aligns collective
 ///                                     file domains

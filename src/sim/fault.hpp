@@ -103,8 +103,8 @@ class FaultPlan {
   /// `t` (same restart semantics).
   void crash_server_at(Time t, std::uint64_t restart_delay_ms);
   /// Restrict the armed server crash to the server on `node`. With a
-  /// replicated pair in one fabric both filers consult the same plan; this
-  /// pins the kill to the primary so the standby never trips it.
+  /// quorum group in one fabric every member consults the same plan; this
+  /// pins the kill to one member (say, the leader).
   /// kInvalidNode = any server. Survives until the next arm().
   void restrict_crash_to_node(NodeId node);
 

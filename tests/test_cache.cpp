@@ -9,6 +9,7 @@
 
 #include "dafs/client.hpp"
 #include "dafs/server.hpp"
+#include "quorum_bed.hpp"
 #include "sim/rng.hpp"
 
 /// \file test_cache.cpp
@@ -394,103 +395,8 @@ TEST_F(CacheTest, AttrCacheServesWithinTtl) {
 
 namespace {
 
-using Role = dafs::Server::Role;
-
-/// Quorum bed (mirrors test_quorum.cpp): member i serves clients at
-/// "dafs-cq<i>", consensus on "dafs-craft-<i>".
-struct FilerGroup {
-  sim::Fabric& fabric;
-  std::vector<sim::NodeId> nodes;
-  std::vector<std::unique_ptr<dafs::Server>> members;
-
-  FilerGroup(sim::Fabric& f, std::size_t n, dafs::ServerConfig base = {})
-      : fabric(f) {
-    std::vector<std::string> group;
-    for (std::size_t i = 0; i < n; ++i) {
-      group.push_back("dafs-craft-" + std::to_string(i));
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      nodes.push_back(f.add_node("filer-" + std::to_string(i)));
-      dafs::ServerConfig cfg = base;
-      cfg.service = client_service(i);
-      cfg.quorum_group = group;
-      cfg.member_id = static_cast<std::uint32_t>(i);
-      cfg.repl_retry.jitter_seed = 100 + i;
-      members.push_back(std::make_unique<dafs::Server>(f, nodes.back(), cfg));
-    }
-    for (auto& m : members) m->start();
-  }
-
-  ~FilerGroup() {
-    for (auto it = members.rbegin(); it != members.rend(); ++it) {
-      (*it)->stop();
-    }
-  }
-
-  static std::string client_service(std::size_t i) {
-    return "dafs-cq" + std::to_string(i);
-  }
-
-  std::vector<std::string> services() const {
-    std::vector<std::string> out;
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      out.push_back(client_service(i));
-    }
-    return out;
-  }
-
-  int leader() const {
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      if (!members[i]->crashed() && members[i]->role() == Role::kPrimary) {
-        return static_cast<int>(i);
-      }
-    }
-    return -1;
-  }
-
-  int wait_leader(int budget_ms = 15'000) const {
-    for (int i = 0; i < budget_ms; ++i) {
-      const int l = leader();
-      if (l >= 0) return l;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return -1;
-  }
-
-  /// Wait for a live leader other than `not_this`.
-  int wait_other_leader(int not_this, int budget_ms = 15'000) const {
-    for (int i = 0; i < budget_ms; ++i) {
-      const int l = leader();
-      if (l >= 0 && l != not_this) return l;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return -1;
-  }
-};
-
-dafs::MountSpec quorum_cfg(const FilerGroup& g, std::uint64_t seed, int rank,
-                           int max_busy_retries = 64) {
-  dafs::RetryPolicy retry;
-  retry.attempts = 20;
-  retry.backoff_ns = 20'000;
-  retry.backoff_cap_ns = 2'000'000;
-  retry.jitter_seed = seed * 131 + static_cast<std::uint64_t>(rank);
-  retry.max_busy_retries = max_busy_retries;
-  return dafs::quorum_mount(g.services(), retry);
-}
-
-dafs::ServerConfig quorum_base() {
-  dafs::ServerConfig base;
-  base.grace_period_ms = 10;
-  base.repl_retry.deadline_ns = 50'000'000;
-  return base;
-}
-
-void wait_restart(dafs::Server& server) {
-  while (server.crashed()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
+using dafs_test::QuorumBed;
+using dafs_test::wait_restart;
 
 TEST(CacheQuorum, RecallSurvivesLeaderKillNoStaleBytes) {
   // Seeded sweep: the holder buffers dirty bytes under a write delegation, a
@@ -502,7 +408,7 @@ TEST(CacheQuorum, RecallSurvivesLeaderKillNoStaleBytes) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     sim::Fabric fabric;
-    FilerGroup g(fabric, 3, quorum_base());
+    QuorumBed g(fabric, 3, "dafs-cq");
     const int l0 = g.wait_leader();
     ASSERT_GE(l0, 0);
     // Grants pause for grace_period_ms after election; ride it out.
@@ -520,7 +426,7 @@ TEST(CacheQuorum, RecallSurvivesLeaderKillNoStaleBytes) {
 
     ActorScope scope_a(actor_a);
     auto a = std::move(
-        dafs::Client::connect(nic_a, quorum_cfg(g, seed, 0)).value());
+        dafs::Client::connect(nic_a, g.mount(seed, 0)).value());
     auto afh =
         a->open("/q.dat", cached_open(Consistency::kAfterClose)).value();
     if (!a->has_delegation(afh)) {
@@ -543,7 +449,7 @@ TEST(CacheQuorum, RecallSurvivesLeaderKillNoStaleBytes) {
     {
       ActorScope scope_b(actor_b);
       auto b = std::move(
-          dafs::Session::connect(nic_b, quorum_cfg(g, seed, 1, 2)).value());
+          dafs::Session::connect(nic_b, g.mount(seed, 1, 0, 2)).value());
       auto bo = b->open("/q.dat");  // kBusy (recall started); data if raced
       if (bo.ok()) {
         std::vector<std::byte> tmp(v1.size());
@@ -554,8 +460,8 @@ TEST(CacheQuorum, RecallSurvivesLeaderKillNoStaleBytes) {
 
     // Kill the leader mid-recall; its delegation table is volatile and dies
     // with it. The holder's lease expires during the outage.
-    g.members[static_cast<std::size_t>(l0)]->inject_crash(40);
-    const int l1 = g.wait_other_leader(l0);
+    g.member(l0).inject_crash(40);
+    const int l1 = g.wait_leader(l0);
     ASSERT_GE(l1, 0) << "no new leader";
     actor_a.advance(kTermNs * 4);
 
@@ -581,7 +487,7 @@ TEST(CacheQuorum, RecallSurvivesLeaderKillNoStaleBytes) {
     // v1 (write-back fenced) or v2 (write-back applied) — never a mix.
     ActorScope scope_v(actor_b);
     auto v = std::move(
-        dafs::Session::connect(nic_b, quorum_cfg(g, seed, 2)).value());
+        dafs::Session::connect(nic_b, g.mount(seed, 2)).value());
     auto vfh = v->open("/q.dat").value();
     std::vector<std::byte> truth(v1.size());
     ASSERT_TRUE(v->pread(vfh, 0, truth).ok());
@@ -592,7 +498,7 @@ TEST(CacheQuorum, RecallSurvivesLeaderKillNoStaleBytes) {
       EXPECT_GE(fabric.stats().get("dafs.cache.expired_fences"), 1u);
     }
 
-    wait_restart(*g.members[static_cast<std::size_t>(l0)]);
+    wait_restart(g.member(l0));
   }
 }
 

@@ -11,6 +11,7 @@
 #include "dafs/server.hpp"
 #include "fstore/file_store.hpp"
 #include "fstore/journal.hpp"
+#include "quorum_bed.hpp"
 #include "sim/fault.hpp"
 #include "sim/rng.hpp"
 
@@ -34,7 +35,7 @@ using fstore::kRootIno;
 using sim::Actor;
 using sim::ActorScope;
 
-using Role = dafs::Server::Role;
+using dafs_test::QuorumBed;
 
 constexpr std::size_t kBlock = 8 * 1024;
 
@@ -234,81 +235,24 @@ TEST(Integrity, SingleFilerRotDemotesToReadErrorNotSilentBytes) {
 // Capstone: 8-seed chaos sweep over a scrubbing quorum group
 // ---------------------------------------------------------------------------
 
-/// Three quorum members with the background scrubber on; member i serves
-/// clients at "dafs-qi<i>" and consensus runs over "dafs-iraft-<i>".
-struct ScrubGroup {
-  sim::Fabric& fabric;
-  std::vector<sim::NodeId> nodes;
-  std::vector<std::unique_ptr<dafs::Server>> members;
+/// Quorum members with the background scrubber on.
+dafs::ServerConfig scrub_config() {
+  dafs::ServerConfig cfg = dafs_test::quorum_test_config();
+  cfg.store.chunk_size = kBlock;
+  cfg.scrub_enabled = true;
+  cfg.scrub_interval_ms = 2;
+  cfg.scrub_chunks_per_step = 256;
+  return cfg;
+}
 
-  explicit ScrubGroup(sim::Fabric& f, std::size_t n) : fabric(f) {
-    std::vector<std::string> group;
-    for (std::size_t i = 0; i < n; ++i) {
-      group.push_back("dafs-iraft-" + std::to_string(i));
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      nodes.push_back(f.add_node("ifiler-" + std::to_string(i)));
-      dafs::ServerConfig cfg;
-      cfg.service = client_service(i);
-      cfg.quorum_group = group;
-      cfg.member_id = static_cast<std::uint32_t>(i);
-      cfg.grace_period_ms = 10;
-      cfg.repl_retry.deadline_ns = 50'000'000;
-      cfg.repl_retry.jitter_seed = 100 + i;
-      cfg.store.chunk_size = kBlock;
-      cfg.scrub_enabled = true;
-      cfg.scrub_interval_ms = 2;
-      cfg.scrub_chunks_per_step = 256;
-      members.push_back(std::make_unique<dafs::Server>(f, nodes.back(), cfg));
-    }
-    for (auto& m : members) m->start();
-  }
-
-  ~ScrubGroup() {
-    for (auto it = members.rbegin(); it != members.rend(); ++it) {
-      (*it)->stop();
-    }
-  }
-
-  static std::string client_service(std::size_t i) {
-    return "dafs-qi" + std::to_string(i);
-  }
-
-  std::vector<std::string> services() const {
-    std::vector<std::string> out;
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      out.push_back(client_service(i));
-    }
-    return out;
-  }
-
-  int wait_leader(int budget_ms = 15'000) const {
-    for (int i = 0; i < budget_ms; ++i) {
-      for (std::size_t m = 0; m < members.size(); ++m) {
-        if (!members[m]->crashed() && members[m]->role() == Role::kPrimary) {
-          return static_cast<int>(m);
-        }
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return -1;
-  }
-};
-
-dafs::MountSpec scrub_mount(const ScrubGroup& g, std::uint64_t seed) {
-  dafs::RetryPolicy retry;
-  retry.attempts = 20;
-  retry.backoff_ns = 20'000;
-  retry.backoff_cap_ns = 2'000'000;
-  // Each kCorrupt retry yields ~1 ms of real time to the scrubber; the
-  // budget must comfortably outlast a quorum repair under sanitizer load.
-  retry.max_busy_retries = 300;
-  retry.jitter_seed = seed * 131 + 5;
+dafs::MountSpec scrub_mount(const QuorumBed& g, std::uint64_t seed) {
   dafs::ClientConfig cc;
   cc.integrity = dafs::IntegrityMode::kFull;
   cc.direct_threshold = 1u << 20;  // inline data path end to end
-  return dafs::quorum_mount(g.services(), retry, cc,
-                            static_cast<std::size_t>(seed % 3));
+  // Each kCorrupt retry yields ~1 ms of real time to the scrubber; the
+  // budget must comfortably outlast a quorum repair under sanitizer load.
+  return g.mount(seed, 5, static_cast<std::size_t>(seed % 3),
+                 /*max_busy_retries=*/300, cc);
 }
 
 /// One seed of the chaos sweep. Leg 1 (at-rest): a seeded bit flip rots the
@@ -326,7 +270,7 @@ void run_integrity_chaos(std::uint64_t seed) {
   constexpr int kAdds = 4;
 
   sim::Fabric fabric;
-  ScrubGroup g(fabric, 3);
+  QuorumBed g(fabric, 3, "dafs-qi", scrub_config());
   ASSERT_GE(g.wait_leader(), 0) << "seed " << seed;
 
   const auto cnode = fabric.add_node("client");

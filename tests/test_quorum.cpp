@@ -8,10 +8,11 @@
 #include <vector>
 
 #include "dafs/client.hpp"
+#include "dafs/repl.hpp"
 #include "dafs/server.hpp"
-#include "fstore/journal.hpp"
 #include "mpiio/ad_dafs.hpp"
 #include "mpiio/file.hpp"
+#include "quorum_bed.hpp"
 #include "sim/fault.hpp"
 #include "sim/rng.hpp"
 
@@ -38,6 +39,9 @@ using mpiio::Info;
 using sim::Actor;
 using sim::ActorScope;
 
+using dafs_test::journal_of;
+using dafs_test::QuorumBed;
+using dafs_test::wait_restart;
 using Role = dafs::Server::Role;
 
 constexpr std::uint64_t kChunk = 32 * 1024;
@@ -47,81 +51,6 @@ std::vector<std::byte> pattern(std::size_t n, std::uint64_t seed) {
   std::vector<std::byte> out(n);
   for (auto& b : out) b = static_cast<std::byte>(rng.next() & 0xff);
   return out;
-}
-
-/// N quorum members on their own nodes: member i serves clients at
-/// "dafs-q<i>" and the group's consensus traffic runs over
-/// "dafs-raft-<i>" (every member lists all of them, index = member id).
-struct FilerGroup {
-  sim::Fabric& fabric;
-  std::vector<sim::NodeId> nodes;
-  std::vector<std::unique_ptr<dafs::Server>> members;
-
-  FilerGroup(sim::Fabric& f, std::size_t n, dafs::ServerConfig base = {})
-      : fabric(f) {
-    std::vector<std::string> group;
-    for (std::size_t i = 0; i < n; ++i) {
-      group.push_back("dafs-raft-" + std::to_string(i));
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      nodes.push_back(f.add_node("filer-" + std::to_string(i)));
-      dafs::ServerConfig cfg = base;
-      cfg.service = client_service(i);
-      cfg.quorum_group = group;
-      cfg.member_id = static_cast<std::uint32_t>(i);
-      cfg.repl_retry.jitter_seed = 100 + i;
-      members.push_back(std::make_unique<dafs::Server>(f, nodes.back(), cfg));
-    }
-    for (auto& m : members) m->start();
-  }
-
-  ~FilerGroup() {
-    for (auto it = members.rbegin(); it != members.rend(); ++it) {
-      (*it)->stop();
-    }
-  }
-
-  static std::string client_service(std::size_t i) {
-    return "dafs-q" + std::to_string(i);
-  }
-
-  std::vector<std::string> services() const {
-    std::vector<std::string> out;
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      out.push_back(client_service(i));
-    }
-    return out;
-  }
-
-  /// Index of a live leader, -1 if none right now.
-  int leader() const {
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      if (!members[i]->crashed() && members[i]->role() == Role::kPrimary) {
-        return static_cast<int>(i);
-      }
-    }
-    return -1;
-  }
-
-  /// Real-time wait for some live member to hold leadership.
-  int wait_leader(int budget_ms = 15'000) const {
-    for (int i = 0; i < budget_ms; ++i) {
-      const int l = leader();
-      if (l >= 0) return l;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return -1;
-  }
-};
-
-void wait_restart(dafs::Server& server) {
-  while (server.crashed()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
-
-std::vector<std::byte> journal_of(dafs::Server& s) {
-  return s.store().journal_log().read(0, static_cast<std::size_t>(-1));
 }
 
 /// Real-time wait for b's journal to converge byte-identical to a's
@@ -136,39 +65,13 @@ bool wait_journal_match(dafs::Server& a, dafs::Server& b,
   return false;
 }
 
-/// A quorum mount with test-speed backoffs; `preferred` rotates the initial
-/// probe order so clients spread across the group (and tests can force the
-/// first probe onto a follower).
-dafs::MountSpec quorum_cfg(const FilerGroup& g, std::uint64_t seed, int rank,
-                           std::size_t preferred = 0) {
-  dafs::RetryPolicy retry;
-  // Recovery spends one endpoint pass per kNotLeader probe, so the ride-out
-  // budget for an election is roughly services() * attempts paced probes.
-  // Sanitizer builds on a loaded core stretch elections well past the
-  // default budget — give the mount enough passes to outlast them.
-  retry.attempts = 20;
-  retry.backoff_ns = 20'000;
-  retry.backoff_cap_ns = 2'000'000;
-  retry.jitter_seed = seed * 131 + static_cast<std::uint64_t>(rank);
-  return dafs::quorum_mount(g.services(), retry, {}, preferred);
-}
-
-/// Server knobs every test shares: fast restart grace and a short commit
-/// barrier so a partitioned leader demotes requests quickly.
-dafs::ServerConfig test_base() {
-  dafs::ServerConfig base;
-  base.grace_period_ms = 10;
-  base.repl_retry.deadline_ns = 50'000'000;  // 50 ms commit-barrier budget
-  return base;
-}
-
 // ---------------------------------------------------------------------------
 // Election: one leader emerges, the term is the fencing epoch
 // ---------------------------------------------------------------------------
 
 TEST(Quorum, ElectsSingleLeader) {
   sim::Fabric fabric;
-  FilerGroup g(fabric, 3, test_base());
+  QuorumBed g(fabric, 3, "dafs-q");
   const int l = g.wait_leader();
   ASSERT_GE(l, 0) << "no leader elected";
   // Let a few heartbeat rounds settle, then: exactly one leader, a positive
@@ -176,7 +79,7 @@ TEST(Quorum, ElectsSingleLeader) {
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   int leaders = 0;
   for (const auto& m : g.members) {
-    if (m->role() == Role::kPrimary) ++leaders;
+    if (m->role() == Role::kLeader) ++leaders;
   }
   EXPECT_EQ(leaders, 1);
   const int ll = g.leader();
@@ -196,7 +99,7 @@ TEST(Quorum, ElectsSingleLeader) {
 
 TEST(Quorum, ClientFollowsLeaderHint) {
   sim::Fabric fabric;
-  FilerGroup g(fabric, 3, test_base());
+  QuorumBed g(fabric, 3, "dafs-q");
   const int l = g.wait_leader();
   ASSERT_GE(l, 0);
   // Wait until every follower has heard the leader's first append (that is
@@ -216,8 +119,8 @@ TEST(Quorum, ClientFollowsLeaderHint) {
   // leader's member index and the session must jump straight there.
   const auto follower = static_cast<std::size_t>((l + 1) % 3);
   auto s = std::move(
-      dafs::Session::connect(nic, quorum_cfg(g, 1, 0, follower)).value());
-  EXPECT_EQ(s->active_service(), FilerGroup::client_service(l));
+      dafs::Session::connect(nic, g.mount(1, 0, follower)).value());
+  EXPECT_EQ(s->active_service(), g.client_service(l));
   EXPECT_GE(fabric.stats().get("dafs.leader_hints_followed"), 1u);
   EXPECT_GE(fabric.stats().get("dafs.not_leader_rejections"), 1u);
 
@@ -242,7 +145,7 @@ TEST(Quorum, FollowerOnlyMountDemotesAndGivesUp) {
   // member id) must demote each refusing endpoint to the back of its
   // rotation — not hammer the same one — and surface kNotLeader.
   sim::Fabric fabric;
-  FilerGroup g(fabric, 3, test_base());
+  QuorumBed g(fabric, 3, "dafs-q");
   const int l = g.wait_leader();
   ASSERT_GE(l, 0);
   const auto node = fabric.add_node("client");
@@ -257,7 +160,7 @@ TEST(Quorum, FollowerOnlyMountDemotesAndGivesUp) {
   dafs::MountSpec m;
   for (int i = 0; i < 3; ++i) {
     if (i == l) continue;
-    dafs::Endpoint ep{FilerGroup::client_service(i), fast};
+    dafs::Endpoint ep{g.client_service(i), fast};
     ep.member = static_cast<std::uint32_t>(i);
     m.endpoints.push_back(std::move(ep));
   }
@@ -267,6 +170,117 @@ TEST(Quorum, FollowerOnlyMountDemotesAndGivesUp) {
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.error(), PStatus::kNotLeader);
   EXPECT_GT(fabric.stats().get("dafs.endpoint_demotions"), demoted_before);
+}
+
+// ---------------------------------------------------------------------------
+// Hostile wire: an append is only the bytes that arrived
+// ---------------------------------------------------------------------------
+
+TEST(Quorum, AppendClaimingUnsentBytesIsRefused) {
+  // One live member of a three-member group. Its peers never start and its
+  // election timer is a minute away, so it follows whoever sends appends.
+  sim::Fabric fabric;
+  dafs::ServerConfig cfg = dafs_test::quorum_test_config();
+  cfg.service = "dafs-h0";
+  cfg.quorum_group = {"dafs-h-raft-0", "dafs-h-raft-1", "dafs-h-raft-2"};
+  cfg.election_timeout_min_ms = 60'000;
+  cfg.election_timeout_max_ms = 120'000;
+  dafs::Server follower(fabric, fabric.add_node("filer-0"), cfg);
+  follower.start();
+
+  const auto node = fabric.add_node("peer");
+  Actor actor("peer", &fabric.node(node));
+  ActorScope scope(actor);
+  via::Nic nic(fabric, node, "nic");
+  const via::ProtectionTag tag = nic.create_ptag();
+  via::Vi vi(nic, via::ViAttrs{});
+  std::vector<std::byte> reply(sizeof(dafs::ReplHeader));
+  const via::MemHandle reply_h =
+      nic.register_memory(reply.data(), reply.size(), tag, {});
+  via::Descriptor reply_d;
+  const auto post_reply = [&] {
+    reply_d = via::Descriptor{};
+    reply_d.segs = {via::DataSegment{
+        reply.data(), reply_h, static_cast<std::uint32_t>(reply.size())}};
+    return vi.post_recv(reply_d) == via::Status::kSuccess;
+  };
+  // The member's replication listener comes up on its own thread.
+  via::Status cst = via::Status::kNoMatchingListener;
+  for (int i = 0; i < 5'000 && cst == via::Status::kNoMatchingListener; ++i) {
+    cst = nic.connect(vi, "dafs-h-raft-0", std::chrono::milliseconds(500));
+    if (cst != via::Status::kSuccess) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ASSERT_EQ(cst, via::Status::kSuccess);
+  ASSERT_TRUE(post_reply());
+
+  // Real journal records to ship: one term mark from a donor log.
+  constexpr std::uint64_t kTerm = 7;
+  fstore::FStoreJournal donor;
+  fstore::RecWriter w;
+  w.u64(kTerm);
+  donor.append(fstore::RecType::kTermMark, w.out());
+  const std::vector<std::byte> records = donor.read(0, SIZE_MAX);
+
+  std::vector<std::byte> msg(dafs::kReplBufSize);
+  const via::MemHandle msg_h =
+      nic.register_memory(msg.data(), msg.size(), tag, {});
+  // Sends `payload_sent` bytes of payload behind a header claiming `len`.
+  const auto send_append = [&](std::uint64_t offset, std::uint64_t prev_term,
+                               std::size_t payload_sent) {
+    dafs::ReplHeader h;
+    h.op = dafs::ReplOp::kAppend;
+    h.epoch = kTerm;
+    h.offset = offset;
+    h.prev_term = prev_term;
+    h.member = 1;
+    h.len = static_cast<std::uint32_t>(records.size());
+    std::memcpy(msg.data(), &h, sizeof(h));
+    std::memcpy(msg.data() + sizeof(h), records.data(), payload_sent);
+    via::Descriptor d;
+    d.op = via::Opcode::kSend;
+    d.segs = {via::DataSegment{
+        msg.data(), msg_h,
+        static_cast<std::uint32_t>(sizeof(h) + payload_sent)}};
+    via::Descriptor* done = nullptr;
+    return vi.post_send(d) == via::Status::kSuccess &&
+           vi.send_wait(done, std::chrono::milliseconds(500)) ==
+               via::Status::kSuccess &&
+           done->status == via::DescStatus::kSuccess;
+  };
+
+  // Well-formed appends of the same records at offset 0, once per receive
+  // buffer the follower keeps posted, so every one of them still holds the
+  // records after its own message was served.
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(send_append(0, 0, records.size()));
+    via::Descriptor* got = nullptr;
+    ASSERT_EQ(vi.recv_wait(got, std::chrono::milliseconds(2'000)),
+              via::Status::kSuccess);
+    dafs::ReplHeader r;
+    std::memcpy(&r, reply.data(), sizeof(r));
+    ASSERT_EQ(r.op, dafs::ReplOp::kAppendResp);
+    ASSERT_EQ(r.status, 1);
+    ASSERT_EQ(r.offset, records.size());
+    ASSERT_TRUE(post_reply());
+  }
+  const std::vector<std::byte> before = journal_of(follower);
+  ASSERT_EQ(before, records);
+
+  // A header that claims the records again but arrives alone. Trusting it
+  // would import the previous message's leftovers as fresh journal records.
+  const std::uint64_t malformed = fabric.stats().get("dafs.raft_malformed");
+  ASSERT_TRUE(send_append(records.size(), kTerm, 0));
+  for (int i = 0; i < 2'000 && vi.state() == via::Vi::State::kConnected; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_NE(vi.state(), via::Vi::State::kConnected)
+      << "the follower must drop a peer that lies about its payload";
+  EXPECT_EQ(journal_of(follower), before);
+  EXPECT_EQ(fabric.stats().get("dafs.raft_malformed"), malformed + 1);
+  vi.disconnect();
+  follower.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -286,7 +300,7 @@ void run_kill_world(std::uint64_t seed, std::size_t replicas) {
   constexpr std::uint64_t kDelta = 7;
 
   sim::Fabric fabric;
-  FilerGroup g(fabric, replicas, test_base());
+  QuorumBed g(fabric, replicas, "dafs-q");
   const int l0 = g.wait_leader();
   ASSERT_GE(l0, 0) << "seed " << seed;
 
@@ -299,8 +313,8 @@ void run_kill_world(std::uint64_t seed, std::size_t replicas) {
     via::Nic nic(fabric, world.node_of(c.rank()), "cli");
     auto session = std::move(
         dafs::Session::connect(
-            nic, quorum_cfg(g, seed, c.rank(),
-                            static_cast<std::size_t>(c.rank()) % replicas))
+            nic, g.mount(seed, c.rank(),
+                         static_cast<std::size_t>(c.rank()) % replicas))
             .value());
     auto fa = std::move(File::open(c, "/a.dat",
                                    mpiio::kModeCreate | mpiio::kModeRdwr,
@@ -391,7 +405,7 @@ void run_kill_world(std::uint64_t seed, std::size_t replicas) {
     ActorScope scope(actor);
     via::Nic nic(fabric, node, "vnic");
     auto s = std::move(
-        dafs::Session::connect(nic, quorum_cfg(g, seed, 99)).value());
+        dafs::Session::connect(nic, g.mount(seed, 99)).value());
     EXPECT_EQ(s->fetch_add("qk.ctr", 0).value(),
               static_cast<std::uint64_t>(kRanks) * kAdds * kDelta)
         << "seed " << seed;
@@ -416,11 +430,10 @@ void run_kill_world(std::uint64_t seed, std::size_t replicas) {
   // Automatic rejoin + re-silver: the deposed member comes back on its own
   // restart schedule and catches up until its journal is byte-identical to
   // the leader's — no manual intervention anywhere.
-  wait_restart(*g.members[static_cast<std::size_t>(l0)]);
+  wait_restart(g.member(l0));
   const int lf = g.wait_leader();
   ASSERT_GE(lf, 0) << "seed " << seed;
-  EXPECT_TRUE(wait_journal_match(*g.members[static_cast<std::size_t>(lf)],
-                                 *g.members[static_cast<std::size_t>(l0)]))
+  EXPECT_TRUE(wait_journal_match(g.member(lf), g.member(l0)))
       << "deposed member never re-silvered, seed " << seed;
   EXPECT_GE(fabric.stats().get("dafs.elections_won"), 2u) << "seed " << seed;
 
@@ -455,7 +468,7 @@ void run_partition_world(std::uint64_t seed, std::size_t replicas) {
   constexpr std::uint64_t kDelta = 7;
 
   sim::Fabric fabric;
-  FilerGroup g(fabric, replicas, test_base());
+  QuorumBed g(fabric, replicas, "dafs-q");
   const int l0 = g.wait_leader();
   ASSERT_GE(l0, 0) << "seed " << seed;
 
@@ -468,8 +481,8 @@ void run_partition_world(std::uint64_t seed, std::size_t replicas) {
     via::Nic nic(fabric, world.node_of(c.rank()), "cli");
     auto session = std::move(
         dafs::Session::connect(
-            nic, quorum_cfg(g, seed, c.rank(),
-                            static_cast<std::size_t>(c.rank()) % replicas))
+            nic, g.mount(seed, c.rank(),
+                         static_cast<std::size_t>(c.rank()) % replicas))
             .value());
     auto fa = std::move(File::open(c, "/a.dat",
                                    mpiio::kModeCreate | mpiio::kModeRdwr,
@@ -542,7 +555,7 @@ void run_partition_world(std::uint64_t seed, std::size_t replicas) {
     ActorScope scope(actor);
     via::Nic nic(fabric, node, "vnic");
     auto s = std::move(
-        dafs::Session::connect(nic, quorum_cfg(g, seed, 99)).value());
+        dafs::Session::connect(nic, g.mount(seed, 99)).value());
     EXPECT_EQ(s->fetch_add("qp.ctr", 0).value(),
               static_cast<std::uint64_t>(kRanks) * kAdds * kDelta)
         << "seed " << seed;
@@ -571,10 +584,9 @@ void run_partition_world(std::uint64_t seed, std::size_t replicas) {
   // journal state.
   const int lf = g.wait_leader();
   ASSERT_GE(lf, 0) << "seed " << seed;
-  EXPECT_TRUE(wait_journal_match(*g.members[static_cast<std::size_t>(lf)],
-                                 *g.members[static_cast<std::size_t>(l0)]))
+  EXPECT_TRUE(wait_journal_match(g.member(lf), g.member(l0)))
       << "ex-leader never re-silvered, seed " << seed;
-  EXPECT_TRUE(g.members[static_cast<std::size_t>(l0)]->resilver_bytes() > 0 ||
+  EXPECT_TRUE(g.member(l0).resilver_bytes() > 0 ||
               fabric.stats().get("dafs.resilver_truncated_bytes") > 0)
       << "no re-silver happened at all, seed " << seed;
 
