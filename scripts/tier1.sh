@@ -8,10 +8,12 @@
 # (ctest -L integrity), the live-telemetry slice (ctest -L telemetry), the
 # client-cache/delegation slice (ctest -L cache), the MPI runtime and
 # MPI-IO suites (ctest -L 'mpi|mpiio'; one-sided RDMA writes land in another
-# rank's memory) and the DAFS and NFS suites (ctest -L 'dafs|nfs'; the filer
+# rank's memory), the DAFS and NFS suites (ctest -L 'dafs|nfs'; the filer
 # holds several posted RDMA descriptors per list request, and list I/O over
-# NFS gathers from caller memory), which stress the paths where lifetime bugs
-# would hide. A final
+# NFS gathers from caller memory) and the end-to-end integration and stress
+# suites (ctest -L 'integration|stress'; async completion groups, a filer
+# stopped under a live session, garbage requests), which stress the paths
+# where lifetime bugs would hide. A final
 # leg runs traced end-to-end
 # benchmarks and validates the emitted Perfetto JSON (ids resolve, spans
 # nest, no negative durations) with scripts/check_trace.py — including the
@@ -44,16 +46,17 @@ cmake --build "$BUILD" -j "$JOBS"
 ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS" \
   --timeout "$TEST_TIMEOUT"
 
-echo "== tier1: sanitizer leg (ASan+UBSan, fault + chaos + failover + trace + stripe + raft + integrity + telemetry + cache + mpi + mpiio + dafs + nfs labels) =="
+echo "== tier1: sanitizer leg (ASan+UBSan, fault + chaos + failover + trace + stripe + raft + integrity + telemetry + cache + mpi + mpiio + dafs + nfs + integration + stress labels) =="
 cmake -B "$ASAN_BUILD" -S . -DDAFS_SANITIZE=ON >/dev/null
 cmake --build "$ASAN_BUILD" -j "$JOBS" --target test_fault \
   --target test_chaos --target test_failover --target test_trace \
   --target test_stripe --target test_quorum --target test_integrity \
   --target test_telemetry --target test_cache --target test_mpi \
-  --target test_mpiio --target test_dafs --target test_nfs
+  --target test_mpiio --target test_dafs --target test_nfs \
+  --target test_integration --target test_stress
 ctest --test-dir "$ASAN_BUILD" --output-on-failure -j "$JOBS" \
   --timeout "$TEST_TIMEOUT" \
-  -L 'fault|chaos|failover|trace|stripe|raft|integrity|telemetry|cache|mpi|dafs|nfs'
+  -L 'fault|chaos|failover|trace|stripe|raft|integrity|telemetry|cache|mpi|dafs|nfs|integration|stress'
 
 echo "== tier1: trace-validation leg (traced benches -> check_trace.py) =="
 TRACE_OUT="$BUILD/tier1_trace.json"

@@ -74,11 +74,9 @@ Result<std::unique_ptr<Session>> Session::connect(via::Nic& nic,
 void Session::advance_endpoint() {
   if (eps_.size() > 1) nic_.fabric().stats().add("dafs.endpoint_rotations");
   ep_ = (ep_ + 1) % eps_.size();
-  ++rotations_;
   // Reseed the jitter RNG per rotation so two passes through the same
   // endpoint list do not replay the same backoff schedule.
-  backoff_rng_ = sim::Rng(eps_[ep_].retry.jitter_seed ^
-                          (0x9e3779b97f4a7c15ULL * rotations_));
+  backoff_rng_ = jitter_rng(eps_[ep_].retry.jitter_seed, ++rotations_);
 }
 
 void Session::demote_endpoint() {
@@ -92,9 +90,7 @@ void Session::demote_endpoint() {
     eps_.push_back(std::move(demoted));
     if (ep_ >= eps_.size() - 1) ep_ = 0;
   }
-  ++rotations_;
-  backoff_rng_ = sim::Rng(eps_[ep_].retry.jitter_seed ^
-                          (0x9e3779b97f4a7c15ULL * rotations_));
+  backoff_rng_ = jitter_rng(eps_[ep_].retry.jitter_seed, ++rotations_);
 }
 
 bool Session::follow_leader_hint(std::uint64_t aux) {
@@ -104,9 +100,7 @@ bool Session::follow_leader_hint(std::uint64_t aux) {
     if (eps_[i].member != member) continue;
     if (i == ep_) return false;  // the hint names the endpoint we just tried
     ep_ = i;
-    ++rotations_;
-    backoff_rng_ = sim::Rng(eps_[ep_].retry.jitter_seed ^
-                            (0x9e3779b97f4a7c15ULL * rotations_));
+    backoff_rng_ = jitter_rng(eps_[ep_].retry.jitter_seed, ++rotations_);
     nic_.fabric().stats().add("dafs.leader_hints_followed");
     return true;
   }
@@ -184,14 +178,7 @@ PStatus Session::connect_once() {
                                           resume_buf_.size(), ptag_, {});
     if (resume_handle_ == via::kInvalidMemHandle) return PStatus::kNoResource;
   }
-  for (auto& rb : recv_bufs_) {
-    rb.desc = via::Descriptor{};
-    rb.desc.segs = {via::DataSegment{
-        rb.mem.data(), rb.handle, static_cast<std::uint32_t>(rb.mem.size())}};
-    if (vi_->post_recv(rb.desc) != via::Status::kSuccess) {
-      return PStatus::kProtoError;
-    }
-  }
+  if (!repost_all()) return PStatus::kProtoError;
 
   auto id = submit_simple(Proc::kConnect, {}, Fh{}, 0, 0, 0, 0);
   if (!id.ok()) return id.error();
@@ -340,18 +327,28 @@ bool Session::pump_one() {
       if (recover()) continue;
       return false;
     }
-    // Find the buffer this descriptor scatters into.
-    RecvBuf* rb = nullptr;
-    for (auto& b : recv_bufs_) {
-      if (&b.desc == d) {
-        rb = &b;
-        break;
-      }
-    }
-    assert(rb != nullptr);
-    process_response(*rb);
+    process_response(recv_buf(d));
     return true;
   }
+}
+
+Session::RecvBuf& Session::recv_buf(const via::Descriptor* d) {
+  const auto it = std::find_if(recv_bufs_.begin(), recv_bufs_.end(),
+                               [&](const RecvBuf& b) { return &b.desc == d; });
+  assert(it != recv_bufs_.end());
+  return *it;
+}
+
+bool Session::repost(RecvBuf& rb) {
+  rb.desc = via::Descriptor{};
+  rb.desc.segs = {via::DataSegment{
+      rb.mem.data(), rb.handle, static_cast<std::uint32_t>(rb.mem.size())}};
+  return vi_->post_recv(rb.desc) == via::Status::kSuccess;
+}
+
+bool Session::repost_all() {
+  return std::all_of(recv_bufs_.begin(), recv_bufs_.end(),
+                     [&](RecvBuf& rb) { return repost(rb); });
 }
 
 bool Session::process_response(RecvBuf& rb) {
@@ -368,7 +365,7 @@ bool Session::process_response(RecvBuf& rb) {
     // Wire-payload verification: the server stamped a CRC-32C over the data
     // it produced (inline payload bytes, or the direct bytes it RDMA-wrote
     // into our contiguous buffer). Verify before any byte reaches the
-    // caller; a mismatch turns the response into kCorrupt so wait_slot
+    // caller; a mismatch turns the response into kCorrupt so settle()
     // retries it instead of surfacing damaged data.
     bool rejected = false;
     if (h.status == PStatus::kOk && (h.flags & kFlagPayloadCrc) != 0) {
@@ -417,102 +414,74 @@ bool Session::process_response(RecvBuf& rb) {
   }
   // Return the receive buffer to the pool. A repost failure means the
   // connection just died again; the next pump recovers and reposts the ring.
-  rb.desc = via::Descriptor{};
-  rb.desc.segs = {via::DataSegment{
-      rb.mem.data(), rb.handle, static_cast<std::uint32_t>(rb.mem.size())}};
-  if (vi_->post_recv(rb.desc) != via::Status::kSuccess) {
-    nic_.fabric().stats().add("dafs.repost_failures");
-  }
+  if (!repost(rb)) nic_.fabric().stats().add("dafs.repost_failures");
   return live;
 }
 
 PStatus Session::wait_slot(OpId id) {
   Slot& sl = slots_[id];
-  for (;;) {
+  do {
     while (!sl.done) {
       if (!pump_one()) return PStatus::kConnLost;
     }
-    if (sl.resp.status == PStatus::kBadSession &&
-        sl.reclaim_retries < kSlotReclaimRetries) {
-      // A kBadSession *response* (not a transport failure) means the server
-      // restarted but kept our idle VI alive: it forgot the session, not the
-      // connection. Rebuild its state from our leases and retransmit — the
-      // slot is marked un-done so recovery's replay includes it.
-      ++sl.reclaim_retries;
-      sl.done = false;
-      if (recover()) continue;
-      return PStatus::kConnLost;
-    }
-    if (sl.resp.status == PStatus::kNotLeader) {
-      // Remember the follower's leader hint even when we surface the error:
-      // do_connect and recover() both consume it to jump straight to the
-      // leader instead of sweeping the mount blind.
-      leader_hint_ = sl.resp.aux;
-      if (session_id_ != 0 && sl.reclaim_retries < kSlotReclaimRetries) {
-        // A quorum follower answered a bound session's request: leadership
-        // moved underneath us. Recovery follows the hint (resume against
-        // the new leader, reclaim if it never saw us) and retransmits.
-        ++sl.reclaim_retries;
-        sl.done = false;
-        if (recover()) continue;
-        return PStatus::kConnLost;
-      }
-    }
-    if (sl.resp.status == PStatus::kCorrupt) {
-      // Damaged data, not damaged state: the server never executed (writes)
-      // or can safely re-execute (reads) this request. Retry with backoff —
-      // a wire flip is transient, and an at-rest flip may be repaired by a
-      // scrub pass between attempts.
-      if (corrupt_retry(id)) continue;
-      return sl.resp.status;
-    }
-    if (sl.resp.status != PStatus::kBusy) return sl.resp.status;
-    // Shed by the server: honor the retry-after hint and retransmit, up to
-    // the slot's budget.
-    if (!busy_retry(id)) return sl.resp.status;
-  }
+  } while (!settle(id));
+  return sl.resp.status;
 }
 
-bool Session::busy_retry(OpId id) {
+bool Session::settle(OpId id) {
   Slot& sl = slots_[id];
-  const std::uint64_t retry_ns = sl.resp.aux;
-  // aux == 0 marks a deadline expiry, not overload: retrying cannot help.
-  if (retry_ns == 0 || sl.busy_retries >= policy().max_busy_retries) {
-    return false;
+  const PStatus st = sl.resp.status;
+  // Remember a follower's leader hint even when the error surfaces:
+  // do_connect and recover() both consume it to jump straight to the leader
+  // instead of sweeping the mount blind.
+  if (st == PStatus::kNotLeader) leader_hint_ = sl.resp.aux;
+  // A kBadSession *response* (not a transport failure) means the server
+  // restarted but kept our idle VI alive: it forgot the session, not the
+  // connection. A kNotLeader answer to a bound session means leadership
+  // moved underneath us. Either way recovery rebuilds the session (resume
+  // against the new leader, reclaim from our leases) and retransmits; the
+  // slot is marked un-done so recovery's replay includes it.
+  if ((st == PStatus::kBadSession ||
+       (st == PStatus::kNotLeader && session_id_ != 0)) &&
+      sl.reclaim_retries < kSlotReclaimRetries) {
+    ++sl.reclaim_retries;
+    sl.done = false;
+    if (recover()) return false;
+    sl.resp.status = PStatus::kConnLost;
+    sl.done = true;
+    return true;
   }
-  ++sl.busy_retries;
-  nic_.fabric().stats().add("dafs.busy_retries");
-  Actor* actor = Actor::current();
-  // Jittered virtual backoff per the server's hint, plus a real-time yield
-  // so the admission queue can actually drain before the retransmission.
-  actor->advance(retry_ns / 2 + backoff_rng_.below(retry_ns / 2 + 1));
-  std::this_thread::sleep_for(std::chrono::microseconds(500));
-  sl.done = false;
-  // A shed request never executed, so the fresh seq transmit() stamps is
-  // safe — this is a new submission, not a replay-protected retransmission.
-  if (transmit(id) == PStatus::kOk) return true;
-  sl.resp.status = PStatus::kConnLost;
-  sl.done = true;
-  return false;
+  // Damaged data, not damaged state: the server never executed (writes) or
+  // can safely re-execute (reads) this request. A wire flip is transient,
+  // and the real-time yield gives the filer's scrubber the chance to repair
+  // an at-rest flip between attempts.
+  if (st == PStatus::kCorrupt) {
+    return !retry_after(id,
+                        std::max<std::uint64_t>(policy().backoff_ns, 100'000),
+                        "dafs.corrupt_retries", 1ms);
+  }
+  // Shed by the server: honor the retry-after hint; the real-time yield lets
+  // the admission queue actually drain. aux == 0 marks a deadline expiry,
+  // not overload: retrying cannot help.
+  if (st == PStatus::kBusy && sl.resp.aux != 0) {
+    return !retry_after(id, sl.resp.aux, "dafs.busy_retries", 500us);
+  }
+  return true;
 }
 
-bool Session::corrupt_retry(OpId id) {
+bool Session::retry_after(OpId id, std::uint64_t wait_ns, const char* counter,
+                          std::chrono::microseconds yield) {
   Slot& sl = slots_[id];
   if (sl.busy_retries >= policy().max_busy_retries) return false;
   ++sl.busy_retries;
-  nic_.fabric().stats().add("dafs.corrupt_retries");
-  Actor* actor = Actor::current();
-  // Jittered virtual backoff plus a real-time yield: the filer's scrubber
-  // runs on real time, so the sleep is what gives a quorum repair a chance
-  // to restore the block between attempts.
-  const std::uint64_t base =
-      std::max<std::uint64_t>(policy().backoff_ns, 100'000);
-  actor->advance(base / 2 + backoff_rng_.below(base / 2 + 1));
-  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  nic_.fabric().stats().add(counter);
+  Actor::current()->advance(Backoff(wait_ns, wait_ns).next(backoff_rng_));
+  std::this_thread::sleep_for(yield);
   sl.done = false;
-  // A kCorrupt answer is never replay-cached and never mutated state, so
-  // the fresh seq transmit() stamps makes this a new submission, not a
-  // replay-protected retransmission.
+  // A shed or kCorrupt-answered request never executed (or is an idempotent
+  // read), and the server never replay-caches failures, so the fresh seq
+  // transmit() stamps makes this a new submission, not a replay-protected
+  // retransmission.
   if (transmit(id) == PStatus::kOk) return true;
   sl.resp.status = PStatus::kConnLost;
   sl.done = true;
@@ -567,7 +536,7 @@ bool Session::recover() {
                 static_cast<std::size_t>(std::max(1, eps_[ep_].retry.attempts));
   for (std::size_t pass = 0; pass < max_passes; ++pass) {
     const Endpoint ep = eps_[ep_];  // by value: demotion reorders eps_
-    sim::Time backoff = ep.retry.backoff_ns;
+    Backoff backoff(ep.retry.backoff_ns, ep.retry.backoff_cap_ns);
     bool rotate = false;
     // Set when the pass already repositioned ep_ itself (demotion or a
     // leader-hint jump); suppresses the blind advance at the pass end.
@@ -575,10 +544,9 @@ bool Session::recover() {
     for (int attempt = 1; attempt <= ep.retry.attempts && !rotate;
          ++attempt) {
       stats.add("dafs.recovery_attempts");
-      // Capped exponential backoff, jittered to [backoff/2, backoff] so a
-      // herd of clients that died together does not reconnect in lockstep.
-      actor->advance(backoff / 2 + backoff_rng_.below(backoff / 2 + 1));
-      backoff = std::min<sim::Time>(backoff * 2, ep.retry.backoff_cap_ns);
+      // Capped exponential backoff, jittered so a herd of clients that died
+      // together does not reconnect in lockstep.
+      actor->advance(backoff.next(backoff_rng_));
 
       const sim::Time t0 = actor->now();
       // A VI that saw a transport failure is finished; replace the endpoint.
@@ -606,18 +574,7 @@ bool Session::recover() {
         if (eps_.size() > 1) rotate = true;
         continue;
       }
-      bool armed = true;
-      for (auto& rb : recv_bufs_) {
-        rb.desc = via::Descriptor{};
-        rb.desc.segs = {via::DataSegment{
-            rb.mem.data(), rb.handle,
-            static_cast<std::uint32_t>(rb.mem.size())}};
-        if (vi_->post_recv(rb.desc) != via::Status::kSuccess) {
-          armed = false;
-          break;
-        }
-      }
-      if (!armed) continue;
+      if (!repost_all()) continue;
       const ResumeOutcome ro = resume_session();
       if (ro == ResumeOutcome::kFailed) continue;
       if (ro == ResumeOutcome::kNotLeader) {
@@ -683,19 +640,15 @@ Session::RawResp Session::raw_rpc() {
       d->status != via::DescStatus::kSuccess) {
     return r;
   }
-  RecvBuf* rb = nullptr;
-  for (auto& b : recv_bufs_) {
-    if (&b.desc == d) {
-      rb = &b;
-      break;
-    }
-  }
-  assert(rb != nullptr);
-  MsgView resp(rb->mem.data(), rb->mem.size());
+  RecvBuf& rb = recv_buf(d);
+  MsgView resp(rb.mem.data(), rb.mem.size());
   if (resp.header().request_id == kResumeReqId) {
     r.transport_ok = true;
     r.hdr = resp.header();
     r.status = r.hdr.status;
+    // A quorum follower's redirect: recovery follows the hint, and a reclaim
+    // it cuts short aborts so recovery rotates to whoever serves now.
+    if (r.status == PStatus::kNotLeader) leader_hint_ = r.hdr.aux;
     if (r.hdr.data_len >= sizeof(fstore::Attrs)) {
       std::memcpy(&r.attrs, resp.data_payload(), sizeof(r.attrs));
       r.have_attrs = true;
@@ -703,12 +656,7 @@ Session::RawResp Session::raw_rpc() {
   } else {
     nic_.fabric().stats().add("dafs.stale_responses");
   }
-  rb->desc = via::Descriptor{};
-  rb->desc.segs = {via::DataSegment{
-      rb->mem.data(), rb->handle, static_cast<std::uint32_t>(rb->mem.size())}};
-  if (vi_->post_recv(rb->desc) != via::Status::kSuccess) {
-    r.transport_ok = false;
-  }
+  if (!repost(rb)) r.transport_ok = false;
   return r;
 }
 
@@ -724,16 +672,12 @@ Session::ResumeOutcome Session::resume_session() {
     return ResumeOutcome::kResumed;
   }
   if (r.status == PStatus::kBadSession) return ResumeOutcome::kLostState;
-  if (r.status == PStatus::kNotLeader) {
-    leader_hint_ = r.hdr.aux;
-    return ResumeOutcome::kNotLeader;
-  }
+  if (r.status == PStatus::kNotLeader) return ResumeOutcome::kNotLeader;
   return ResumeOutcome::kFailed;
 }
 
 bool Session::reclaim_session() {
   auto& stats = nic_.fabric().stats();
-  Actor* actor = Actor::current();
   // 1. A fresh session: the old identity died with the server.
   {
     MsgView msg(resume_buf_.data(), resume_buf_.size());
@@ -745,47 +689,31 @@ bool Session::reclaim_session() {
   }
   // 2. Re-open every leased path and validate that the handle still names
   // the same file incarnation. A plain open — never create/truncate — so
-  // validation cannot destroy data.
+  // validation cannot destroy data. A leadership change, a transport loss
+  // or a spent busy-retry budget mid-reclaim aborts the whole reclaim so
+  // recovery retries or rotates: none of them may condemn a live handle as
+  // stale.
   for (const OpenLease& lease : leases_) {
     if (stale_.count(lease.ino) != 0) continue;
-    bool is_stale = false;
-    for (int tries = 0;; ++tries) {
+    RawResp r;
+    int busy_tries = 0;
+    do {
       MsgView msg(resume_buf_.data(), resume_buf_.size());
       msg.header() = MsgHeader{};
       msg.header().proc = Proc::kOpen;
       msg.set_name(lease.path);
-      const RawResp r = raw_rpc();
-      if (!r.transport_ok) return false;
-      // A leadership change mid-reclaim must not condemn the handle as
-      // stale; abort the whole reclaim so recovery rotates to whoever
-      // serves now.
-      if (r.status == PStatus::kNotLeader) {
-        leader_hint_ = r.hdr.aux;
+      r = raw_rpc();
+      if (!r.transport_ok || r.status == PStatus::kNotLeader) return false;
+      if (r.status == PStatus::kBusy &&
+          !reclaim_backoff(r, busy_tries, 1'000)) {
         return false;
       }
-      if (r.status == PStatus::kBusy) {
-        // Shed by the restarting server's admission control. Honor the
-        // mount's busy-retry budget exactly like the normal request path
-        // (aux == 0 marks a deadline shed — retrying cannot help). On
-        // exhaustion abort the whole reclaim so recovery retries or rotates;
-        // falling through here would condemn a live handle as stale.
-        if (r.hdr.aux == 0 || tries >= policy().max_busy_retries) {
-          return false;
-        }
-        stats.add("dafs.busy_retries");
-        actor->advance(std::max<std::uint64_t>(r.hdr.aux, 1'000));
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        continue;
-      }
-      if (r.status == PStatus::kOk && r.hdr.ino == lease.ino &&
-          r.have_attrs && r.attrs.gen == lease.gen) {
-        break;  // same file, same incarnation: the handle survives
-      }
-      // Gone, replaced, or unreadable: the handle is stale for good.
-      is_stale = true;
-      break;
+    } while (r.status == PStatus::kBusy);
+    if (r.status == PStatus::kOk && r.hdr.ino == lease.ino && r.have_attrs &&
+        r.attrs.gen == lease.gen) {
+      continue;  // same file, same incarnation: the handle survives
     }
-    if (!is_stale) continue;
+    // Gone, replaced, or unreadable: the handle is stale for good.
     stale_.insert(lease.ino);
     stats.add("dafs.stale_handles");
     // In-flight requests against the stale handle complete locally with
@@ -804,10 +732,11 @@ bool Session::reclaim_session() {
     });
   }
   // 3. Re-acquire leased byte-range locks, flagged as reclaims so the
-  // server's post-restart grace period admits them.
+  // server's post-restart grace period admits them. The same aborts as in
+  // step 2 apply: recovery must see them rather than a silently lost lease.
   for (auto it = lock_leases_.begin(); it != lock_leases_.end();) {
     const LockLease& l = *it;
-    PStatus st = PStatus::kOk;
+    RawResp r;
     int busy_tries = 0;
     int conflict_tries = 0;
     for (;;) {
@@ -819,40 +748,21 @@ bool Session::reclaim_session() {
       msg.header().len = l.len;
       msg.header().aux =
           (l.exclusive ? kLockExclusive : 0) | kLockReclaim;
-      const RawResp r = raw_rpc();
-      if (!r.transport_ok) return false;
-      st = r.status;
-      // Redirected mid-reclaim: abort so recovery rotates instead of
-      // treating the refusal as a lost lock.
-      if (st == PStatus::kNotLeader) {
-        leader_hint_ = r.hdr.aux;
-        return false;
-      }
-      if (st == PStatus::kBusy) {
-        // Same policy-driven budget as the normal request path (aux == 0 is
-        // a deadline shed: no retry); exhaustion aborts the reclaim so
-        // recovery surfaces it instead of silently dropping the lease.
-        if (r.hdr.aux == 0 || busy_tries >= policy().max_busy_retries) {
-          return false;
-        }
-        ++busy_tries;
-        stats.add("dafs.busy_retries");
-        actor->advance(std::max<std::uint64_t>(r.hdr.aux, 20'000));
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      r = raw_rpc();
+      if (!r.transport_ok || r.status == PStatus::kNotLeader) return false;
+      if (r.status == PStatus::kBusy) {
+        if (!reclaim_backoff(r, busy_tries, 20'000)) return false;
         continue;
       }
-      if (st == PStatus::kLockConflict &&
-          conflict_tries < policy().max_busy_retries) {
-        // Another reclaimer holds the range right now; back off briefly.
-        // Budget exhaustion falls through to the lease-lost path below.
-        ++conflict_tries;
-        actor->advance(std::max<std::uint64_t>(r.hdr.aux, 20'000));
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      // Another reclaimer holds the range right now; back off briefly.
+      // Budget exhaustion falls through to the lease-lost path below.
+      if (r.status == PStatus::kLockConflict &&
+          reclaim_backoff(r, conflict_tries, 20'000)) {
         continue;
       }
       break;
     }
-    if (st == PStatus::kOk) {
+    if (r.status == PStatus::kOk) {
       ++it;
     } else {
       // The lock could not be re-established (another client raced into the
@@ -870,6 +780,21 @@ bool Session::reclaim_session() {
     }
   }
   stats.add("dafs.session_reclaims");
+  return true;
+}
+
+bool Session::reclaim_backoff(const RawResp& r, int& tries,
+                              sim::Time floor_ns) {
+  if ((r.status == PStatus::kBusy && r.hdr.aux == 0) ||
+      tries >= policy().max_busy_retries) {
+    return false;
+  }
+  ++tries;
+  if (r.status == PStatus::kBusy) {
+    nic_.fabric().stats().add("dafs.busy_retries");
+  }
+  Actor::current()->advance(std::max<std::uint64_t>(r.hdr.aux, floor_ns));
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
   return true;
 }
 
@@ -1363,46 +1288,54 @@ Result<std::uint64_t> Session::pwrite(Fh fh, std::uint64_t off,
     if (!id.ok()) return id.error();
     return run_sync(id.value());
   }
+  // Inline: one round trip per message's worth (an empty write still sends
+  // one request).
+  const std::size_t cap =
+      MsgView(nullptr, cfg_.msg_buf_size).inline_capacity(0);
   std::uint64_t done = 0;
-  Actor* actor = Actor::current();
-  while (done < in.size() || (in.empty() && done == 0)) {
-    auto id = alloc_slot();
+  do {
+    const std::uint64_t want = std::min<std::uint64_t>(in.size() - done, cap);
+    auto id = submit_write_inline(fh, off + done, in.subspan(done, want));
     if (!id.ok()) return id.error();
-    Slot& sl = slots_[id.value()];
-    sl.ino = fh.ino;
-    MsgView msg(sl.send_buf.data(), sl.send_buf.size());
-    msg.header() = MsgHeader{};
-    msg.header().proc = Proc::kWriteInline;
-    msg.header().ino = fh.ino;
-    msg.header().deleg = deleg_of(fh.ino);
-    msg.header().offset = off + done;
-    const std::uint64_t want = std::min<std::uint64_t>(
-        in.size() - done, msg.inline_capacity(0));
-    // Marshalling copy into the message buffer — the cost inline writes pay.
-    if (want > 0) {
-      std::memcpy(msg.data_payload(), in.data() + done, want);
-      actor->charge(CostKind::kCopy, nic_.cost().copy_time(want));
-    }
-    nic_.fabric().stats().add("dafs.client_copy_bytes", want);
-    msg.header().data_len = static_cast<std::uint32_t>(want);
-    msg.header().len = want;
-    if ((integrity_flags() & kFlagPayloadCrc) != 0 && want > 0) {
-      msg.header().flags |= kFlagPayloadCrc;
-      msg.header().payload_crc =
-          fstore::crc32c({msg.data_payload(), want});
-      actor->charge(CostKind::kCopy, nic_.cost().copy_time(want));
-      nic_.fabric().stats().add("dafs.integrity_crc_bytes", want);
-    }
-    if (const PStatus st = transmit(id.value()); st != PStatus::kOk) {
-      free_slot(id.value());
-      return st;
-    }
     auto r = run_sync(id.value());
     if (!r.ok()) return r;
     done += r.value();
-    if (in.empty()) break;
-  }
+  } while (done < in.size());
   return done;
+}
+
+Result<OpId> Session::submit_write_inline(Fh fh, std::uint64_t off,
+                                          std::span<const std::byte> in) {
+  auto id = alloc_slot();
+  if (!id.ok()) return id;
+  Slot& sl = slots_[id.value()];
+  sl.ino = fh.ino;
+  MsgView msg(sl.send_buf.data(), sl.send_buf.size());
+  msg.header() = MsgHeader{};
+  msg.header().proc = Proc::kWriteInline;
+  msg.header().ino = fh.ino;
+  msg.header().deleg = deleg_of(fh.ino);
+  msg.header().offset = off;
+  // Marshalling copy into the message buffer — the cost inline writes pay.
+  Actor* actor = Actor::current();
+  if (!in.empty()) {
+    std::memcpy(msg.data_payload(), in.data(), in.size());
+    actor->charge(CostKind::kCopy, nic_.cost().copy_time(in.size()));
+  }
+  nic_.fabric().stats().add("dafs.client_copy_bytes", in.size());
+  msg.header().data_len = static_cast<std::uint32_t>(in.size());
+  msg.header().len = in.size();
+  if ((integrity_flags() & kFlagPayloadCrc) != 0 && !in.empty()) {
+    msg.header().flags |= kFlagPayloadCrc;
+    msg.header().payload_crc = fstore::crc32c({msg.data_payload(), in.size()});
+    actor->charge(CostKind::kCopy, nic_.cost().copy_time(in.size()));
+    nic_.fabric().stats().add("dafs.integrity_crc_bytes", in.size());
+  }
+  if (const PStatus st = transmit(id.value()); st != PStatus::kOk) {
+    free_slot(id.value());
+    return st;
+  }
+  return id;
 }
 
 Result<std::uint64_t> Session::read_batch(Fh fh, std::span<const IoVec> iovs) {
@@ -1452,30 +1385,7 @@ Result<OpId> Session::submit_pwrite(Fh fh, std::uint64_t off,
     IoVec v{off, const_cast<std::byte*>(in.data()), in.size()};
     return submit_io(Proc::kWriteDirect, fh, std::span(&v, 1), true);
   }
-  auto id = alloc_slot();
-  if (!id.ok()) return id;
-  Slot& sl = slots_[id.value()];
-  MsgView msg(sl.send_buf.data(), sl.send_buf.size());
-  msg.header() = MsgHeader{};
-  msg.header().proc = Proc::kWriteInline;
-  msg.header().ino = fh.ino;
-  msg.header().offset = off;
-  std::memcpy(msg.data_payload(), in.data(), in.size());
-  Actor::current()->charge(CostKind::kCopy, nic_.cost().copy_time(in.size()));
-  msg.header().data_len = static_cast<std::uint32_t>(in.size());
-  msg.header().len = in.size();
-  if ((integrity_flags() & kFlagPayloadCrc) != 0 && !in.empty()) {
-    msg.header().flags |= kFlagPayloadCrc;
-    msg.header().payload_crc = fstore::crc32c({msg.data_payload(), in.size()});
-    Actor::current()->charge(CostKind::kCopy,
-                             nic_.cost().copy_time(in.size()));
-    nic_.fabric().stats().add("dafs.integrity_crc_bytes", in.size());
-  }
-  if (const PStatus st = transmit(id.value()); st != PStatus::kOk) {
-    free_slot(id.value());
-    return st;
-  }
-  return id;
+  return submit_write_inline(fh, off, in);
 }
 
 PStatus Session::wait(OpId op, std::uint64_t* bytes) {
@@ -1497,41 +1407,21 @@ Result<bool> Session::test(OpId op, std::uint64_t* bytes) {
         if (!recover()) return PStatus::kConnLost;
         break;
       }
-      RecvBuf* rb = nullptr;
-      for (auto& b : recv_bufs_) {
-        if (&b.desc == d) {
-          rb = &b;
-          break;
-        }
-      }
-      assert(rb != nullptr);
-      process_response(*rb);
-      d = nullptr;
+      process_response(recv_buf(d));
     }
   }
-  if (!slots_[op].done) return false;
-  // A shed request goes back on the wire and reports "not yet done"; only a
-  // retry budget exhausted (or an expired deadline) surfaces the kBusy.
-  if (slots_[op].resp.status == PStatus::kBusy && busy_retry(op)) return false;
-  if (bytes != nullptr) *bytes = slots_[op].resp.len;
-  const PStatus st = slots_[op].resp.status;
-  free_slot(op);
-  if (st != PStatus::kOk) return st;
+  // A retried request is back in flight: "not yet done". A settled one is
+  // collected by wait(), which returns at once.
+  if (!slots_[op].done || !settle(op)) return false;
+  if (const PStatus st = wait(op, bytes); st != PStatus::kOk) return st;
   return true;
 }
 
-Result<std::size_t> Session::wait_any(std::span<const OpId> ops,
-                                      std::uint64_t* bytes) {
+Result<std::size_t> Session::wait_any(std::span<const OpId> ops) {
   if (ops.empty()) return PStatus::kInval;
   for (;;) {
     for (std::size_t i = 0; i < ops.size(); ++i) {
-      Slot& sl = slots_[ops[i]];
-      if (sl.in_use && sl.done) {
-        if (sl.resp.status == PStatus::kBusy && busy_retry(ops[i])) {
-          continue;  // back in flight
-        }
-        if (bytes != nullptr) *bytes = sl.resp.len;
-        free_slot(ops[i]);
+      if (slots_[ops[i]].in_use && slots_[ops[i]].done && settle(ops[i])) {
         return i;
       }
     }
@@ -1568,12 +1458,11 @@ PStatus Session::lock(Fh fh, std::uint64_t start, std::uint64_t len,
   Actor* actor = Actor::current();
   // Jittered exponential backoff between conflict retries: fixed spacing
   // keeps contending clients phase-locked, re-colliding on every probe.
-  sim::Time backoff = kLockBackoffBase;
+  Backoff backoff(kLockBackoffBase, kLockBackoffCap);
   for (int i = 0; i < kLockRetries; ++i) {
     const PStatus st = try_lock(fh, start, len, exclusive);
     if (st != PStatus::kLockConflict) return st;
-    actor->advance(backoff / 2 + backoff_rng_.below(backoff / 2 + 1));
-    backoff = std::min<sim::Time>(backoff * 2, kLockBackoffCap);
+    actor->advance(backoff.next(backoff_rng_));
     std::this_thread::yield();
   }
   return PStatus::kLockConflict;

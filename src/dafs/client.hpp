@@ -1,5 +1,6 @@
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -158,13 +159,15 @@ class Session {
                              std::span<const std::byte> in);
   /// Block until `op` completes; optionally return bytes transferred.
   PStatus wait(OpId op, std::uint64_t* bytes = nullptr);
-  /// Non-blocking completion check; frees the op when it returns done=true.
+  /// Non-blocking completion check; frees the op when it returns done=true
+  /// and returns its error when it failed.
   Result<bool> test(OpId op, std::uint64_t* bytes = nullptr);
   PStatus wait_all(std::span<const OpId> ops);
-  /// Completion-group wait: block until any of `ops` completes; returns its
-  /// index within `ops` (and frees that op). kInval on an empty span.
-  Result<std::size_t> wait_any(std::span<const OpId> ops,
-                               std::uint64_t* bytes = nullptr);
+  /// Completion-group wait: block until any of `ops` has completed and
+  /// returns its index within `ops`. The op stays allocated:
+  /// `wait(ops[i], &bytes)` collects its status and byte count without
+  /// blocking. kInval on an empty span.
+  Result<std::size_t> wait_any(std::span<const OpId> ops);
 
   // ---- locks & counters -------------------------------------------------------
   /// Acquire with bounded retry on conflict.
@@ -274,7 +277,27 @@ class Session {
   /// slot (or count it as stale) and repost the buffer. Returns true when it
   /// completed a live slot.
   bool process_response(RecvBuf& rb);
+  /// The receive buffer a completed receive descriptor scatters into.
+  RecvBuf& recv_buf(const via::Descriptor* d);
+  /// Post `rb` on the VI's receive queue (false: the VI is dead).
+  bool repost(RecvBuf& rb);
+  /// Post every receive buffer: the credit contract with the server.
+  bool repost_all();
+  /// Pump responses until slot `id` has settled; returns its final status.
   PStatus wait_slot(OpId id);
+  /// The one completion rule for a slot whose response arrived, shared by
+  /// wait, test and wait_any. kBusy with a retry-after hint and kCorrupt go
+  /// back on the wire after a jittered wait; kBadSession, and kNotLeader on
+  /// a bound session, recover the session and retransmit (at most
+  /// kSlotReclaimRetries times). Returns true when resp.status is final
+  /// (including kConnLost when a retransmission failed), false when the
+  /// request is in flight again.
+  bool settle(OpId id);
+  /// Retransmit slot `id` after a jittered virtual wait of about `wait_ns`
+  /// plus a real-time `yield`, counting the retry under `counter`. False
+  /// once the slot's retry budget is spent.
+  bool retry_after(OpId id, std::uint64_t wait_ns, const char* counter,
+                   std::chrono::microseconds yield);
 
   // ---- transport-failure recovery ----
   /// Reconnect, resume the session, and retransmit in-flight requests, with
@@ -305,15 +328,11 @@ class Session {
     bool have_attrs = false;
   };
   RawResp raw_rpc();
-  /// Retransmit a kBusy-shed request after honoring the retry-after hint.
-  /// False once the slot's retry budget is exhausted (or expiry was the
-  /// shed reason): the caller surfaces kBusy.
-  bool busy_retry(OpId id);
-  /// Retransmit a kCorrupt-answered request (fresh seq — a kCorrupt answer
-  /// means the op never executed or is an idempotent read, and the server
-  /// never replay-caches failures). Backs off between attempts so a scrub
-  /// repair can land; false once the retry budget is exhausted.
-  bool corrupt_retry(OpId id);
+  /// The wait between lease-reclaim RPCs the restarting filer shed (kBusy)
+  /// or refused (kLockConflict): the server's hint, floored at `floor_ns`,
+  /// then a real-time yield. False once `tries` reaches the busy-retry
+  /// budget, or at once for a deadline shed (kBusy with no hint).
+  bool reclaim_backoff(const RawResp& r, int& tries, sim::Time floor_ns);
   /// Header flags the session's IntegrityMode asks for on data procedures.
   std::uint16_t integrity_flags() const;
   /// Record the request's submit->response RTT into the fabric histogram
@@ -328,6 +347,10 @@ class Session {
 
   Result<OpId> submit_io(Proc proc, Fh fh, std::span<const IoVec> iovs,
                          bool writing);
+  /// Marshal `in` (at most one message's inline capacity) into an inline
+  /// write request stamped with the ino's delegation, and transmit it.
+  Result<OpId> submit_write_inline(Fh fh, std::uint64_t off,
+                                   std::span<const std::byte> in);
   Result<std::uint64_t> run_sync(OpId id);
   /// `deleg` overrides the per-ino stamp (opens resolve by path, so the fh
   /// carries no ino to look the stamp up by); 0 = use the stamp map.

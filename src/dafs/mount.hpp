@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -7,6 +8,7 @@
 #include <vector>
 
 #include "dafs/proto.hpp"
+#include "sim/rng.hpp"
 
 /// \file mount.hpp
 /// The client-facing mount description: which filer endpoints a session may
@@ -36,6 +38,36 @@ struct RetryPolicy {
   /// commit-barrier wait instead.
   std::uint64_t deadline_ns = 0;
 };
+
+/// The one jittered exponential backoff every DAFS retry waits on. `next()`
+/// draws a delay uniformly from [b/2, b] with an RNG the caller owns, then
+/// doubles b up to the cap; `reset()` starts over at the base. Units are
+/// the caller's (virtual ns on the client, wall-clock ms or ns on the
+/// filer). A single jittered wait of about `b` is `Backoff(b, b).next(rng)`.
+class Backoff {
+ public:
+  Backoff(std::uint64_t base, std::uint64_t cap)
+      : base_(base), cap_(cap), b_(base) {}
+
+  std::uint64_t next(sim::Rng& rng) {
+    const std::uint64_t delay = b_ / 2 + rng.below(b_ / 2 + 1);
+    b_ = std::min(b_ * 2, cap_);
+    return delay;
+  }
+  void reset() { b_ = base_; }
+
+ private:
+  std::uint64_t base_;
+  std::uint64_t cap_;
+  std::uint64_t b_;
+};
+
+/// The jitter RNG for one user of a RetryPolicy's `jitter_seed`, salted so
+/// that users sharing the seed (endpoint rotations, raft peers, scrubbed
+/// blocks) draw different schedules.
+inline sim::Rng jitter_rng(std::uint64_t seed, std::uint64_t salt) {
+  return sim::Rng(seed ^ (0x9e3779b97f4a7c15ULL * salt));
+}
 
 /// How much end-to-end integrity checking a session asks for (the
 /// `dafs_integrity` MPI-IO hint; E19 sweeps the overhead).

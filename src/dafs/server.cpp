@@ -59,9 +59,8 @@ Server::Server(sim::Fabric& fabric, sim::NodeId node, ServerConfig cfg)
     match_off_.assign(n, 0);
     next_off_.assign(n, 0);
     peer_heard_.assign(n, std::chrono::steady_clock::time_point{});
-    raft_rng_ = std::make_unique<sim::Rng>(cfg_.repl_retry.jitter_seed ^
-                                           (0x9e3779b97f4a7c15ULL *
-                                            (cfg_.member_id + 1)));
+    raft_rng_ = std::make_unique<sim::Rng>(
+        jitter_rng(cfg_.repl_retry.jitter_seed, cfg_.member_id + 1));
   }
   // The store registers every buffer-cache slab with the NIC as it is
   // allocated; direct I/O then DMAs straight out of / into the cache.
@@ -1575,9 +1574,10 @@ void Server::quorum_sender_loop(std::uint32_t peer) {
     a.handle = nic_.register_memory(a.mem.data(), a.mem.size(), ptag_, {});
   }
   std::unique_ptr<via::Vi> vi;
-  sim::Rng jitter(cfg_.repl_retry.jitter_seed ^
-                  (0x9e3779b97f4a7c15ULL * (peer + 1)));
-  std::uint64_t backoff_ms = 1;
+  sim::Rng jitter = jitter_rng(cfg_.repl_retry.jitter_seed, peer + 1);
+  // Wall-clock ms: b runs 2, 4, ... 100, so a wait is 1-2 ms at first and
+  // 50-100 ms at the cap.
+  Backoff retry(2, 100);
   std::uint64_t last_vote_term = 0;
 
   // Shared connect/exchange backoff: escalates on every failed attempt
@@ -1586,9 +1586,7 @@ void Server::quorum_sender_loop(std::uint32_t peer) {
   // failures too, a persistent fault turns the loop into a reconnect storm —
   // each cycle costs the peer an accepted VI and a handler thread.
   const auto backoff = [&] {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(backoff_ms + jitter.below(backoff_ms + 1)));
-    backoff_ms = std::min<std::uint64_t>(backoff_ms * 2, 50);
+    std::this_thread::sleep_for(std::chrono::milliseconds(retry.next(jitter)));
   };
   const auto drop_conn = [&] {
     if (vi) {
@@ -1596,15 +1594,11 @@ void Server::quorum_sender_loop(std::uint32_t peer) {
       vi.reset();
     }
   };
-  const auto post_resp_recvs = [&] {
-    bool ok = true;
-    for (auto& a : resps) {
-      a.desc = Descriptor{};
-      a.desc.segs = {DataSegment{a.mem.data(), a.handle,
-                                 static_cast<std::uint32_t>(a.mem.size())}};
-      ok = ok && vi->post_recv(a.desc) == via::Status::kSuccess;
-    }
-    return ok;
+  const auto repost = [&](MsgBuf& a) {
+    a.desc = Descriptor{};
+    a.desc.segs = {DataSegment{a.mem.data(), a.handle,
+                               static_cast<std::uint32_t>(a.mem.size())}};
+    return vi->post_recv(a.desc) == via::Status::kSuccess;
   };
   const auto send_msg = [&](const ReplHeader& h,
                             std::span<const std::byte> payload) {
@@ -1623,6 +1617,9 @@ void Server::quorum_sender_loop(std::uint32_t peer) {
     if (vi->send_wait(done, kSendWait) != via::Status::kSuccess) return false;
     return done->status == DescStatus::kSuccess;
   };
+  // Parses only a whole header: a shorter reply would fill the rest of `out`
+  // from an earlier reply's leftovers. A malformed reply drops the
+  // connection like any broken exchange.
   const auto wait_resp = [&](ReplHeader& out) {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
@@ -1639,19 +1636,17 @@ void Server::quorum_sender_loop(std::uint32_t peer) {
       if (st != via::Status::kSuccess || d->status != DescStatus::kSuccess) {
         return false;
       }
-      MsgBuf* a = nullptr;
-      for (auto& cand : resps) {
-        if (&cand.desc == d) {
-          a = &cand;
-          break;
-        }
+      const auto a =
+          std::find_if(resps.begin(), resps.end(),
+                       [&](const MsgBuf& m) { return &m.desc == d; });
+      assert(a != resps.end());
+      const bool whole = d->length >= sizeof(out);
+      if (whole) std::memcpy(&out, a->mem.data(), sizeof(out));
+      if (!whole || out.magic != kReplMagic) {
+        fabric_.stats().add("dafs.raft_malformed");
+        return false;
       }
-      assert(a != nullptr);
-      std::memcpy(&out, a->mem.data(), sizeof(out));
-      a->desc.segs = {DataSegment{a->mem.data(), a->handle,
-                                  static_cast<std::uint32_t>(a->mem.size())}};
-      const bool reposted = vi->post_recv(a->desc) == via::Status::kSuccess;
-      return out.magic == kReplMagic && reposted;
+      return repost(*a);
     }
   };
 
@@ -1677,7 +1672,7 @@ void Server::quorum_sender_loop(std::uint32_t peer) {
         continue;
       }
       vi = std::move(v);
-      if (!post_resp_recvs()) {
+      if (!std::all_of(resps.begin(), resps.end(), repost)) {
         drop_conn();
         backoff();
         continue;
@@ -1699,7 +1694,7 @@ void Server::quorum_sender_loop(std::uint32_t peer) {
         backoff();
         continue;
       }
-      backoff_ms = 1;
+      retry.reset();
       last_vote_term = term;
       if (resp.op == ReplOp::kVoteResp) {
         if (resp.epoch > term) {
@@ -1745,7 +1740,7 @@ void Server::quorum_sender_loop(std::uint32_t peer) {
       backoff();
       continue;
     }
-    backoff_ms = 1;
+    retry.reset();
     bool in_sync = false;
     {
       std::lock_guard lock(raft_mu_);
@@ -1858,23 +1853,21 @@ bool Server::scrub_repair_block(fstore::Ino ino, std::uint64_t chunk) {
   std::vector<std::byte> req_buf(sizeof(ReplHeader));
   const via::MemHandle req_h =
       nic_.register_memory(req_buf.data(), req_buf.size(), ptag_, {});
-  sim::Rng jitter(cfg_.repl_retry.jitter_seed ^
-                  (0x9e3779b97f4a7c15ULL * (ino + chunk + 1)));
+  sim::Rng jitter = jitter_rng(cfg_.repl_retry.jitter_seed, ino + chunk + 1);
+  // Capped, jittered exponential backoff between sweeps of the group — real
+  // time, like the rest of the scrubber.
+  const std::uint64_t cap = cfg_.repl_retry.backoff_cap_ns;
+  Backoff backoff(
+      std::min(std::max<std::uint64_t>(cfg_.repl_retry.backoff_ns, 1), cap),
+      cap);
   bool repaired = false;
   const int attempts = std::max(1, cfg_.repl_retry.attempts);
-  std::uint64_t backoff_ns = std::max<std::uint64_t>(cfg_.repl_retry.backoff_ns,
-                                                     1);
   for (int a = 0;
        a < attempts && !repaired && running_.load() && !crash_pending_.load();
        ++a) {
     if (a > 0) {
-      // Capped, jittered exponential backoff between sweeps of the group —
-      // real time, like the rest of the scrubber.
-      const std::uint64_t ns =
-          std::min(backoff_ns, cfg_.repl_retry.backoff_cap_ns);
       std::this_thread::sleep_for(
-          std::chrono::nanoseconds(ns / 2 + jitter.below(ns / 2 + 1)));
-      backoff_ns = std::min(backoff_ns * 2, cfg_.repl_retry.backoff_cap_ns);
+          std::chrono::nanoseconds(backoff.next(jitter)));
     }
     for (std::uint32_t peer = 0;
          peer < cfg_.quorum_group.size() && !repaired; ++peer) {
@@ -1920,8 +1913,15 @@ bool Server::scrub_repair_block(fstore::Ino ino, std::uint64_t chunk) {
             continue;
           }
           if (st == via::Status::kSuccess && rd->status == DescStatus::kSuccess) {
-            std::memcpy(&resp, data_buf.data(), sizeof(resp));
-            got = resp.magic == kReplMagic && resp.op == ReplOp::kBlockData;
+            // Trust the header only when it arrived whole and the payload it
+            // claims is exactly what followed it; anything else skips the
+            // peer.
+            const bool whole = rd->length >= sizeof(resp);
+            if (whole) std::memcpy(&resp, data_buf.data(), sizeof(resp));
+            got = whole &&
+                  rd->length == sizeof(resp) + std::uint64_t{resp.len} &&
+                  resp.magic == kReplMagic && resp.op == ReplOp::kBlockData;
+            if (!got) fabric_.stats().add("dafs.raft_malformed");
           }
           break;
         }

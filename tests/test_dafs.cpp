@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -8,6 +10,7 @@
 #include "dafs/client.hpp"
 #include "dafs/lock_table.hpp"
 #include "dafs/server.hpp"
+#include "sim/fault.hpp"
 #include "sim/rng.hpp"
 
 namespace {
@@ -59,6 +62,56 @@ class DafsTest : public ::testing::Test {
   via::Nic client_nic_;
   Actor client_actor_;
 };
+
+// ---------------------------------------------------------------------------
+// Backoff: the one jittered retry wait
+// ---------------------------------------------------------------------------
+
+TEST(Backoff, SeededDrawsStayInWindowAndDoubleToTheCap) {
+  sim::Rng rng(42);
+  dafs::Backoff backoff(100, 1'000);
+  // b runs 100, 200, 400, 800, then sits at the 1'000 cap.
+  const std::uint64_t bounds[] = {100, 200, 400, 800, 1'000, 1'000};
+  const std::uint64_t pinned[] = {63, 163, 233, 504, 723, 941};
+  std::vector<std::uint64_t> draws;
+  for (const std::uint64_t b : bounds) {
+    const std::uint64_t d = backoff.next(rng);
+    EXPECT_GE(d, b / 2);
+    EXPECT_LE(d, b);
+    draws.push_back(d);
+  }
+  EXPECT_EQ(draws, std::vector<std::uint64_t>(std::begin(pinned),
+                                              std::end(pinned)));
+  // reset() starts the schedule over at the base; only the RNG moved on.
+  backoff.reset();
+  sim::Rng again(42);
+  for (const std::uint64_t d : draws) EXPECT_EQ(backoff.next(again), d);
+}
+
+TEST(Backoff, ReproducesTheRaftSenderSchedule) {
+  // The quorum sender used to wait b + below(b + 1) ms with b = 1, 2, 4, ...
+  // capped at 50, back to 1 after every completed exchange. Backoff(2, 100)
+  // draws the same [b, 2b] window from the same RNG, draw for draw.
+  sim::Rng old_rng = dafs::jitter_rng(7, 3);
+  sim::Rng new_rng = dafs::jitter_rng(7, 3);
+  std::uint64_t b = 1;
+  dafs::Backoff retry(2, 100);
+  for (int i = 0; i < 40; ++i) {
+    if (i == 25) {  // a completed exchange
+      b = 1;
+      retry.reset();
+    }
+    const std::uint64_t old_ms = b + old_rng.below(b + 1);
+    b = std::min<std::uint64_t>(b * 2, 50);
+    EXPECT_EQ(retry.next(new_rng), old_ms) << "draw " << i;
+  }
+}
+
+TEST(Backoff, JitterRngSaltsTheSeed) {
+  EXPECT_EQ(dafs::jitter_rng(5, 3).next(),
+            sim::Rng(5 ^ (0x9e3779b97f4a7c15ULL * 3)).next());
+  EXPECT_NE(dafs::jitter_rng(5, 3).next(), dafs::jitter_rng(5, 4).next());
+}
 
 // ---------------------------------------------------------------------------
 // LockTable unit tests
@@ -488,6 +541,98 @@ TEST_F(DafsTest, AsyncTestPollsToCompletion) {
     std::this_thread::yield();
   }
   EXPECT_EQ(bytes, data.size());
+  s.reset();
+}
+
+/// How an async op is collected: polled with test(), or picked out of a
+/// completion group by wait_any() and then collected with wait().
+enum class Collect { kTest, kWaitAny };
+
+class DafsFlippedWrite : public DafsTest,
+                         public ::testing::WithParamInterface<Collect> {};
+
+TEST_P(DafsFlippedWrite, RetriedLikeWait) {
+  ClientConfig cfg;
+  cfg.integrity = dafs::IntegrityMode::kWire;
+  auto s = Connect(cfg);
+  ActorScope scope(client_actor_);
+  const Fh fh = s->open("/flip", kOpenCreate).value();
+  // One bit flip on the client's next transfer. The plan's first draw after
+  // arm() is the corrupt seed and the flipped byte is that seed modulo the
+  // wire length, so size the inline payload to land the flip in the data,
+  // not the header.
+  constexpr std::uint64_t kSeed = 17;
+  std::uint64_t cs = sim::Rng(kSeed).next();
+  if (cs == 0) cs = 1;
+  std::size_t len = 1000;
+  while (cs % (sizeof(dafs::MsgHeader) + len) < sizeof(dafs::MsgHeader)) ++len;
+  ASSERT_LT(len, cfg.direct_threshold);
+  fabric_.faults().arm(kSeed);
+  fabric_.faults().restrict_to_node(client_node_);
+  fabric_.faults().corrupt_next_transfers(1);
+  const auto data = pattern(len, kSeed);
+  auto op = s->submit_pwrite(fh, 0, data);
+  ASSERT_TRUE(op.ok());
+  std::uint64_t bytes = 0;
+  if (GetParam() == Collect::kTest) {
+    for (;;) {
+      auto done = s->test(op.value(), &bytes);
+      ASSERT_TRUE(done.ok()) << "status " << static_cast<int>(done.error());
+      if (done.value()) break;
+      std::this_thread::yield();
+    }
+  } else {
+    const dafs::OpId ops[] = {op.value()};
+    auto idx = s->wait_any(ops);
+    ASSERT_TRUE(idx.ok());
+    EXPECT_EQ(idx.value(), 0u);
+    // The op settles only once its retry has gone through.
+    ASSERT_GE(fabric_.stats().get("dafs.corrupt_retries"), 1u);
+    EXPECT_EQ(s->wait(op.value(), &bytes), PStatus::kOk);
+  }
+  fabric_.faults().clear();
+  EXPECT_EQ(fabric_.stats().get("fault.transfer_corruptions"), 1u);
+  EXPECT_GE(fabric_.stats().get("dafs.integrity_server_rejects"), 1u);
+  EXPECT_GE(fabric_.stats().get("dafs.corrupt_retries"), 1u);
+  EXPECT_EQ(bytes, len);
+  std::vector<std::byte> back(len);
+  ASSERT_EQ(s->pread(fh, 0, back).value(), len);
+  EXPECT_EQ(back, data);
+  s.reset();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Collect, DafsFlippedWrite,
+    ::testing::Values(Collect::kTest, Collect::kWaitAny),
+    [](const ::testing::TestParamInfo<Collect>& info) {
+      return info.param == Collect::kTest ? "Test" : "WaitAny";
+    });
+
+TEST_F(DafsTest, HolderAsyncInlineWriteKeepsItsDelegation) {
+  auto s = Connect();
+  ActorScope scope(client_actor_);
+  Session::DelegGrant grant;
+  auto fh = s->open("/deleg-async",
+                    kOpenCreate | dafs::kOpenWantDeleg |
+                        dafs::kOpenWantWriteDeleg,
+                    &grant);
+  ASSERT_TRUE(fh.ok());
+  ASSERT_NE(grant.id, 0u);
+  ASSERT_TRUE(grant.write);
+  // A small async write rides inline, stamped with the holder's delegation
+  // like a synchronous pwrite, so the filer does not recall it.
+  const auto data = pattern(100, 21);
+  auto op = s->submit_pwrite(fh.value(), 0, data);
+  ASSERT_TRUE(op.ok());
+  std::uint64_t bytes = 0;
+  ASSERT_EQ(s->wait(op.value(), &bytes), PStatus::kOk);
+  EXPECT_EQ(bytes, data.size());
+  EXPECT_EQ(fabric_.stats().get("dafs.cache.recalls"), 0u);
+  EXPECT_EQ(fabric_.stats().get("dafs.deleg_conflict_sheds"), 0u);
+  EXPECT_EQ(fabric_.stats().get("dafs.busy_retries"), 0u);
+  EXPECT_FALSE(s->recall_pending(fh.value().ino));
+  // Charged what pwrite charges: the marshalling copy is counted.
+  EXPECT_EQ(fabric_.stats().get("dafs.client_copy_bytes"), data.size());
   s.reset();
 }
 

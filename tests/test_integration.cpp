@@ -377,18 +377,31 @@ TEST(Integration, DafsWaitAnyReturnsCompletedOp) {
                                    bufs.back())
                       .value());
   }
+  // One op of the group fails: it reads an ino the filer never issued.
+  std::vector<std::byte> back(1024);
+  const dafs::OpId bad =
+      s->submit_pread(dafs::Fh{fh.ino + 1000}, 0, back).value();
+  ops.push_back(bad);
   std::vector<dafs::OpId> remaining = ops;
   int completed = 0;
   while (!remaining.empty()) {
-    std::uint64_t bytes = 0;
-    auto idx = s->wait_any(remaining, &bytes);
+    auto idx = s->wait_any(remaining);
     ASSERT_TRUE(idx.ok());
-    EXPECT_EQ(bytes, 64u * 1024);
+    // wait_any names a settled op; wait collects its own status.
+    const dafs::OpId op = remaining[idx.value()];
+    std::uint64_t bytes = 0;
+    const PStatus st = s->wait(op, &bytes);
+    if (op == bad) {
+      EXPECT_EQ(st, PStatus::kStale);
+    } else {
+      EXPECT_EQ(st, PStatus::kOk);
+      EXPECT_EQ(bytes, 64u * 1024);
+    }
     remaining.erase(remaining.begin() +
                     static_cast<std::ptrdiff_t>(idx.value()));
     ++completed;
   }
-  EXPECT_EQ(completed, 4);
+  EXPECT_EQ(completed, 5);
   EXPECT_EQ(s->getattr(fh).value().size, 4u * 64 * 1024);
   std::vector<dafs::OpId> empty;
   EXPECT_FALSE(s->wait_any(empty).ok());

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -281,6 +282,99 @@ TEST(Quorum, AppendClaimingUnsentBytesIsRefused) {
   EXPECT_EQ(fabric.stats().get("dafs.raft_malformed"), malformed + 1);
   vi.disconnect();
   follower.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Hostile wire: a vote is a whole reply
+// ---------------------------------------------------------------------------
+
+TEST(Quorum, ShortVoteReplyIsNotAGrantedVote) {
+  // Member 0 of a three-member group. Member 2 never starts; member 1 is a
+  // fake that answers every vote request with only the first 8 bytes of a
+  // granted kVoteResp (magic, op, status=1). Counting that stub as a vote
+  // would hand member 0 a majority.
+  sim::Fabric fabric;
+  dafs::ServerConfig cfg = dafs_test::quorum_test_config();
+  cfg.service = "dafs-v0";
+  cfg.quorum_group = {"dafs-v-raft-0", "dafs-v-raft-1", "dafs-v-raft-2"};
+  const auto peer_node = fabric.add_node("peer");
+  dafs::Server member(fabric, fabric.add_node("filer-0"), cfg);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> stubs{0};
+  std::thread peer([&] {
+    Actor actor("fake-peer", &fabric.node(peer_node));
+    ActorScope scope(actor);
+    via::Nic nic(fabric, peer_node, "nic");
+    const via::ProtectionTag tag = nic.create_ptag();
+    via::Listener listener(nic, "dafs-v-raft-1");
+    std::vector<std::byte> in(dafs::kReplBufSize);
+    std::vector<std::byte> out(sizeof(dafs::ReplHeader));
+    const via::MemHandle in_h =
+        nic.register_memory(in.data(), in.size(), tag, {});
+    const via::MemHandle out_h =
+        nic.register_memory(out.data(), out.size(), tag, {});
+    while (!stop.load()) {
+      // Declared before the VI, whose destructor flushes the posted receive.
+      via::Descriptor rd;
+      via::Vi vi(nic, via::ViAttrs{});
+      const auto post = [&] {
+        rd = via::Descriptor{};
+        rd.segs = {via::DataSegment{in.data(), in_h,
+                                    static_cast<std::uint32_t>(in.size())}};
+        return vi.post_recv(rd) == via::Status::kSuccess;
+      };
+      if (!post() || listener.accept(vi, std::chrono::milliseconds(20)) !=
+                         via::Status::kSuccess) {
+        continue;
+      }
+      while (!stop.load()) {
+        via::Descriptor* got = nullptr;
+        const via::Status st =
+            vi.recv_wait(got, std::chrono::milliseconds(20));
+        if (st == via::Status::kTimeout) continue;
+        if (st != via::Status::kSuccess ||
+            got->status != via::DescStatus::kSuccess) {
+          break;
+        }
+        dafs::ReplHeader req;
+        std::memcpy(&req, in.data(), sizeof(req));
+        if (req.op != dafs::ReplOp::kVoteReq || !post()) break;
+        dafs::ReplHeader stub;
+        stub.op = dafs::ReplOp::kVoteResp;
+        stub.status = 1;
+        std::memcpy(out.data(), &stub, 8);
+        via::Descriptor sd;
+        sd.op = via::Opcode::kSend;
+        sd.segs = {via::DataSegment{out.data(), out_h, 8}};
+        via::Descriptor* sent = nullptr;
+        if (vi.post_send(sd) != via::Status::kSuccess ||
+            vi.send_wait(sent, std::chrono::milliseconds(500)) !=
+                via::Status::kSuccess) {
+          break;
+        }
+        ++stubs;
+      }
+      vi.disconnect();
+    }
+  });
+
+  member.start();
+  // Several election timeouts (50-100 ms each) of stub replies.
+  bool led = false;
+  for (int i = 0; i < 600 && !(led && stubs.load() > 0); ++i) {
+    led = led || member.role() == Role::kLeader;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const int stubbed = stubs.load();
+  member.stop();
+  stop.store(true);
+  peer.join();
+
+  ASSERT_GT(stubbed, 0) << "the fake peer never answered a vote request";
+  EXPECT_FALSE(led) << "an 8-byte reply counted as a granted vote";
+  EXPECT_EQ(fabric.stats().get("dafs.elections_won"), 0u);
+  EXPECT_GE(fabric.stats().get("dafs.raft_malformed"), 1u);
 }
 
 // ---------------------------------------------------------------------------
