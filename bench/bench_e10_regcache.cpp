@@ -15,12 +15,12 @@ double per_op_us(bool cache_on, std::size_t size) {
   cfg.reg_cache = cache_on;
   DafsBed bed(cfg);
   sim::ActorScope scope(*bed.client_actor);
-  auto fh = bed.session->open("/f", dafs::kOpenCreate).value();
+  auto fh = bed.client->open("/f", dafs::kOpenCreate).value();
   auto data = make_data(size, 3);
-  bench::require(bed.session->pwrite(fh, 0, data), "pwrite");  // warm store + (maybe) cache
+  bench::require(bed.client->pwrite(fh, 0, data), "pwrite");  // warm store + (maybe) cache
   constexpr int kIters = 20;
   const sim::Time t0 = bed.client_actor->now();
-  for (int i = 0; i < kIters; ++i) bench::require(bed.session->pwrite(fh, 0, data), "pwrite");
+  for (int i = 0; i < kIters; ++i) bench::require(bed.client->pwrite(fh, 0, data), "pwrite");
   const double us = sim::to_usec(bed.client_actor->now() - t0) / kIters;
   emit_metrics_json(bed.fabric, "e10_regcache",
                     std::string("{\"reg_cache\":") +

@@ -13,9 +13,9 @@ double throughput(std::size_t size, int depth, int total_ops) {
   cfg.credits = 16;
   DafsBed bed(cfg);
   sim::ActorScope scope(*bed.client_actor);
-  auto fh = bed.session->open("/f", dafs::kOpenCreate).value();
+  auto fh = bed.client->open("/f", dafs::kOpenCreate).value();
   auto data = make_data(size, 4);
-  bench::require(bed.session->pwrite(fh, 0, data), "pwrite");  // warm
+  bench::require(bed.client->pwrite(fh, 0, data), "pwrite");  // warm
   std::vector<std::vector<std::byte>> bufs(static_cast<std::size_t>(depth),
                                            std::vector<std::byte>(size));
   const sim::Time t0 = bed.client_actor->now();
@@ -24,12 +24,12 @@ double throughput(std::size_t size, int depth, int total_ops) {
   while (completed < total_ops) {
     while (static_cast<int>(inflight.size()) < depth &&
            submitted < total_ops) {
-      auto op = bed.session->submit_pread(
+      auto op = bed.client->submit_pread(
           fh, 0, bufs[static_cast<std::size_t>(submitted % depth)]);
       inflight.push_back(op.value());
       ++submitted;
     }
-    bench::require_ok(bed.session->wait(inflight.front()), "wait");
+    bench::require_ok(bed.client->wait(inflight.front()), "wait");
     inflight.erase(inflight.begin());
     ++completed;
   }

@@ -31,10 +31,10 @@ double run_collective(const mpiio::Info& info) {
   std::atomic<std::uint64_t> elapsed{0};
   world.run([&](mpi::Comm& c) {
     via::Nic nic(fabric, world.node_of(c.rank()), "cli");
-    auto session = std::move(dafs::Session::connect(nic).value());
+    auto client = std::move(dafs::Client::connect(nic).value());
     auto f = std::move(mpiio::File::open(c, "/s.dat",
                                          mpiio::kModeCreate | mpiio::kModeRdwr,
-                                         info, mpiio::dafs_driver(*session))
+                                         info, mpiio::dafs_driver(*client))
                            .value());
     const std::array<std::uint32_t, 1> sizes = {kBlock * kNp};
     const std::array<std::uint32_t, 1> subsizes = {kBlock};
@@ -69,9 +69,9 @@ double run_sieving(const char* ds_read) {
   DafsBed bed;
   sim::ActorScope scope(*bed.client_actor);
   // A single client reading 4 KiB of every 16 KiB out of 1 MiB.
-  auto fh = bed.session->open("/sv.dat", dafs::kOpenCreate).value();
+  auto fh = bed.client->open("/sv.dat", dafs::kOpenCreate).value();
   auto data = make_data(1 << 20, 9);
-  bench::require(bed.session->pwrite(fh, 0, data), "pwrite");
+  bench::require(bed.client->pwrite(fh, 0, data), "pwrite");
 
   // Drive through MPI-IO with np=1.
   mpi::WorldConfig cfg;
@@ -81,11 +81,11 @@ double run_sieving(const char* ds_read) {
   std::atomic<std::uint64_t> elapsed{0};
   world.run([&](mpi::Comm& c) {
     via::Nic nic(bed.fabric, world.node_of(0), "cli2");
-    auto session = std::move(dafs::Session::connect(nic).value());
+    auto client = std::move(dafs::Client::connect(nic).value());
     mpiio::Info info;
     info.set("romio_ds_read", ds_read);
     auto f = std::move(mpiio::File::open(c, "/sv.dat", mpiio::kModeRdwr,
-                                         info, mpiio::dafs_driver(*session))
+                                         info, mpiio::dafs_driver(*client))
                            .value());
     auto ft = mpi::Datatype::resized(
         mpi::Datatype::hvector(1, 4096, 16384, mpi::Datatype::byte()), 0,

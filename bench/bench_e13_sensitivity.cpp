@@ -24,7 +24,7 @@ double dafs_read_mbps(const sim::CostModel& cm) {
   sim::Actor actor("client", &fabric.node(node));
   sim::ActorScope scope(actor);
   via::Nic nic(fabric, node, "cli");
-  auto s = std::move(dafs::Session::connect(nic).value());
+  auto s = std::move(dafs::Client::connect(nic).value());
   auto fh = s->open("/f", dafs::kOpenCreate).value();
   auto data = make_data(kReq, 1);
   s->pwrite(fh, 0, data);

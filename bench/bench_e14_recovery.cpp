@@ -29,7 +29,7 @@ struct StreamResult {
 /// succeed even across breaks.
 StreamResult run_stream(DafsBed& bed, const std::vector<std::byte>& data) {
   sim::ActorScope scope(*bed.client_actor);
-  auto fh = bed.session->open("/e14", dafs::kOpenCreate);
+  auto fh = bed.client->open("/e14", dafs::kOpenCreate);
   if (!fh.ok()) {
     std::fprintf(stderr, "bench: open failed\n");
     std::abort();
@@ -38,7 +38,7 @@ StreamResult run_stream(DafsBed& bed, const std::vector<std::byte>& data) {
   const sim::Time start = bed.client_actor->now();
   sim::Time window_t0 = start;
   for (int i = 0; i < kChunks; ++i) {
-    auto r = bed.session->pwrite(
+    auto r = bed.client->pwrite(
         fh.value(), static_cast<std::uint64_t>(i) * kChunk,
         std::span(data.data() + static_cast<std::size_t>(i) * kChunk, kChunk));
     if (!r.ok() || r.value() != kChunk) {
@@ -59,9 +59,9 @@ StreamResult run_stream(DafsBed& bed, const std::vector<std::byte>& data) {
 
 void verify_stream(DafsBed& bed, const std::vector<std::byte>& data) {
   sim::ActorScope scope(*bed.client_actor);
-  auto fh = bed.session->open("/e14");
+  auto fh = bed.client->open("/e14");
   std::vector<std::byte> back(data.size());
-  auto r = bed.session->pread(fh.value(), 0, back);
+  auto r = bed.client->pread(fh.value(), 0, back);
   if (!r.ok() || r.value() != back.size() ||
       std::memcmp(back.data(), data.data(), back.size()) != 0) {
     std::fprintf(stderr, "bench: post-recovery readback mismatch\n");

@@ -35,12 +35,12 @@ struct StreamResult {
 /// on, every chunk must succeed even across the crash.
 StreamResult run_stream(DafsBed& bed, const std::vector<std::byte>& data) {
   sim::ActorScope scope(*bed.client_actor);
-  auto fh = require(bed.session->open("/e15", dafs::kOpenCreate), "open");
+  auto fh = require(bed.client->open("/e15", dafs::kOpenCreate), "open");
   StreamResult out;
   const sim::Time start = bed.client_actor->now();
   sim::Time window_t0 = start;
   for (int i = 0; i < kChunks; ++i) {
-    auto r = bed.session->pwrite(
+    auto r = bed.client->pwrite(
         fh, static_cast<std::uint64_t>(i) * kChunk,
         std::span(data.data() + static_cast<std::size_t>(i) * kChunk, kChunk));
     if (!r.ok() || r.value() != kChunk) {
@@ -49,7 +49,7 @@ StreamResult run_stream(DafsBed& bed, const std::vector<std::byte>& data) {
     }
     if ((i + 1) % kWindow == 0) {
       // Checkpoint: everything up to chunk i is durable from here on.
-      require_ok(bed.session->sync(fh), "sync");
+      require_ok(bed.client->sync(fh), "sync");
       const sim::Time now = bed.client_actor->now();
       out.window_mbps.push_back(
           mbps(static_cast<std::uint64_t>(kWindow) * kChunk, now - window_t0));
@@ -65,9 +65,9 @@ StreamResult run_stream(DafsBed& bed, const std::vector<std::byte>& data) {
 /// written data (those acked after the last checkpoint before the crash).
 std::vector<int> lost_chunks(DafsBed& bed, const std::vector<std::byte>& data) {
   sim::ActorScope scope(*bed.client_actor);
-  auto fh = require(bed.session->open("/e15"), "open for verify");
+  auto fh = require(bed.client->open("/e15"), "open for verify");
   std::vector<std::byte> back(data.size());
-  auto r = bed.session->pread(fh, 0, back);
+  auto r = bed.client->pread(fh, 0, back);
   if (!r.ok()) {
     std::fprintf(stderr, "bench: verify pread failed\n");
     std::abort();
@@ -89,17 +89,17 @@ void repair_and_verify(DafsBed& bed, const std::vector<std::byte>& data,
                        const std::vector<int>& lost) {
   {
     sim::ActorScope scope(*bed.client_actor);
-    auto fh = require(bed.session->open("/e15"), "open for repair");
+    auto fh = require(bed.client->open("/e15"), "open for repair");
     for (int i : lost) {
       const std::size_t off = static_cast<std::size_t>(i) * kChunk;
-      auto w = bed.session->pwrite(fh, off, std::span(data.data() + off,
+      auto w = bed.client->pwrite(fh, off, std::span(data.data() + off,
                                                       kChunk));
       if (!w.ok() || w.value() != kChunk) {
         std::fprintf(stderr, "bench: repair pwrite chunk %d failed\n", i);
         std::abort();
       }
     }
-    require_ok(bed.session->sync(fh), "repair sync");
+    require_ok(bed.client->sync(fh), "repair sync");
   }
   if (!lost_chunks(bed, data).empty()) {
     std::fprintf(stderr, "bench: file not byte-exact after repair\n");
@@ -112,19 +112,19 @@ void repair_and_verify(DafsBed& bed, const std::vector<std::byte>& data,
 /// retries, and the bounded replay cache keeps server memory flat.
 void overload_phase(DafsBed& bed, const std::vector<std::byte>& data) {
   sim::ActorScope scope(*bed.client_actor);
-  auto fh = require(bed.session->open("/e15"), "open for overload");
+  auto fh = require(bed.client->open("/e15"), "open for overload");
   bed.server->set_admission_limit(2);
   constexpr int kInflight = 8;
   constexpr int kRounds = 4;
   for (int round = 0; round < kRounds; ++round) {
     std::vector<dafs::OpId> ops;
     for (int j = 0; j < kInflight; ++j) {
-      auto h = bed.session->submit_pwrite(
+      auto h = bed.client->submit_pwrite(
           fh, static_cast<std::uint64_t>(j) * kChunk,
           std::span(data.data(), kChunk));
       if (h.ok()) ops.push_back(h.value());
     }
-    require_ok(bed.session->wait_all(ops), "overload wait_all");
+    require_ok(bed.client->wait_all(ops), "overload wait_all");
   }
   bed.server->set_admission_limit(256);
 }

@@ -58,11 +58,11 @@ RunResult run_world(sim::Fabric& fabric, mpi::World& world,
   RunResult out;
   world.run([&](mpi::Comm& c) {
     via::Nic nic(fabric, world.node_of(c.rank()), "cli");
-    auto session = std::move(dafs::Session::connect(nic, mspec).value());
+    auto client = std::move(dafs::Client::connect(nic, mspec).value());
     auto f = std::move(mpiio::File::open(c, "/e18",
                                          mpiio::kModeCreate | mpiio::kModeRdwr,
                                          mpiio::Info{},
-                                         mpiio::dafs_driver(*session))
+                                         mpiio::dafs_driver(*client))
                            .value());
     const auto wall0 = std::chrono::steady_clock::now();
     const sim::Time t0 = c.actor().now();

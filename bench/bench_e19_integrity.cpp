@@ -68,10 +68,10 @@ RunResult run_mode(const char* mode, bool stage_rot) {
                               kSeed);
   world.run([&](mpi::Comm& c) {
     via::Nic nic(fabric, world.node_of(c.rank()), "cli");
-    auto session = std::move(dafs::Session::connect(nic, mspec).value());
+    auto client = std::move(dafs::Client::connect(nic, mspec).value());
     auto f = std::move(mpiio::File::open(c, "/e19",
                                          mpiio::kModeCreate | mpiio::kModeRdwr,
-                                         info, mpiio::dafs_driver(*session))
+                                         info, mpiio::dafs_driver(*client))
                            .value());
     const sim::Time w0 = c.actor().now();
     for (int i = 0; i < kChunks; ++i) {

@@ -29,7 +29,7 @@ struct Rig {
   sim::NodeId node;
   std::unique_ptr<via::Nic> nic;
   std::unique_ptr<sim::Actor> actor;
-  std::unique_ptr<dafs::Session> session;
+  std::unique_ptr<dafs::Client> client;
 
   Rig(sim::Fabric& fabric, const std::string& name, std::uint64_t client_id) {
     node = fabric.add_node(name);
@@ -38,11 +38,11 @@ struct Rig {
     dafs::MountSpec spec;
     spec.client.client_id = client_id;
     sim::ActorScope scope(*actor);
-    session = std::move(dafs::Session::connect(*nic, spec).value());
+    client = std::move(dafs::Client::connect(*nic, spec).value());
   }
   ~Rig() {
     sim::ActorScope scope(*actor);
-    session.reset();
+    client.reset();
   }
 };
 
@@ -100,21 +100,21 @@ int main() {
   dafs::Fh gfh, afh, bfh;
   {
     sim::ActorScope scope(*greedy.actor);
-    gfh = require(greedy.session->open("/greedy.bin", dafs::kOpenCreate),
+    gfh = require(greedy.client->open("/greedy.bin", dafs::kOpenCreate),
                   "open greedy");
   }
   {
     sim::ActorScope scope(*modest_a.actor);
-    afh = require(modest_a.session->open("/a.bin", dafs::kOpenCreate),
+    afh = require(modest_a.client->open("/a.bin", dafs::kOpenCreate),
                   "open a");
-    require(modest_a.session->pwrite(afh, 0, std::span(data.data(), kChunk)),
+    require(modest_a.client->pwrite(afh, 0, std::span(data.data(), kChunk)),
             "seed a");
   }
   {
     sim::ActorScope scope(*modest_b.actor);
-    bfh = require(modest_b.session->open("/b.bin", dafs::kOpenCreate),
+    bfh = require(modest_b.client->open("/b.bin", dafs::kOpenCreate),
                   "open b");
-    require(modest_b.session->pwrite(bfh, 0, std::span(data.data(), kChunk)),
+    require(modest_b.client->pwrite(bfh, 0, std::span(data.data(), kChunk)),
             "seed b");
   }
 
@@ -128,7 +128,7 @@ int main() {
     {
       sim::ActorScope scope(*greedy.actor);
       for (int j = 0; j < kGreedyInflight; ++j) {
-        auto h = greedy.session->submit_pwrite(
+        auto h = greedy.client->submit_pwrite(
             gfh, static_cast<std::uint64_t>(j) * kChunk,
             std::span(data.data() + static_cast<std::size_t>(j) * kChunk,
                       kChunk));
@@ -138,7 +138,7 @@ int main() {
     // Poll while the flood is in flight and the queue is saturated.
     {
       sim::ActorScope scope(*monitor.actor);
-      auto snap = monitor.session->query_stats();
+      auto snap = monitor.client->query_stats();
       if (snap.ok()) {
         polls.push_back(record_poll(snap.value()));
       } else {
@@ -149,23 +149,23 @@ int main() {
     {
       sim::ActorScope scope(*modest_a.actor);
       std::vector<std::byte> back(kChunk);
-      modest_a.session->pread(afh, 0, back);
-      modest_a.session->getattr(afh);
+      modest_a.client->pread(afh, 0, back);
+      modest_a.client->getattr(afh);
     }
     {
       sim::ActorScope scope(*modest_b.actor);
       std::vector<std::byte> back(kChunk);
-      modest_b.session->pread(bfh, 0, back);
-      modest_b.session->getattr(bfh);
+      modest_b.client->pread(bfh, 0, back);
+      modest_b.client->getattr(bfh);
     }
     sim::ActorScope scope(*greedy.actor);
-    require_ok(greedy.session->wait_all(ops), "greedy wait_all");
+    require_ok(greedy.client->wait_all(ops), "greedy wait_all");
   }
   filer.set_admission_limit(scfg.admission_max_queue);
 
   // Final snapshot: the attribution table must name the flooder.
   sim::ActorScope scope(*monitor.actor);
-  auto final_snap = require(monitor.session->query_stats(), "final stats");
+  auto final_snap = require(monitor.client->query_stats(), "final stats");
   const auto* g = final_snap.find_client(kGreedyId);
   const auto* a = final_snap.find_client(kModestIdA);
   const auto* b = final_snap.find_client(kModestIdB);

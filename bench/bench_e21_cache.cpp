@@ -173,7 +173,7 @@ void run_recall() {
     {
       sim::ActorScope scope_b(actor_b);
       auto reader = std::move(
-          dafs::Session::connect(nic_b, dafs::single_mount("dafs", retry_b))
+          dafs::Client::connect(nic_b, dafs::single_mount("dafs", retry_b))
               .value());
       auto bo = reader->open("/recall.dat");
       if (bo.ok()) {

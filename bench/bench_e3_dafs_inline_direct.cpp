@@ -21,22 +21,22 @@ Point run_mode(bool force_inline, std::size_t size, int iters) {
   cfg.direct_threshold = force_inline ? SIZE_MAX : 0;
   DafsBed bed(cfg);
   sim::ActorScope scope(*bed.client_actor);
-  auto fh = bed.session->open("/bench.dat", dafs::kOpenCreate).value();
+  auto fh = bed.client->open("/bench.dat", dafs::kOpenCreate).value();
   auto data = make_data(size, 42);
 
   // Warm the file (and the store slabs) before timing.
-  bench::require(bed.session->pwrite(fh, 0, data), "pwrite");
+  bench::require(bed.client->pwrite(fh, 0, data), "pwrite");
 
   const sim::Time w0 = bed.client_actor->now();
   for (int i = 0; i < iters; ++i) {
-    bench::require(bed.session->pwrite(fh, (static_cast<std::uint64_t>(i) % 8) * size, data), "pwrite");
+    bench::require(bed.client->pwrite(fh, (static_cast<std::uint64_t>(i) % 8) * size, data), "pwrite");
   }
   const sim::Time wt = bed.client_actor->now() - w0;
 
   std::vector<std::byte> back(size);
   const sim::Time r0 = bed.client_actor->now();
   for (int i = 0; i < iters; ++i) {
-    bench::require(bed.session->pread(fh, (static_cast<std::uint64_t>(i) % 8) * size, back), "pread");
+    bench::require(bed.client->pread(fh, (static_cast<std::uint64_t>(i) % 8) * size, back), "pread");
   }
   const sim::Time rt = bed.client_actor->now() - r0;
 

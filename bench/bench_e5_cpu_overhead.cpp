@@ -32,18 +32,18 @@ Cpu dafs_case(std::size_t size, bool force_inline, bool reading) {
   cfg.direct_threshold = force_inline ? SIZE_MAX : 0;
   DafsBed bed(cfg);
   sim::ActorScope scope(*bed.client_actor);
-  auto fh = bed.session->open("/f", dafs::kOpenCreate).value();
+  auto fh = bed.client->open("/f", dafs::kOpenCreate).value();
   auto data = make_data(size, 7);
-  bench::require(bed.session->pwrite(fh, 0, data), "pwrite");  // warm
+  bench::require(bed.client->pwrite(fh, 0, data), "pwrite");  // warm
   constexpr int kIters = 16;
   bed.fabric.histograms().reset();  // measured loop only
   bed.client_actor->reset_busy();
   std::vector<std::byte> back(size);
   for (int i = 0; i < kIters; ++i) {
     if (reading) {
-      bench::require(bed.session->pread(fh, 0, back), "pread");
+      bench::require(bed.client->pread(fh, 0, back), "pread");
     } else {
-      bench::require(bed.session->pwrite(fh, 0, data), "pwrite");
+      bench::require(bed.client->pwrite(fh, 0, data), "pwrite");
     }
   }
   emit_metrics_json(

@@ -39,13 +39,13 @@ Point run(bool use_dafs, std::size_t size) {
   std::atomic<std::uint64_t> read_ns{0}, write_ns{0};
   world.run([&](mpi::Comm& c) {
     std::unique_ptr<via::Nic> nic;
-    std::unique_ptr<dafs::Session> session;
+    std::unique_ptr<dafs::Client> mount;
     std::unique_ptr<nfs::Client> client;
     std::unique_ptr<mpiio::AdioDriver> driver;
     if (use_dafs) {
       nic = std::make_unique<via::Nic>(fabric, world.node_of(c.rank()), "cli");
-      session = std::move(dafs::Session::connect(*nic).value());
-      driver = mpiio::dafs_driver(*session);
+      mount = std::move(dafs::Client::connect(*nic).value());
+      driver = mpiio::dafs_driver(*mount);
     } else {
       client = std::move(
           nfs::Client::connect(fabric, world.node_of(c.rank())).value());

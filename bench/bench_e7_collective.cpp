@@ -40,16 +40,16 @@ double run(bool use_dafs, int np, Mode mode, bool writing) {
   std::atomic<std::uint64_t> elapsed{0};
   world.run([&](mpi::Comm& c) {
     std::unique_ptr<via::Nic> nic;
-    std::unique_ptr<dafs::Session> session;
+    std::unique_ptr<dafs::Client> mount;
     std::unique_ptr<nfs::Client> client;
     auto make_driver = [&]() -> std::unique_ptr<mpiio::AdioDriver> {
       if (use_dafs) {
         if (!nic) {
           nic = std::make_unique<via::Nic>(fabric, world.node_of(c.rank()),
                                            "cli");
-          session = std::move(dafs::Session::connect(*nic).value());
+          mount = std::move(dafs::Client::connect(*nic).value());
         }
-        return mpiio::dafs_driver(*session);
+        return mpiio::dafs_driver(*mount);
       }
       if (!client) {
         client = std::move(

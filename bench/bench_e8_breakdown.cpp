@@ -42,11 +42,11 @@ Row run(std::size_t size) {
   Row out{};
   world.run([&](mpi::Comm& c) {
     via::Nic nic(fabric, world.node_of(c.rank()), "cli");
-    auto session = std::move(dafs::Session::connect(nic).value());
+    auto client = std::move(dafs::Client::connect(nic).value());
     auto f = std::move(mpiio::File::open(c, "/f",
                                          mpiio::kModeCreate | mpiio::kModeRdwr,
                                          mpiio::Info{},
-                                         mpiio::dafs_driver(*session))
+                                         mpiio::dafs_driver(*client))
                            .value());
     auto data = make_data(size, 5);
     bench::require(f->write_at(0, data.data(), size, mpi::Datatype::byte()),
@@ -100,11 +100,11 @@ void collective_breakdown() {
 
   world.run([&](mpi::Comm& c) {
     via::Nic nic(fabric, world.node_of(c.rank()), "cli");
-    auto session = std::move(dafs::Session::connect(nic).value());
+    auto client = std::move(dafs::Client::connect(nic).value());
     auto f = std::move(mpiio::File::open(c, "/coll.dat",
                                          mpiio::kModeCreate | mpiio::kModeRdwr,
                                          mpiio::Info{},
-                                         mpiio::dafs_driver(*session))
+                                         mpiio::dafs_driver(*client))
                            .value());
     // Block-cyclic view: rank r owns block r of each kNp-block tile.
     const std::array<std::uint32_t, 1> sizes = {kBlock * kNp};

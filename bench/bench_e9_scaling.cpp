@@ -37,14 +37,14 @@ double run_dafs(int nclients) {
       sim::Actor actor("client" + std::to_string(i), &fabric.node(node));
       sim::ActorScope scope(actor);
       via::Nic nic(fabric, node, "cli");
-      auto session = std::move(dafs::Session::connect(nic).value());
-      auto fh = session
+      auto client = std::move(dafs::Client::connect(nic).value());
+      auto fh = client
                     ->open("/f" + std::to_string(i), dafs::kOpenCreate)
                     .value();
       auto data = make_data(kReq, 20 + i);
-      bench::require(session->pwrite(fh, 0, data), "pwrite");  // warm
+      bench::require(client->pwrite(fh, 0, data), "pwrite");  // warm
       std::vector<std::byte> back(kReq);
-      for (int k = 0; k < kIters; ++k) bench::require(session->pread(fh, 0, back), "pread");
+      for (int k = 0; k < kIters; ++k) bench::require(client->pread(fh, 0, back), "pread");
       done[static_cast<std::size_t>(i)] = actor.now();
     });
   }

@@ -143,7 +143,7 @@ inline void emit_metrics_json(sim::Fabric& fabric, const std::string& bench,
   std::printf("%s\n", fabric.metrics().to_json(bench, params_json).c_str());
 }
 
-/// A ready-to-use DAFS testbed: fabric, filer, one client node + session.
+/// A ready-to-use DAFS testbed: fabric, filer, one client node + mount.
 struct DafsBed {
   sim::Fabric fabric;
   sim::NodeId server_node;
@@ -151,7 +151,7 @@ struct DafsBed {
   std::unique_ptr<dafs::Server> server;
   std::unique_ptr<via::Nic> client_nic;
   std::unique_ptr<sim::Actor> client_actor;
-  std::unique_ptr<dafs::Session> session;
+  std::unique_ptr<dafs::Client> client;
 
   explicit DafsBed(dafs::MountSpec spec, dafs::ServerConfig scfg = {}) {
     server_node = fabric.add_node("filer");
@@ -162,16 +162,16 @@ struct DafsBed {
     client_actor =
         std::make_unique<sim::Actor>("client0", &fabric.node(client_node));
     sim::ActorScope scope(*client_actor);
-    session = std::move(dafs::Session::connect(*client_nic, spec).value());
+    client = std::move(dafs::Client::connect(*client_nic, spec).value());
   }
 
-  /// Session-knob convenience: one default endpoint at ccfg.service.
+  /// Client-knob convenience: one default endpoint at ccfg.service.
   explicit DafsBed(dafs::ClientConfig ccfg = {}, dafs::ServerConfig scfg = {})
       : DafsBed(dafs::MountSpec{{}, std::move(ccfg)}, std::move(scfg)) {}
 
   ~DafsBed() {
     sim::ActorScope scope(*client_actor);
-    session.reset();
+    client.reset();
   }
 };
 

@@ -45,14 +45,14 @@ int main() {
 
   world.run([&](mpi::Comm& comm) {
     via::Nic nic(fabric, world.node_of(comm.rank()), "client-nic");
-    auto session = std::move(dafs::Session::connect(nic).value());
+    auto client = std::move(dafs::Client::connect(nic).value());
 
     mpiio::Info info;
     info.set("cb_buffer_size", std::uint64_t{1} << 20);
     auto file = std::move(
         mpiio::File::open(comm, "/matrix.ckpt",
                           mpiio::kModeCreate | mpiio::kModeRdwr, info,
-                          mpiio::dafs_driver(*session))
+                          mpiio::dafs_driver(*client))
             .value());
 
     // ---- checkpoint: row-block decomposition ------------------------------

@@ -16,7 +16,7 @@ int main() {
   sim::Actor actor("workstation", &fabric.node(node));
   sim::ActorScope scope(actor);
   via::Nic nic(fabric, node, "nic");
-  auto s = std::move(dafs::Session::connect(nic).value());
+  auto s = std::move(dafs::Client::connect(nic).value());
 
   // Build a small tree and a source file.
   s->mkdir("/data");

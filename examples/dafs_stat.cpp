@@ -65,15 +65,15 @@ int main() {
   sim::Actor work_actor("worker", &fabric.node(work_node));
   sim::Actor mon_actor("monitor", &fabric.node(mon_node));
 
-  std::unique_ptr<dafs::Session> worker;
+  std::unique_ptr<dafs::Client> worker;
   {
     sim::ActorScope scope(work_actor);
-    worker = std::move(dafs::Session::connect(work_nic).value());
+    worker = std::move(dafs::Client::connect(work_nic).value());
   }
-  std::unique_ptr<dafs::Session> monitor;
+  std::unique_ptr<dafs::Client> monitor;
   {
     sim::ActorScope scope(mon_actor);
-    monitor = std::move(dafs::Session::connect(mon_nic).value());
+    monitor = std::move(dafs::Client::connect(mon_nic).value());
   }
 
   // Interleave load with polls: each round writes/reads a chunk, then the

@@ -26,13 +26,13 @@ int main() {
   world.run([&](mpi::Comm& comm) {
     // 3. Each rank owns a uDAFS session to the filer.
     via::Nic nic(fabric, world.node_of(comm.rank()), "client-nic");
-    auto session = std::move(dafs::Session::connect(nic).value());
+    auto client = std::move(dafs::Client::connect(nic).value());
 
     // 4. Collective open through MPI-IO.
     auto file = std::move(
         mpiio::File::open(comm, "/quickstart.dat",
                           mpiio::kModeCreate | mpiio::kModeRdwr, mpiio::Info{},
-                          mpiio::dafs_driver(*session))
+                          mpiio::dafs_driver(*client))
             .value());
 
     // 5. Write this rank's slice: 64 Ki int32 values.

@@ -29,14 +29,14 @@ int main() {
 
   world.run([&](mpi::Comm& comm) {
     via::Nic nic(fabric, world.node_of(comm.rank()), "client-nic");
-    auto session = std::move(dafs::Session::connect(nic).value());
+    auto client = std::move(dafs::Client::connect(nic).value());
 
     // Rank 0 writes the source image once (contiguous).
     {
       auto f = std::move(
           mpiio::File::open(comm, "/image.raw",
                             mpiio::kModeCreate | mpiio::kModeRdwr,
-                            mpiio::Info{}, mpiio::dafs_driver(*session))
+                            mpiio::Info{}, mpiio::dafs_driver(*client))
               .value());
       if (comm.rank() == 0) {
         std::vector<std::byte> image(kImage * kImage);
@@ -72,7 +72,7 @@ int main() {
       if (ds_hint) info.set("romio_ds_read", ds_hint);
       auto f = std::move(mpiio::File::open(comm, "/image.raw",
                                            mpiio::kModeRdonly, info,
-                                           mpiio::dafs_driver(*session))
+                                           mpiio::dafs_driver(*client))
                              .value());
       std::vector<std::byte> tile(kTile * kTile);
       const sim::Time t0 = comm.actor().now();

@@ -25,6 +25,11 @@
 # dotted-lowercase keys, percentile ordering, monotone time series) with
 # scripts/check_metrics.py.
 #
+# A source check comes first: dafs::Client is the one public mount, so the
+# MPI-IO driver, benches, examples and benchmark never name its internal
+# per-filer transport (dafs::Session, dafs/session.hpp), and
+# src/dafs/client.hpp only forward-declares it.
+#
 # Every ctest invocation runs under a per-test timeout so a hung recovery
 # path (the exact bug class the chaos suite hunts) fails the gate instead of
 # wedging it.
@@ -39,6 +44,18 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 # Generous per-test watchdog (seconds); sanitizer runs are several times
 # slower than the standard build.
 TEST_TIMEOUT="${TEST_TIMEOUT:-300}"
+
+echo "== tier1: one public mount (dafs::Client) =="
+if grep -rlwE 'dafs::Session|dafs/session\.hpp' src/mpiio bench examples \
+    benchmark; then
+  echo "tier1: the files above name dafs::Session; mount a dafs::Client" >&2
+  exit 1
+fi
+if grep -nE '^[[:space:]]*#[[:space:]]*include[[:space:]]*["<](dafs/)?session\.hpp' \
+    src/dafs/client.hpp; then
+  echo "tier1: src/dafs/client.hpp must only forward-declare Session" >&2
+  exit 1
+fi
 
 echo "== tier1: standard build =="
 cmake -B "$BUILD" -S . >/dev/null

@@ -174,30 +174,16 @@ struct Endpoint {
 /// 64 KiB too; E17 sweeps this).
 inline constexpr std::uint64_t kDefaultStripeSize = 64 * 1024;
 
-/// A file's striping layout, handed to the client at open: stripe width, the
-/// ordered data-server list the stripes round-robin over, and the metadata
-/// server every namespace/lock/lease operation goes to. Data server `s` owns
-/// stripe `k` iff `k % data_services.size() == s`; each data server stores
-/// its stripes in a subfile at the *logical* file offsets (sparse), so no
-/// offset translation exists anywhere and the logical size is the max over
-/// the subfile sizes.
-struct Layout {
-  std::uint64_t stripe_size = kDefaultStripeSize;
-  std::vector<std::string> data_services;
-  std::string meta_service;
-};
-
-/// What `Session::connect` mounts: an ordered endpoint list (first is the
-/// preferred filer; later entries are failover targets tried in order when
-/// the bound endpoint dies or answers kNotLeader) plus the session-local
-/// knobs. An empty endpoint list means one default endpoint at
+/// What `Client::connect` mounts: an ordered endpoint list for filer 0
+/// (first is the preferred filer; later entries are failover targets tried
+/// in order when the bound endpoint dies or answers kNotLeader) plus the
+/// session-local knobs. An empty endpoint list means one default endpoint at
 /// `client.service`.
 ///
-/// `Client::connect` (the striped multi-filer client) additionally reads
-/// `data_endpoints`: when non-empty, file data round-robins across those
-/// filers in `stripe_size` units while metadata stays on `endpoints` (filer
-/// 0, conventionally also data server 0). Empty `data_endpoints` means all
-/// data lives on the metadata filer — exactly a plain Session mount.
+/// When `data_endpoints` is non-empty, file data round-robins across those
+/// filers in `stripe_size` units while metadata stays on filer 0, which must
+/// also be the first data endpoint. Empty `data_endpoints` means all data
+/// lives on filer 0.
 struct MountSpec {
   std::vector<Endpoint> endpoints;
   ClientConfig client;

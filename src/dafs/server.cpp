@@ -2079,21 +2079,15 @@ void Server::do_open(Session& s, MsgView& req, MsgView& resp) {
   }
   resp.header().ino = ino;
   put_attrs(resp, attrs.value());
-  if ((req.header().flags & kOpenDataServer) == 0) {
-    // Opener refcount, keyed (ino, session): the sole-opener grant check and
-    // the disconnect sweep both read it. Data-subfile opens are excluded —
-    // they are the striped client's internal plumbing for a file whose real
-    // open already registered through the metadata path, and counting them
-    // (under their own session identity) would make every striped client
-    // look like two independent openers and starve grants forever.
-    {
-      std::lock_guard lock(deleg_mu_);
-      int& count = openers_[ino][s.id];
-      if (count++ == 0) session_opens_[s.id].push_back(ino);
-    }
-    if ((req.header().flags & kOpenWantDeleg) != 0) {
-      maybe_grant_deleg(s, req.header(), resp, ino);
-    }
+  // Opener refcount, keyed (ino, session): the sole-opener grant check and
+  // the disconnect sweep both read it.
+  {
+    std::lock_guard lock(deleg_mu_);
+    int& count = openers_[ino][s.id];
+    if (count++ == 0) session_opens_[s.id].push_back(ino);
+  }
+  if ((req.header().flags & kOpenWantDeleg) != 0) {
+    maybe_grant_deleg(s, req.header(), resp, ino);
   }
 }
 

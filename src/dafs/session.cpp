@@ -1,0 +1,1551 @@
+#include "dafs/session.hpp"
+
+#include <algorithm>
+#include <cassert>
+#include <cstdio>
+#include <cstring>
+#include <thread>
+
+#include "fstore/journal.hpp"
+#include "sim/actor.hpp"
+
+namespace dafs {
+
+using sim::Actor;
+using sim::CostKind;
+
+namespace {
+using namespace std::chrono_literals;
+constexpr auto kIoWait = std::chrono::milliseconds(10'000);
+constexpr sim::Time kLockBackoffBase = 20'000;  // 20 us virtual, first retry
+constexpr sim::Time kLockBackoffCap = 1'280'000;
+constexpr int kLockRetries = 100'000;
+/// request_id of the resume handshake. Out of range of any slot index, so
+/// duplicate resume responses fall out of the normal path as stale.
+constexpr OpId kResumeReqId = 0xFFFFFFFFu;
+// Bound on how often one request may chase a restarting server through the
+// kBadSession-response path (each pass runs a full recover()); repeated
+// kBadSession beyond this means the server is crash-looping.
+constexpr int kSlotReclaimRetries = 4;
+
+/// Transport patience for one wait. With no deadline, the generous fixed
+/// kIoWait; with one, the deadline budget translated ns -> real time and
+/// floored so scheduling noise cannot starve a short-deadline request of its
+/// one chance to complete.
+std::chrono::milliseconds io_budget(std::uint64_t deadline_ns) {
+  if (deadline_ns == 0) return kIoWait;
+  return std::min(kIoWait, std::chrono::milliseconds(std::max<std::uint64_t>(
+                               100, deadline_ns / 1'000'000)));
+}
+}  // namespace
+
+namespace {
+via::ViAttrs session_vi_attrs(via::ProtectionTag tag) {
+  via::ViAttrs attrs;
+  attrs.ptag = tag;  // inbound RDMA must match our registrations
+  return attrs;
+}
+}  // namespace
+
+Session::Session(via::Nic& nic, MountSpec spec)
+    : nic_(nic),
+      cfg_(std::move(spec.client)),
+      eps_(std::move(spec.endpoints)),
+      ptag_(nic.create_ptag()),
+      vi_(std::make_unique<via::Vi>(nic, session_vi_attrs(ptag_))),
+      backoff_rng_(1),
+      reg_cache_(nic, ptag_, cfg_.reg_cache_entries, cfg_.reg_cache,
+                 "dafs.regcache_evictions") {
+  // Normalize: an empty endpoint list means one default endpoint at the
+  // ClientConfig's service (also what the deprecated shim produces).
+  if (eps_.empty()) eps_.push_back(Endpoint{cfg_.service, RetryPolicy{}});
+  backoff_rng_ = sim::Rng(eps_[0].retry.jitter_seed);
+  deadline_ns_ = eps_[0].retry.deadline_ns;
+}
+
+Result<std::unique_ptr<Session>> Session::connect(via::Nic& nic,
+                                                  const MountSpec& spec) {
+  auto s = std::unique_ptr<Session>(new Session(nic, spec));
+  if (const PStatus st = s->do_connect(); st != PStatus::kOk) return st;
+  return s;
+}
+
+void Session::advance_endpoint() {
+  if (eps_.size() > 1) nic_.fabric().stats().add("dafs.endpoint_rotations");
+  ep_ = (ep_ + 1) % eps_.size();
+  // Reseed the jitter RNG per rotation so two passes through the same
+  // endpoint list do not replay the same backoff schedule.
+  backoff_rng_ = jitter_rng(eps_[ep_].retry.jitter_seed, ++rotations_);
+}
+
+void Session::demote_endpoint() {
+  if (eps_.size() > 1) {
+    nic_.fabric().stats().add("dafs.endpoint_demotions");
+    // Physically move the refusing endpoint to the back of the list so a
+    // later full sweep reprobes it last, then bind whatever slid into its
+    // place (wrapping when it was already last).
+    Endpoint demoted = std::move(eps_[ep_]);
+    eps_.erase(eps_.begin() + static_cast<std::ptrdiff_t>(ep_));
+    eps_.push_back(std::move(demoted));
+    if (ep_ >= eps_.size() - 1) ep_ = 0;
+  }
+  backoff_rng_ = jitter_rng(eps_[ep_].retry.jitter_seed, ++rotations_);
+}
+
+bool Session::follow_leader_hint(std::uint64_t aux) {
+  if (aux == 0) return false;
+  const auto member = static_cast<std::uint32_t>(aux - 1);
+  for (std::size_t i = 0; i < eps_.size(); ++i) {
+    if (eps_[i].member != member) continue;
+    if (i == ep_) return false;  // the hint names the endpoint we just tried
+    ep_ = i;
+    backoff_rng_ = jitter_rng(eps_[ep_].retry.jitter_seed, ++rotations_);
+    nic_.fabric().stats().add("dafs.leader_hints_followed");
+    return true;
+  }
+  return false;
+}
+
+PStatus Session::do_connect() {
+  Actor* actor = Actor::current();
+  assert(actor && "Session::connect outside an ActorScope");
+  (void)actor;
+  PStatus last = PStatus::kProtoError;
+  // One pass per endpoint plus generous slack: a quorum group caught
+  // mid-election answers kNotLeader everywhere with no hint until a leader
+  // emerges, so passes that land in that window burn budget without
+  // progress. The short sleep below spans an election timeout across one
+  // sweep of the mount.
+  for (std::size_t pass = 0; pass < eps_.size() + 8; ++pass) {
+    last = connect_once();
+    if (last != PStatus::kNotLeader) break;
+    // A quorum follower answered but redirects. Jump straight to the leader
+    // when it named one the mount knows; otherwise demote the follower
+    // behind the rest of the rotation and give the election time. Either
+    // way the next attempt needs a fresh VI.
+    if (!follow_leader_hint(leader_hint_)) {
+      demote_endpoint();
+      std::this_thread::sleep_for(20ms);
+    }
+    vi_->disconnect();
+    vi_ = std::make_unique<via::Vi>(nic_, session_vi_attrs(ptag_));
+  }
+  if (last != PStatus::kOk) return last;
+  nic_.fabric().stats().add("dafs.client_sessions");
+  return PStatus::kOk;
+}
+
+PStatus Session::connect_once() {
+  // The service may still be coming up; retry name-service misses briefly.
+  // With several endpoints, alternate between probes: whichever one is up
+  // answers first.
+  via::Status cst = via::Status::kNoMatchingListener;
+  for (int attempt = 0; attempt < 200; ++attempt) {
+    cst = nic_.connect(*vi_, active_service(), kIoWait);
+    if (cst != via::Status::kNoMatchingListener) break;
+    if (eps_.size() > 1) advance_endpoint();
+    std::this_thread::sleep_for(10ms);
+  }
+  if (cst != via::Status::kSuccess) return PStatus::kProtoError;
+  // Receive buffers must be posted before the first request leaves (credit
+  // contract with the server). Allocation and registration happen once —
+  // a second pass (a follower redirected us) reuses them on the fresh VI.
+  if (recv_bufs_.empty()) {
+    recv_bufs_.resize(cfg_.credits);
+    for (auto& rb : recv_bufs_) {
+      rb.mem.resize(cfg_.msg_buf_size);
+      rb.handle =
+          nic_.register_memory(rb.mem.data(), rb.mem.size(), ptag_, {});
+      if (rb.handle == via::kInvalidMemHandle) return PStatus::kNoResource;
+    }
+    slots_.resize(cfg_.credits);
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      auto& sl = slots_[i];
+      sl.send_buf.resize(cfg_.msg_buf_size);
+      sl.send_handle = nic_.register_memory(sl.send_buf.data(),
+                                            sl.send_buf.size(), ptag_, {});
+      if (sl.send_handle == via::kInvalidMemHandle) {
+        return PStatus::kNoResource;
+      }
+      free_slots_.push_back(static_cast<OpId>(i));
+    }
+    // Full-size: lease reclaim runs open/lock RPCs (with path names) through
+    // this buffer while every regular slot is occupied by an in-flight
+    // request.
+    resume_buf_.resize(cfg_.msg_buf_size);
+    resume_handle_ = nic_.register_memory(resume_buf_.data(),
+                                          resume_buf_.size(), ptag_, {});
+    if (resume_handle_ == via::kInvalidMemHandle) return PStatus::kNoResource;
+  }
+  if (!repost_all()) return PStatus::kProtoError;
+
+  auto id = submit_simple(Proc::kConnect, {}, Fh{}, 0, 0, 0, 0);
+  if (!id.ok()) return id.error();
+  if (const PStatus st = wait_slot(id.value()); st != PStatus::kOk) {
+    free_slot(id.value());
+    return st;
+  }
+  session_id_ = slots_[id.value()].resp.aux;
+  // Session ids are unique and never reused (they survive server restarts),
+  // so the first one makes a stable client identity for the durable
+  // duplicate filter unless the caller supplied its own.
+  if (client_id_ == 0) {
+    client_id_ = cfg_.client_id != 0 ? cfg_.client_id : session_id_;
+  }
+  free_slot(id.value());
+  return PStatus::kOk;
+}
+
+Session::~Session() {
+  if (!dead_ && session_id_ != 0) {
+    // A failed farewell must not abort teardown, but it must not vanish
+    // either: a filer that missed the disconnect keeps the session (and its
+    // locks) alive until it expires.
+    if (auto id = submit_simple(Proc::kDisconnect, {}, Fh{}, 0, 0, 0, 0);
+        id.ok()) {
+      if (const PStatus st = wait_slot(id.value()); st != PStatus::kOk) {
+        nic_.fabric().stats().add("dafs.disconnect_errors");
+      }
+      free_slot(id.value());
+    } else {
+      nic_.fabric().stats().add("dafs.disconnect_errors");
+    }
+  }
+  vi_->disconnect();
+  // Message-buffer registrations are dropped with the registry; the
+  // registration cache deregisters its entries as it is destroyed.
+}
+
+// ---------------------------------------------------------------------------
+// Slot management & transport
+// ---------------------------------------------------------------------------
+
+Result<OpId> Session::alloc_slot() {
+  if (dead_) return PStatus::kConnLost;
+  if (free_slots_.empty()) return PStatus::kInval;  // credit limit exceeded
+  const OpId id = free_slots_.back();
+  free_slots_.pop_back();
+  Slot& sl = slots_[id];
+  sl.in_use = true;
+  sl.done = false;
+  sl.t_submit = 0;
+  sl.busy_retries = 0;
+  sl.reclaim_retries = 0;
+  sl.trace_id = 0;
+  sl.span_id = 0;
+  sl.parent_span = 0;
+  sl.user_buf = nullptr;
+  sl.user_cap = 0;
+  sl.verify_buf = nullptr;
+  sl.payload.clear();
+  sl.temp_handles.clear();
+  return id;
+}
+
+void Session::free_slot(OpId id) {
+  Slot& sl = slots_[id];
+  for (const via::MemHandle h : sl.temp_handles) reg_cache_.release(h);
+  sl.temp_handles.clear();
+  sl.in_use = false;
+  free_slots_.push_back(id);
+}
+
+PStatus Session::transmit(OpId id) {
+  Actor* actor = Actor::current();
+  assert(actor && "DAFS op outside an ActorScope");
+  actor->charge(CostKind::kProtocol, nic_.cost().client_op);
+
+  Slot& sl = slots_[id];
+  MsgView msg(sl.send_buf.data(), sl.send_buf.size());
+  msg.header().request_id = id;
+  msg.header().session_id = session_id_;
+  // Stamp the request with its session sequence number exactly once: a
+  // retransmission after recovery must carry the same seq so the server's
+  // replay cache can recognize it.
+  sl.seq = next_seq_++;
+  msg.header().seq = sl.seq;
+  msg.header().client_id = client_id_;
+  msg.header().deadline =
+      deadline_ns_ == 0 ? 0 : actor->now() + deadline_ns_;
+  // Piggybacked cumulative ack: every seq below the oldest still-outstanding
+  // request has been answered, so the server may drop those replay entries.
+  std::uint32_t ack = sl.seq - 1;
+  for (const Slot& o : slots_) {
+    if (&o != &sl && o.in_use && !o.done && o.seq != 0 && o.seq <= ack) {
+      ack = o.seq - 1;
+    }
+  }
+  msg.header().ack_seq = ack;
+  // Trace identity, captured once per request from the span open on the
+  // submitting thread (the MPI-IO op's root). Busy retries re-run this code
+  // with the ids already set, and recovery retransmits the buffer verbatim,
+  // so every retry of this request links back to the original root.
+  if (sl.trace_id == 0) {
+    sim::Tracer& tracer = nic_.fabric().trace();
+    if (const sim::SpanContext ctx = sim::Tracer::current();
+        tracer.enabled() && ctx.active()) {
+      sl.trace_id = ctx.trace_id;
+      sl.parent_span = ctx.span_id;
+      sl.span_id = tracer.new_id();
+    }
+  }
+  msg.header().trace_id = sl.trace_id;
+  msg.header().parent_span_id = sl.span_id;
+  sl.proc = msg.header().proc;
+  sl.wire_len = msg.wire_size();
+  // First transmission only: a busy/corrupt retry re-enters here, and the
+  // request span (and end-to-end RTT) must keep covering the failed
+  // attempts — re-stamping would start the span after the server-side spans
+  // those attempts already recorded.
+  if (sl.t_submit == 0) sl.t_submit = actor->now();
+
+  sl.send_desc = via::Descriptor{};
+  sl.send_desc.op = via::Opcode::kSend;
+  sl.send_desc.segs = {
+      via::DataSegment{sl.send_buf.data(), sl.send_handle,
+                       static_cast<std::uint32_t>(sl.wire_len)}};
+  via::Descriptor* done = nullptr;
+  if (vi_->post_send(sl.send_desc) == via::Status::kSuccess &&
+      vi_->send_wait(done, io_budget(deadline_ns_)) == via::Status::kSuccess &&
+      done->status == via::DescStatus::kSuccess) {
+    return PStatus::kOk;
+  }
+  // Transport failure. This slot is in flight (in_use, not done), so a
+  // successful recovery has already retransmitted it.
+  if (recover()) return PStatus::kOk;
+  return PStatus::kConnLost;
+}
+
+bool Session::pump_one() {
+  for (;;) {
+    via::Descriptor* d = nullptr;
+    if (vi_->recv_wait(d, io_budget(deadline_ns_)) != via::Status::kSuccess ||
+        d->status != via::DescStatus::kSuccess) {
+      // Connection died (or a fault flushed the receive ring). Recovery
+      // retransmits everything in flight; responses arrive on the new VI.
+      if (recover()) continue;
+      return false;
+    }
+    process_response(recv_buf(d));
+    return true;
+  }
+}
+
+Session::RecvBuf& Session::recv_buf(const via::Descriptor* d) {
+  const auto it = std::find_if(recv_bufs_.begin(), recv_bufs_.end(),
+                               [&](const RecvBuf& b) { return &b.desc == d; });
+  assert(it != recv_bufs_.end());
+  return *it;
+}
+
+bool Session::repost(RecvBuf& rb) {
+  rb.desc = via::Descriptor{};
+  rb.desc.segs = {via::DataSegment{
+      rb.mem.data(), rb.handle, static_cast<std::uint32_t>(rb.mem.size())}};
+  return vi_->post_recv(rb.desc) == via::Status::kSuccess;
+}
+
+bool Session::repost_all() {
+  return std::all_of(recv_bufs_.begin(), recv_bufs_.end(),
+                     [&](RecvBuf& rb) { return repost(rb); });
+}
+
+bool Session::process_response(RecvBuf& rb) {
+  MsgView resp(rb.mem.data(), rb.mem.size());
+  const MsgHeader h = resp.header();
+  const OpId id = h.request_id;
+  // A duplicated response, or one for a request that was already answered
+  // before a retransmission, maps to no live slot: drop it.
+  const bool live = id < slots_.size() && slots_[id].in_use &&
+                    !slots_[id].done && slots_[id].seq == h.seq;
+  if (live) {
+    Slot& sl = slots_[id];
+    sl.resp = h;
+    // Wire-payload verification: the server stamped a CRC-32C over the data
+    // it produced (inline payload bytes, or the direct bytes it RDMA-wrote
+    // into our contiguous buffer). Verify before any byte reaches the
+    // caller; a mismatch turns the response into kCorrupt so settle()
+    // retries it instead of surfacing damaged data.
+    bool rejected = false;
+    if (h.status == PStatus::kOk && (h.flags & kFlagPayloadCrc) != 0) {
+      std::span<const std::byte> covered;
+      if (h.data_len > 0) {
+        covered = {resp.data_payload(), h.data_len};
+      } else if (sl.verify_buf != nullptr && h.len > 0) {
+        covered = {sl.verify_buf, h.len};
+      }
+      if (!covered.empty()) {
+        Actor::current()->charge(CostKind::kCopy,
+                                 nic_.cost().copy_time(covered.size()));
+        nic_.fabric().stats().add("dafs.integrity_crc_bytes", covered.size());
+        if (fstore::crc32c(covered) != h.payload_crc) {
+          nic_.fabric().stats().add("dafs.integrity_client_rejects");
+          sl.resp.status = PStatus::kCorrupt;
+          rejected = true;
+        }
+      }
+    }
+    if (h.data_len > 0 && !rejected) {
+      Actor* actor = Actor::current();
+      const std::uint32_t n = h.data_len;
+      if (sl.user_buf != nullptr) {
+        // Inline read payload: the copy the direct path avoids.
+        const std::uint64_t take = std::min<std::uint64_t>(n, sl.user_cap);
+        std::memcpy(sl.user_buf, resp.data_payload(), take);
+        actor->charge(CostKind::kCopy, nic_.cost().copy_time(take));
+        nic_.fabric().stats().add("dafs.client_copy_bytes", take);
+      } else {
+        sl.payload.assign(resp.data_payload(), resp.data_payload() + n);
+        actor->charge(CostKind::kCopy, nic_.cost().copy_time(n));
+      }
+    }
+    // Recall notification: the server piggybacks kFlagDelegRecall on any
+    // response to a holder's request. Sticky until the cache owner services
+    // it — a response flag alone would be lost on ops that discard flags.
+    if ((h.flags & kFlagDelegRecall) != 0 &&
+        sl.ino != fstore::kInvalidIno) {
+      recalled_.insert(sl.ino);
+    }
+    sl.done = true;
+    record_rtt(sl);
+  } else {
+    nic_.fabric().stats().add("dafs.stale_responses");
+  }
+  // Return the receive buffer to the pool. A repost failure means the
+  // connection just died again; the next pump recovers and reposts the ring.
+  if (!repost(rb)) nic_.fabric().stats().add("dafs.repost_failures");
+  return live;
+}
+
+PStatus Session::wait_slot(OpId id) {
+  Slot& sl = slots_[id];
+  do {
+    while (!sl.done) {
+      if (!pump_one()) return PStatus::kConnLost;
+    }
+  } while (!settle(id));
+  return sl.resp.status;
+}
+
+bool Session::settle(OpId id) {
+  Slot& sl = slots_[id];
+  const PStatus st = sl.resp.status;
+  // Remember a follower's leader hint even when the error surfaces:
+  // do_connect and recover() both consume it to jump straight to the leader
+  // instead of sweeping the mount blind.
+  if (st == PStatus::kNotLeader) leader_hint_ = sl.resp.aux;
+  // A kBadSession *response* (not a transport failure) means the server
+  // restarted but kept our idle VI alive: it forgot the session, not the
+  // connection. A kNotLeader answer to a bound session means leadership
+  // moved underneath us. Either way recovery rebuilds the session (resume
+  // against the new leader, reclaim from our leases) and retransmits; the
+  // slot is marked un-done so recovery's replay includes it.
+  if ((st == PStatus::kBadSession ||
+       (st == PStatus::kNotLeader && session_id_ != 0)) &&
+      sl.reclaim_retries < kSlotReclaimRetries) {
+    ++sl.reclaim_retries;
+    sl.done = false;
+    if (recover()) return false;
+    sl.resp.status = PStatus::kConnLost;
+    sl.done = true;
+    return true;
+  }
+  // Damaged data, not damaged state: the server never executed (writes) or
+  // can safely re-execute (reads) this request. A wire flip is transient,
+  // and the real-time yield gives the filer's scrubber the chance to repair
+  // an at-rest flip between attempts.
+  if (st == PStatus::kCorrupt) {
+    return !retry_after(id,
+                        std::max<std::uint64_t>(policy().backoff_ns, 100'000),
+                        "dafs.corrupt_retries", 1ms);
+  }
+  // Shed by the server: honor the retry-after hint; the real-time yield lets
+  // the admission queue actually drain. aux == 0 marks a deadline expiry,
+  // not overload: retrying cannot help.
+  if (st == PStatus::kBusy && sl.resp.aux != 0) {
+    return !retry_after(id, sl.resp.aux, "dafs.busy_retries", 500us);
+  }
+  return true;
+}
+
+bool Session::retry_after(OpId id, std::uint64_t wait_ns, const char* counter,
+                          std::chrono::microseconds yield) {
+  Slot& sl = slots_[id];
+  if (sl.busy_retries >= policy().max_busy_retries) return false;
+  ++sl.busy_retries;
+  nic_.fabric().stats().add(counter);
+  Actor::current()->advance(Backoff(wait_ns, wait_ns).next(backoff_rng_));
+  std::this_thread::sleep_for(yield);
+  sl.done = false;
+  // A shed or kCorrupt-answered request never executed (or is an idempotent
+  // read), and the server never replay-caches failures, so the fresh seq
+  // transmit() stamps makes this a new submission, not a replay-protected
+  // retransmission.
+  if (transmit(id) == PStatus::kOk) return true;
+  sl.resp.status = PStatus::kConnLost;
+  sl.done = true;
+  return false;
+}
+
+std::uint16_t Session::integrity_flags() const {
+  switch (cfg_.integrity) {
+    case IntegrityMode::kOff: return 0;
+    case IntegrityMode::kWire: return kFlagPayloadCrc;
+    case IntegrityMode::kFull: return kFlagPayloadCrc | kFlagVerifyStore;
+  }
+  return 0;
+}
+
+// ---------------------------------------------------------------------------
+// Transport-failure recovery
+// ---------------------------------------------------------------------------
+
+bool Session::recover() {
+  if (recovering_ || dead_) return false;
+  recovering_ = true;
+  // Whatever we reconnect to may be a different incarnation (restart,
+  // failover, new leader) that never issued our delegations. The ids keep
+  // fencing correctly end-to-end; this only tells caches to stop trusting
+  // locally-held bytes until revalidated.
+  ++recovery_epoch_;
+  struct Reset {
+    bool& flag;
+    ~Reset() { flag = false; }
+  } reset{recovering_};
+
+  Actor* actor = Actor::current();
+  assert(actor && "recovery outside an ActorScope");
+  auto& stats = nic_.fabric().stats();
+  // Identify the starting endpoint by service, not index: demotion reorders
+  // eps_, so after a refusing home is pushed to the back the survivor we
+  // land on may occupy the very slot we started from.
+  const std::string home = eps_[ep_].service;
+  const sim::Time t_fail = actor->now();
+  // Passes run the bound endpoint's retry budget; a follower's redirect (or
+  // a dead listener on a multi-endpoint mount) cuts a pass short and
+  // rotates. A single-endpoint mount gets one pass of long-polling through
+  // the outage; a multi-endpoint mount instead keeps sweeping the endpoint
+  // list — an election is not instant, so the new leader may answer only
+  // some sweeps later — and spends its whole per-endpoint budget on short
+  // cross-endpoint probes.
+  const std::size_t max_passes =
+      eps_.size() == 1
+          ? 1
+          : eps_.size() *
+                static_cast<std::size_t>(std::max(1, eps_[ep_].retry.attempts));
+  for (std::size_t pass = 0; pass < max_passes; ++pass) {
+    const Endpoint ep = eps_[ep_];  // by value: demotion reorders eps_
+    Backoff backoff(ep.retry.backoff_ns, ep.retry.backoff_cap_ns);
+    bool rotate = false;
+    // Set when the pass already repositioned ep_ itself (demotion or a
+    // leader-hint jump); suppresses the blind advance at the pass end.
+    bool moved = false;
+    for (int attempt = 1; attempt <= ep.retry.attempts && !rotate;
+         ++attempt) {
+      stats.add("dafs.recovery_attempts");
+      // Capped exponential backoff, jittered so a herd of clients that died
+      // together does not reconnect in lockstep.
+      actor->advance(backoff.next(backoff_rng_));
+
+      const sim::Time t0 = actor->now();
+      // A VI that saw a transport failure is finished; replace the endpoint.
+      // NIC memory registrations are independent of the VI and survive, so
+      // the server can still RDMA against the same client buffers.
+      vi_->disconnect();
+      vi_ = std::make_unique<via::Vi>(nic_, session_vi_attrs(ptag_));
+      // A crashed server takes its listener down for the whole (real-time)
+      // restart delay. A single-endpoint mount has nowhere else to go, so
+      // it polls through the outage; a multi-endpoint mount probes briefly
+      // and rotates to the surviving members instead.
+      const int polls = eps_.size() == 1 ? 400 : 8;
+      const auto poll_sleep =
+          eps_.size() == 1 ? std::chrono::milliseconds(5)
+                           : std::chrono::milliseconds(1);
+      via::Status cst = via::Status::kNoMatchingListener;
+      for (int i = 0;
+           i < polls && cst == via::Status::kNoMatchingListener; ++i) {
+        cst = nic_.connect(*vi_, ep.service, kIoWait);
+        if (cst == via::Status::kNoMatchingListener) {
+          std::this_thread::sleep_for(poll_sleep);
+        }
+      }
+      if (cst != via::Status::kSuccess) {
+        if (eps_.size() > 1) rotate = true;
+        continue;
+      }
+      if (!repost_all()) continue;
+      const ResumeOutcome ro = resume_session();
+      if (ro == ResumeOutcome::kFailed) continue;
+      if (ro == ResumeOutcome::kNotLeader) {
+        // Quorum follower: jump straight to the hinted leader when the
+        // mount knows its endpoint; otherwise demote the follower and
+        // sweep. Either way leadership is still settling (an election in
+        // progress, or hints chasing a heartbeat behind), and that is a
+        // real-time wait: pace the sweep instead of burning the whole pass
+        // budget before a leader can possibly emerge.
+        const bool jumped = follow_leader_hint(leader_hint_);
+        if (!jumped) demote_endpoint();
+        std::this_thread::sleep_for(std::chrono::milliseconds(jumped ? 2 : 10));
+        moved = true;
+        rotate = true;
+        continue;
+      }
+      // kBadSession after a reconnect means the server restarted (or a new
+      // leader never saw us): rebuild its state from our leases before
+      // retransmitting.
+      if (ro == ResumeOutcome::kLostState && !reclaim_session()) continue;
+      if (!retransmit_inflight()) continue;
+      nic_.fabric().histograms().record("dafs.reconnect_ns",
+                                        actor->now() - t0);
+      stats.add("dafs.recoveries");
+      if (eps_[ep_].service != home) {
+        ++failovers_;
+        stats.add("dafs.failovers");
+        nic_.fabric().histograms().record("dafs.failover_ns",
+                                          actor->now() - t_fail);
+      }
+      return true;
+    }
+    if (!moved) advance_endpoint();
+  }
+  dead_ = true;
+  stats.add("dafs.recovery_failures");
+  return false;
+}
+
+Session::RawResp Session::raw_rpc() {
+  RawResp r;
+  MsgView msg(resume_buf_.data(), resume_buf_.size());
+  msg.header().request_id = kResumeReqId;
+  msg.header().session_id = session_id_;
+  msg.header().seq = next_seq_++;
+  msg.header().client_id = client_id_;
+
+  resume_desc_ = via::Descriptor{};
+  resume_desc_.op = via::Opcode::kSend;
+  resume_desc_.segs = {
+      via::DataSegment{resume_buf_.data(), resume_handle_,
+                       static_cast<std::uint32_t>(msg.wire_size())}};
+  via::Descriptor* sd = nullptr;
+  if (vi_->post_send(resume_desc_) != via::Status::kSuccess ||
+      vi_->send_wait(sd, kIoWait) != via::Status::kSuccess ||
+      sd->status != via::DescStatus::kSuccess) {
+    return r;
+  }
+  // This RPC is the only request outstanding on the fresh VI, so the next
+  // response is its answer (anything else is treated as a failed attempt).
+  via::Descriptor* d = nullptr;
+  if (vi_->recv_wait(d, kIoWait) != via::Status::kSuccess ||
+      d->status != via::DescStatus::kSuccess) {
+    return r;
+  }
+  RecvBuf& rb = recv_buf(d);
+  MsgView resp(rb.mem.data(), rb.mem.size());
+  if (resp.header().request_id == kResumeReqId) {
+    r.transport_ok = true;
+    r.hdr = resp.header();
+    r.status = r.hdr.status;
+    // A quorum follower's redirect: recovery follows the hint, and a reclaim
+    // it cuts short aborts so recovery rotates to whoever serves now.
+    if (r.status == PStatus::kNotLeader) leader_hint_ = r.hdr.aux;
+    if (r.hdr.data_len >= sizeof(fstore::Attrs)) {
+      std::memcpy(&r.attrs, resp.data_payload(), sizeof(r.attrs));
+      r.have_attrs = true;
+    }
+  } else {
+    nic_.fabric().stats().add("dafs.stale_responses");
+  }
+  if (!repost(rb)) r.transport_ok = false;
+  return r;
+}
+
+Session::ResumeOutcome Session::resume_session() {
+  MsgView msg(resume_buf_.data(), resume_buf_.size());
+  msg.header() = MsgHeader{};
+  msg.header().proc = Proc::kConnect;
+  msg.header().flags = kConnectResume;
+  msg.header().aux = session_id_;  // the session we are reclaiming
+  const RawResp r = raw_rpc();
+  if (!r.transport_ok) return ResumeOutcome::kFailed;
+  if (r.status == PStatus::kOk && r.hdr.aux == session_id_) {
+    return ResumeOutcome::kResumed;
+  }
+  if (r.status == PStatus::kBadSession) return ResumeOutcome::kLostState;
+  if (r.status == PStatus::kNotLeader) return ResumeOutcome::kNotLeader;
+  return ResumeOutcome::kFailed;
+}
+
+bool Session::reclaim_session() {
+  auto& stats = nic_.fabric().stats();
+  // 1. A fresh session: the old identity died with the server.
+  {
+    MsgView msg(resume_buf_.data(), resume_buf_.size());
+    msg.header() = MsgHeader{};
+    msg.header().proc = Proc::kConnect;
+    const RawResp r = raw_rpc();
+    if (!r.transport_ok || r.status != PStatus::kOk) return false;
+    session_id_ = r.hdr.aux;
+  }
+  // 2. Re-open every leased path and validate that the handle still names
+  // the same file incarnation. A plain open — never create/truncate — so
+  // validation cannot destroy data. A leadership change, a transport loss
+  // or a spent busy-retry budget mid-reclaim aborts the whole reclaim so
+  // recovery retries or rotates: none of them may condemn a live handle as
+  // stale.
+  for (const OpenLease& lease : leases_) {
+    if (stale_.count(lease.ino) != 0) continue;
+    RawResp r;
+    int busy_tries = 0;
+    do {
+      MsgView msg(resume_buf_.data(), resume_buf_.size());
+      msg.header() = MsgHeader{};
+      msg.header().proc = Proc::kOpen;
+      msg.set_name(lease.path);
+      r = raw_rpc();
+      if (!r.transport_ok || r.status == PStatus::kNotLeader) return false;
+      if (r.status == PStatus::kBusy &&
+          !reclaim_backoff(r, busy_tries, 1'000)) {
+        return false;
+      }
+    } while (r.status == PStatus::kBusy);
+    if (r.status == PStatus::kOk && r.hdr.ino == lease.ino && r.have_attrs &&
+        r.attrs.gen == lease.gen) {
+      continue;  // same file, same incarnation: the handle survives
+    }
+    // Gone, replaced, or unreadable: the handle is stale for good.
+    stale_.insert(lease.ino);
+    stats.add("dafs.stale_handles");
+    // In-flight requests against the stale handle complete locally with
+    // kStale — the server-side file they targeted no longer exists.
+    for (auto& sl : slots_) {
+      if (!sl.in_use || sl.done) continue;
+      MsgView m(sl.send_buf.data(), sl.send_buf.size());
+      if (m.header().ino == lease.ino) {
+        sl.resp = MsgHeader{};
+        sl.resp.status = PStatus::kStale;
+        sl.done = true;
+      }
+    }
+    std::erase_if(lock_leases_, [&](const LockLease& l) {
+      return l.ino == lease.ino;
+    });
+  }
+  // 3. Re-acquire leased byte-range locks, flagged as reclaims so the
+  // server's post-restart grace period admits them. The same aborts as in
+  // step 2 apply: recovery must see them rather than a silently lost lease.
+  for (auto it = lock_leases_.begin(); it != lock_leases_.end();) {
+    const LockLease& l = *it;
+    RawResp r;
+    int busy_tries = 0;
+    int conflict_tries = 0;
+    for (;;) {
+      MsgView msg(resume_buf_.data(), resume_buf_.size());
+      msg.header() = MsgHeader{};
+      msg.header().proc = Proc::kLock;
+      msg.header().ino = l.ino;
+      msg.header().offset = l.start;
+      msg.header().len = l.len;
+      msg.header().aux =
+          (l.exclusive ? kLockExclusive : 0) | kLockReclaim;
+      r = raw_rpc();
+      if (!r.transport_ok || r.status == PStatus::kNotLeader) return false;
+      if (r.status == PStatus::kBusy) {
+        if (!reclaim_backoff(r, busy_tries, 20'000)) return false;
+        continue;
+      }
+      // Another reclaimer holds the range right now; back off briefly.
+      // Budget exhaustion falls through to the lease-lost path below.
+      if (r.status == PStatus::kLockConflict &&
+          reclaim_backoff(r, conflict_tries, 20'000)) {
+        continue;
+      }
+      break;
+    }
+    if (r.status == PStatus::kOk) {
+      ++it;
+    } else {
+      // The lock could not be re-established (another client raced into the
+      // range). The lease is gone; surface it in stats rather than deadlock.
+      stats.add("dafs.reclaim_lock_failures");
+      it = lock_leases_.erase(it);
+    }
+  }
+  // 4. Repoint still-pending requests at the new session before they are
+  // retransmitted.
+  for (auto& sl : slots_) {
+    if (sl.in_use && !sl.done) {
+      MsgView m(sl.send_buf.data(), sl.send_buf.size());
+      m.header().session_id = session_id_;
+    }
+  }
+  stats.add("dafs.session_reclaims");
+  return true;
+}
+
+bool Session::reclaim_backoff(const RawResp& r, int& tries,
+                              sim::Time floor_ns) {
+  if ((r.status == PStatus::kBusy && r.hdr.aux == 0) ||
+      tries >= policy().max_busy_retries) {
+    return false;
+  }
+  ++tries;
+  if (r.status == PStatus::kBusy) {
+    nic_.fabric().stats().add("dafs.busy_retries");
+  }
+  Actor::current()->advance(std::max<std::uint64_t>(r.hdr.aux, floor_ns));
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  return true;
+}
+
+bool Session::retransmit_inflight() {
+  // Replay every request whose response is still owed, oldest first, so the
+  // server sees them in the original submission order.
+  std::vector<OpId> pending;
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].in_use && !slots_[i].done) {
+      pending.push_back(static_cast<OpId>(i));
+    }
+  }
+  std::sort(pending.begin(), pending.end(), [&](OpId a, OpId b) {
+    return slots_[a].seq < slots_[b].seq;
+  });
+  for (const OpId id : pending) {
+    Slot& sl = slots_[id];
+    // Restamp the wire identity with the *current* session: a reclaim that
+    // died partway (transport loss between the fresh connect and the lease
+    // replay) leaves slots carrying the dead session's id, and a later
+    // resume-only recovery would otherwise replay them verbatim into
+    // kBadSession forever. The seq is deliberately left untouched — it is
+    // the replay-protection key the server's dup filter matches on.
+    MsgView m(sl.send_buf.data(), sl.send_buf.size());
+    m.header().session_id = session_id_;
+    sl.send_desc = via::Descriptor{};
+    sl.send_desc.op = via::Opcode::kSend;
+    sl.send_desc.segs = {
+        via::DataSegment{sl.send_buf.data(), sl.send_handle,
+                         static_cast<std::uint32_t>(sl.wire_len)}};
+    via::Descriptor* done = nullptr;
+    if (vi_->post_send(sl.send_desc) != via::Status::kSuccess ||
+        vi_->send_wait(done, kIoWait) != via::Status::kSuccess ||
+        done->status != via::DescStatus::kSuccess) {
+      return false;
+    }
+    nic_.fabric().stats().add("dafs.retransmits");
+  }
+  return true;
+}
+
+void Session::record_rtt(const Slot& sl) {
+  Actor* actor = Actor::current();
+  if (actor == nullptr) return;
+  const sim::Time now = actor->now();
+  nic_.fabric().histograms().record(
+      std::string("dafs.rtt_ns.") + proc_name(sl.proc),
+      now > sl.t_submit ? now - sl.t_submit : 0);
+  // Close the client-side request span (opened implicitly at transmit; submit
+  // and completion are separate calls, so no RAII scope can span them).
+  if (sl.trace_id != 0) {
+    sim::Span s;
+    s.trace_id = sl.trace_id;
+    s.span_id = sl.span_id;
+    s.parent_span_id = sl.parent_span;
+    s.t_start = sl.t_submit;
+    s.t_end = now;
+    s.layer = "dafs.client";
+    s.name = std::string("request.") + proc_name(sl.proc);
+    char attrs[96];
+    std::snprintf(attrs, sizeof(attrs), "\"seq\":%u,\"status\":%d", sl.seq,
+                  static_cast<int>(sl.resp.status));
+    s.attrs = attrs;
+    nic_.fabric().trace().record(std::move(s));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Registration
+// ---------------------------------------------------------------------------
+
+Result<std::vector<via::MemHandle>> Session::register_segments(
+    std::span<const IoVec> iovs, OpId slot) {
+  // Segments inside a cached registration need nothing more. The rest are
+  // sorted by address and cut into clusters wherever the hull would outgrow
+  // both 16x the bytes it carries and 1 MiB; each cluster's hull is one
+  // registration through the cache. A list mixing two buffers (a collective
+  // buffer and user memory) thus settles into two cached registrations
+  // wherever the allocator put them. A request that needs more handles than
+  // the cache holds pins its clusters for its own lifetime instead, so it
+  // cannot evict a handle an earlier segment of it still needs.
+  std::vector<via::MemHandle> handles(iovs.size(), via::kInvalidMemHandle);
+  std::vector<std::size_t> todo;  // segments still needing a handle
+  for (std::size_t i = 0; i < iovs.size(); ++i) {
+    if (iovs[i].len == 0) continue;
+    handles[i] = reg_cache_.find(iovs[i].buf, iovs[i].len);
+    if (handles[i] == via::kInvalidMemHandle) todo.push_back(i);
+  }
+  std::sort(todo.begin(), todo.end(), [&](std::size_t a, std::size_t b) {
+    return iovs[a].buf < iovs[b].buf;
+  });
+  struct Cluster {
+    std::byte* lo;
+    std::byte* hi;
+    std::size_t end;  // todo[..end) belong to this or an earlier cluster
+  };
+  std::vector<Cluster> clusters;
+  std::uint64_t bytes = 0;  // carried by the open cluster
+  for (std::size_t j = 0; j < todo.size(); ++j) {
+    const IoVec& v = iovs[todo[j]];
+    if (!clusters.empty()) {
+      Cluster& c = clusters.back();
+      std::byte* hi = std::max(c.hi, v.buf + v.len);
+      if (static_cast<std::uint64_t>(hi - c.lo) <=
+          std::max<std::uint64_t>(16 * (bytes + v.len), 1 << 20)) {
+        c.hi = hi;
+        c.end = j + 1;
+        bytes += v.len;
+        continue;
+      }
+    }
+    clusters.push_back(Cluster{v.buf, v.buf + v.len, j + 1});
+    bytes = v.len;
+  }
+  const std::size_t found = iovs.size() - todo.size();
+  const bool cache = reg_cache_.enabled() &&
+                     clusters.size() + found <= reg_cache_.capacity();
+  std::size_t j = 0;
+  for (const Cluster& c : clusters) {
+    const auto len = static_cast<std::size_t>(c.hi - c.lo);
+    const via::MemHandle h =
+        cache ? reg_cache_.get(c.lo, len) : reg_cache_.pin(c.lo, len);
+    // Registration can fail (NIC out of resources); the caller turns that
+    // into kNoResource.
+    if (h == via::kInvalidMemHandle) return PStatus::kNoResource;
+    if (!cache) slots_[slot].temp_handles.push_back(h);
+    for (; j < c.end; ++j) handles[todo[j]] = h;
+  }
+  return handles;
+}
+
+// ---------------------------------------------------------------------------
+// Request builders
+// ---------------------------------------------------------------------------
+
+Result<OpId> Session::submit_simple(Proc proc, std::string_view name, Fh fh,
+                                    std::uint64_t offset, std::uint64_t len,
+                                    std::uint64_t aux, std::uint16_t flags) {
+  if (fh.valid() && stale_.count(fh.ino) != 0) return PStatus::kStale;
+  auto id = alloc_slot();
+  if (!id.ok()) return id;
+  Slot& sl = slots_[id.value()];
+  sl.ino = fh.ino;
+  MsgView msg(sl.send_buf.data(), sl.send_buf.size());
+  msg.header() = MsgHeader{};
+  msg.header().proc = proc;
+  msg.header().flags = flags;
+  msg.header().ino = fh.ino;
+  msg.header().offset = offset;
+  msg.header().len = len;
+  msg.header().aux = aux;
+  msg.header().deleg = deleg_of(fh.ino);
+  msg.set_name(name);
+  if (const PStatus st = transmit(id.value()); st != PStatus::kOk) {
+    free_slot(id.value());
+    return st;
+  }
+  return id;
+}
+
+Result<OpId> Session::submit_io(Proc proc, Fh fh, std::span<const IoVec> iovs,
+                                bool writing) {
+  if (fh.valid() && stale_.count(fh.ino) != 0) return PStatus::kStale;
+  auto id = alloc_slot();
+  if (!id.ok()) return id;
+  Slot& sl = slots_[id.value()];
+  sl.ino = fh.ino;
+  MsgView msg(sl.send_buf.data(), sl.send_buf.size());
+  msg.header() = MsgHeader{};
+  msg.header().proc = proc;
+  msg.header().ino = fh.ino;
+  msg.header().deleg = deleg_of(fh.ino);
+  const std::uint16_t integ = integrity_flags();
+  if ((integ & kFlagPayloadCrc) != 0) {
+    msg.header().flags |= writing ? kFlagPayloadCrc : integ;
+    if (writing) {
+      // Direct write: CRC over the outgoing bytes in segment order (the
+      // order the server pulls and verifies them in).
+      std::uint32_t crc = 0;
+      std::uint64_t covered = 0;
+      for (const IoVec& v : iovs) {
+        crc = fstore::crc32c({v.buf, v.len}, crc);
+        covered += v.len;
+      }
+      msg.header().payload_crc = crc;
+      Actor::current()->charge(CostKind::kCopy,
+                               nic_.cost().copy_time(covered));
+      nic_.fabric().stats().add("dafs.integrity_crc_bytes", covered);
+    } else {
+      // Direct read: the server's response CRC covers the moved bytes in
+      // segment order. Only a contiguous ascending batch (memory and file)
+      // makes those bytes a prefix of one flat buffer we can re-hash —
+      // EOF clamps a contiguous range to a prefix, never a gap.
+      bool contig = !iovs.empty();
+      for (std::size_t i = 1; i < iovs.size() && contig; ++i) {
+        contig = iovs[i - 1].buf + iovs[i - 1].len == iovs[i].buf &&
+                 iovs[i - 1].file_off + iovs[i - 1].len == iovs[i].file_off;
+      }
+      if (contig) sl.verify_buf = iovs[0].buf;
+    }
+  }
+
+  auto handles = register_segments(iovs, id.value());
+  if (!handles.ok()) {
+    free_slot(id.value());
+    return handles.error();
+  }
+
+  // Build the direct-segment list, splitting at max_rdma_seg.
+  std::vector<DirectSeg> segs;
+  for (std::size_t i = 0; i < iovs.size(); ++i) {
+    const IoVec& v = iovs[i];
+    const via::MemHandle h = handles.value()[i];
+    std::uint64_t off = 0;
+    while (off < v.len) {
+      const std::uint64_t n = std::min<std::uint64_t>(
+          v.len - off, cfg_.max_rdma_seg);
+      DirectSeg s;
+      s.file_off = v.file_off + off;
+      s.addr = reinterpret_cast<std::uint64_t>(v.buf + off);
+      s.mem = h;
+      s.len = static_cast<std::uint32_t>(n);
+      segs.push_back(s);
+      off += n;
+    }
+  }
+  if (sizeof(MsgHeader) + segs.size() * sizeof(DirectSeg) >
+      sl.send_buf.size()) {
+    free_slot(id.value());
+    return PStatus::kInval;  // too many segments for one request
+  }
+  msg.set_segs(segs);
+  nic_.fabric().stats().add(writing ? "dafs.direct_write_reqs"
+                                    : "dafs.direct_read_reqs");
+  if (const PStatus st = transmit(id.value()); st != PStatus::kOk) {
+    free_slot(id.value());
+    return st;
+  }
+  return id;
+}
+
+Result<std::uint64_t> Session::run_sync(OpId id) {
+  const PStatus st = wait_slot(id);
+  const std::uint64_t bytes = slots_[id].resp.len;
+  free_slot(id);
+  if (st != PStatus::kOk) return st;
+  return bytes;
+}
+
+// ---------------------------------------------------------------------------
+// Namespace operations
+// ---------------------------------------------------------------------------
+
+Result<Fh> Session::open(std::string_view path, std::uint16_t flags,
+                         DelegGrant* grant) {
+  // A re-open of a path leased to a file we hold a delegation on goes out
+  // under that ino, which stamps the request with the holder's id.
+  Fh held;
+  for (const OpenLease& l : leases_) {
+    if (l.path == path && deleg_of(l.ino) != 0 && !is_stale(Fh{l.ino})) {
+      held.ino = l.ino;
+    }
+  }
+  auto id = submit_simple(Proc::kOpen, path, held, 0, 0, 0, flags);
+  if (!id.ok()) return id.error();
+  const PStatus st = wait_slot(id.value());
+  const Slot& sl = slots_[id.value()];
+  const Fh fh{sl.resp.ino};
+  std::uint64_t gen = 0;
+  if (st == PStatus::kOk && sl.payload.size() >= sizeof(fstore::Attrs)) {
+    fstore::Attrs a;
+    std::memcpy(&a, sl.payload.data(), sizeof(a));
+    gen = a.gen;
+  }
+  const std::uint64_t granted = st == PStatus::kOk ? sl.resp.deleg : 0;
+  const bool granted_write = (sl.resp.flags & kFlagDelegWrite) != 0;
+  const std::uint64_t granted_term = sl.resp.aux;
+  free_slot(id.value());
+  if (st != PStatus::kOk) return st;
+  if (grant != nullptr) {
+    grant->id = granted;
+    grant->write = granted_write;
+    grant->term_ns = granted ? granted_term : 0;
+  }
+  if (granted != 0) set_deleg(fh.ino, granted);
+  // Lease: enough client-side state to re-open and re-validate this handle
+  // ((ino, gen) names one file incarnation) after a server restart.
+  record_open_lease(path, fh.ino, gen);
+  return fh;
+}
+
+Result<std::uint64_t> Session::deleg_renew(Fh fh) {
+  auto id = submit_simple(Proc::kDelegRecall, {}, fh, 0, 0, 0, 0);
+  if (!id.ok()) return id.error();
+  const PStatus st = wait_slot(id.value());
+  const std::uint64_t term = slots_[id.value()].resp.aux;
+  const bool recall = (slots_[id.value()].resp.flags & kFlagDelegRecall) != 0;
+  free_slot(id.value());
+  if (st != PStatus::kOk) {
+    if (st == PStatus::kDelegExpired) clear_deleg(fh.ino);
+    return st;
+  }
+  if (recall) recalled_.insert(fh.ino);
+  return term;
+}
+
+PStatus Session::deleg_return(Fh fh) {
+  if (deleg_of(fh.ino) == 0) return PStatus::kOk;
+  auto id = submit_simple(Proc::kDelegReturn, {}, fh, 0, 0, 0, 0);
+  if (!id.ok()) {
+    clear_deleg(fh.ino);
+    clear_recall(fh.ino);
+    return id.error();
+  }
+  const PStatus st = wait_slot(id.value());
+  free_slot(id.value());
+  clear_deleg(fh.ino);
+  clear_recall(fh.ino);
+  return st;
+}
+
+void Session::record_open_lease(std::string_view path, fstore::Ino ino,
+                                std::uint64_t gen) {
+  for (auto& l : leases_) {
+    if (l.path == path) {
+      l.ino = ino;
+      l.gen = gen;
+      return;
+    }
+  }
+  leases_.push_back(OpenLease{std::string(path), ino, gen});
+}
+
+void Session::record_lock_lease(fstore::Ino ino, std::uint64_t start,
+                                std::uint64_t len, bool exclusive) {
+  for (auto& l : lock_leases_) {
+    if (l.ino == ino && l.start == start && l.len == len) {
+      l.exclusive = exclusive;
+      return;
+    }
+  }
+  lock_leases_.push_back(LockLease{ino, start, len, exclusive});
+}
+
+void Session::drop_lock_lease(fstore::Ino ino, std::uint64_t start,
+                              std::uint64_t len) {
+  const std::uint64_t re = len == 0 ? UINT64_MAX : start + len;
+  std::erase_if(lock_leases_, [&](const LockLease& l) {
+    const std::uint64_t le = l.len == 0 ? UINT64_MAX : l.start + l.len;
+    return l.ino == ino && l.start >= start && le <= re;
+  });
+}
+
+Result<fstore::Attrs> Session::getattr(Fh fh) {
+  auto id = submit_simple(Proc::kGetattr, {}, fh, 0, 0, 0, 0);
+  if (!id.ok()) return id.error();
+  const PStatus st = wait_slot(id.value());
+  fstore::Attrs attrs;
+  if (st == PStatus::kOk &&
+      slots_[id.value()].payload.size() >= sizeof(attrs)) {
+    std::memcpy(&attrs, slots_[id.value()].payload.data(), sizeof(attrs));
+  }
+  free_slot(id.value());
+  if (st != PStatus::kOk) return st;
+  return attrs;
+}
+
+PStatus Session::set_size(Fh fh, std::uint64_t size) {
+  auto id = submit_simple(Proc::kSetSize, {}, fh, 0, 0, size, 0);
+  if (!id.ok()) return id.error();
+  const PStatus st = wait_slot(id.value());
+  free_slot(id.value());
+  return st;
+}
+
+PStatus Session::remove(std::string_view path) {
+  auto id = submit_simple(Proc::kRemove, path, Fh{}, 0, 0, 0, 0);
+  if (!id.ok()) return id.error();
+  const PStatus st = wait_slot(id.value());
+  free_slot(id.value());
+  return st;
+}
+
+PStatus Session::mkdir(std::string_view path) {
+  auto id = submit_simple(Proc::kMkdir, path, Fh{}, 0, 0, 0, 0);
+  if (!id.ok()) return id.error();
+  const PStatus st = wait_slot(id.value());
+  free_slot(id.value());
+  return st;
+}
+
+PStatus Session::rmdir(std::string_view path) {
+  auto id = submit_simple(Proc::kRmdir, path, Fh{}, 0, 0, 0, 0);
+  if (!id.ok()) return id.error();
+  const PStatus st = wait_slot(id.value());
+  free_slot(id.value());
+  return st;
+}
+
+PStatus Session::rename(std::string_view from, std::string_view to) {
+  std::string both;
+  both.reserve(from.size() + 1 + to.size());
+  both.append(from);
+  both.push_back('\0');
+  both.append(to);
+  auto id = submit_simple(Proc::kRename, both, Fh{}, 0, 0, 0, 0);
+  if (!id.ok()) return id.error();
+  const PStatus st = wait_slot(id.value());
+  free_slot(id.value());
+  return st;
+}
+
+Result<std::vector<fstore::DirEntry>> Session::readdir(std::string_view path) {
+  std::vector<fstore::DirEntry> out;
+  std::uint64_t cookie = 0;
+  for (;;) {
+    auto id = submit_simple(Proc::kReaddir, path, Fh{}, cookie, 0, 0, 0);
+    if (!id.ok()) return id.error();
+    const PStatus st = wait_slot(id.value());
+    if (st != PStatus::kOk) {
+      free_slot(id.value());
+      return st;
+    }
+    Slot& sl = slots_[id.value()];
+    const std::byte* p = sl.payload.data();
+    const std::byte* end = p + sl.payload.size();
+    for (std::uint64_t i = 0; i < sl.resp.len && p + sizeof(WireDirent) <= end;
+         ++i) {
+      WireDirent wd;
+      std::memcpy(&wd, p, sizeof(wd));
+      p += sizeof(wd);
+      fstore::DirEntry e;
+      e.ino = wd.ino;
+      e.is_dir = wd.is_dir != 0;
+      e.name.assign(reinterpret_cast<const char*>(p), wd.name_len);
+      p += wd.name_len;
+      out.push_back(std::move(e));
+    }
+    const bool done = sl.resp.flags != 0;
+    cookie = sl.resp.aux;
+    free_slot(id.value());
+    if (done) return out;
+  }
+}
+
+PStatus Session::sync(Fh fh) {
+  auto id = submit_simple(Proc::kSync, {}, fh, 0, 0, 0, 0);
+  if (!id.ok()) return id.error();
+  const PStatus st = wait_slot(id.value());
+  free_slot(id.value());
+  return st;
+}
+
+// ---------------------------------------------------------------------------
+// Data path
+// ---------------------------------------------------------------------------
+
+Result<std::uint64_t> Session::pread(Fh fh, std::uint64_t off,
+                                     std::span<std::byte> out) {
+  if (out.size() >= cfg_.direct_threshold) {
+    IoVec v{off, out.data(), out.size()};
+    auto id = submit_io(Proc::kReadDirect, fh, std::span(&v, 1), false);
+    if (!id.ok()) return id.error();
+    return run_sync(id.value());
+  }
+  // Inline: may take several round trips if larger than a message.
+  std::uint64_t done = 0;
+  while (done < out.size()) {
+    const std::size_t cap =
+        MsgView(nullptr, cfg_.msg_buf_size).inline_capacity(0);
+    const std::uint64_t want =
+        std::min<std::uint64_t>(out.size() - done, cap);
+    auto id = submit_simple(Proc::kReadInline, {}, fh, off + done, want, 0,
+                            integrity_flags());
+    if (!id.ok()) return id.error();
+    slots_[id.value()].user_buf = out.data() + done;
+    slots_[id.value()].user_cap = want;
+    auto r = run_sync(id.value());
+    if (!r.ok()) return r;
+    done += r.value();
+    if (r.value() < want) break;  // EOF
+  }
+  return done;
+}
+
+Result<std::uint64_t> Session::pwrite(Fh fh, std::uint64_t off,
+                                      std::span<const std::byte> in) {
+  if (in.size() >= cfg_.direct_threshold) {
+    IoVec v{off, const_cast<std::byte*>(in.data()), in.size()};
+    auto id = submit_io(Proc::kWriteDirect, fh, std::span(&v, 1), true);
+    if (!id.ok()) return id.error();
+    return run_sync(id.value());
+  }
+  // Inline: one round trip per message's worth (an empty write still sends
+  // one request).
+  const std::size_t cap =
+      MsgView(nullptr, cfg_.msg_buf_size).inline_capacity(0);
+  std::uint64_t done = 0;
+  do {
+    const std::uint64_t want = std::min<std::uint64_t>(in.size() - done, cap);
+    auto id = submit_write_inline(fh, off + done, in.subspan(done, want));
+    if (!id.ok()) return id.error();
+    auto r = run_sync(id.value());
+    if (!r.ok()) return r;
+    done += r.value();
+  } while (done < in.size());
+  return done;
+}
+
+Result<OpId> Session::submit_write_inline(Fh fh, std::uint64_t off,
+                                          std::span<const std::byte> in) {
+  auto id = alloc_slot();
+  if (!id.ok()) return id;
+  Slot& sl = slots_[id.value()];
+  sl.ino = fh.ino;
+  MsgView msg(sl.send_buf.data(), sl.send_buf.size());
+  msg.header() = MsgHeader{};
+  msg.header().proc = Proc::kWriteInline;
+  msg.header().ino = fh.ino;
+  msg.header().deleg = deleg_of(fh.ino);
+  msg.header().offset = off;
+  // Marshalling copy into the message buffer — the cost inline writes pay.
+  Actor* actor = Actor::current();
+  if (!in.empty()) {
+    std::memcpy(msg.data_payload(), in.data(), in.size());
+    actor->charge(CostKind::kCopy, nic_.cost().copy_time(in.size()));
+  }
+  nic_.fabric().stats().add("dafs.client_copy_bytes", in.size());
+  msg.header().data_len = static_cast<std::uint32_t>(in.size());
+  msg.header().len = in.size();
+  if ((integrity_flags() & kFlagPayloadCrc) != 0 && !in.empty()) {
+    msg.header().flags |= kFlagPayloadCrc;
+    msg.header().payload_crc = fstore::crc32c({msg.data_payload(), in.size()});
+    actor->charge(CostKind::kCopy, nic_.cost().copy_time(in.size()));
+    nic_.fabric().stats().add("dafs.integrity_crc_bytes", in.size());
+  }
+  if (const PStatus st = transmit(id.value()); st != PStatus::kOk) {
+    free_slot(id.value());
+    return st;
+  }
+  return id;
+}
+
+Result<std::uint64_t> Session::read_batch(Fh fh, std::span<const IoVec> iovs) {
+  auto id = submit_io(Proc::kReadDirect, fh, iovs, false);
+  if (!id.ok()) return id.error();
+  return run_sync(id.value());
+}
+
+Result<std::uint64_t> Session::write_batch(Fh fh, std::span<const IoVec> iovs) {
+  auto id = submit_io(Proc::kWriteDirect, fh, iovs, true);
+  if (!id.ok()) return id.error();
+  return run_sync(id.value());
+}
+
+Result<OpId> Session::submit_read_batch(Fh fh, std::span<const IoVec> iovs) {
+  return submit_io(Proc::kReadDirect, fh, iovs, false);
+}
+
+Result<OpId> Session::submit_write_batch(Fh fh, std::span<const IoVec> iovs) {
+  return submit_io(Proc::kWriteDirect, fh, iovs, true);
+}
+
+// ---------------------------------------------------------------------------
+// Asynchronous I/O
+// ---------------------------------------------------------------------------
+
+Result<OpId> Session::submit_pread(Fh fh, std::uint64_t off,
+                                   std::span<std::byte> out) {
+  if (out.size() >= cfg_.direct_threshold ||
+      out.size() > MsgView(nullptr, cfg_.msg_buf_size).inline_capacity(0)) {
+    IoVec v{off, out.data(), out.size()};
+    return submit_io(Proc::kReadDirect, fh, std::span(&v, 1), false);
+  }
+  auto id = submit_simple(Proc::kReadInline, {}, fh, off, out.size(), 0,
+                          integrity_flags());
+  if (id.ok()) {
+    slots_[id.value()].user_buf = out.data();
+    slots_[id.value()].user_cap = out.size();
+  }
+  return id;
+}
+
+Result<OpId> Session::submit_pwrite(Fh fh, std::uint64_t off,
+                                    std::span<const std::byte> in) {
+  if (in.size() >= cfg_.direct_threshold ||
+      in.size() > MsgView(nullptr, cfg_.msg_buf_size).inline_capacity(0)) {
+    IoVec v{off, const_cast<std::byte*>(in.data()), in.size()};
+    return submit_io(Proc::kWriteDirect, fh, std::span(&v, 1), true);
+  }
+  return submit_write_inline(fh, off, in);
+}
+
+PStatus Session::wait(OpId op, std::uint64_t* bytes) {
+  if (op >= slots_.size() || !slots_[op].in_use) return PStatus::kInval;
+  const PStatus st = wait_slot(op);
+  if (bytes != nullptr) *bytes = slots_[op].resp.len;
+  free_slot(op);
+  return st;
+}
+
+Result<bool> Session::test(OpId op, std::uint64_t* bytes) {
+  if (dead_) return PStatus::kConnLost;
+  if (!slots_[op].done) {
+    // Opportunistically drain anything already delivered.
+    via::Descriptor* d = nullptr;
+    while (vi_->recv_done(d) == via::Status::kSuccess) {
+      if (d->status != via::DescStatus::kSuccess) {
+        // The ring was flushed by a transport failure; recover (which
+        // retransmits everything in flight) and report "not yet done".
+        if (!recover()) return PStatus::kConnLost;
+        break;
+      }
+      process_response(recv_buf(d));
+    }
+  }
+  // A retried request is back in flight: "not yet done". A settled one is
+  // collected by wait(), which returns at once.
+  if (!slots_[op].done || !settle(op)) return false;
+  if (const PStatus st = wait(op, bytes); st != PStatus::kOk) return st;
+  return true;
+}
+
+Result<std::size_t> Session::wait_any(std::span<const OpId> ops) {
+  if (ops.empty()) return PStatus::kInval;
+  for (;;) {
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      if (slots_[ops[i]].in_use && slots_[ops[i]].done && settle(ops[i])) {
+        return i;
+      }
+    }
+    if (!pump_one()) return PStatus::kConnLost;
+  }
+}
+
+PStatus Session::wait_all(std::span<const OpId> ops) {
+  PStatus worst = PStatus::kOk;
+  for (const OpId op : ops) {
+    const PStatus st = wait(op);
+    if (st != PStatus::kOk) worst = st;
+  }
+  return worst;
+}
+
+// ---------------------------------------------------------------------------
+// Locks & counters
+// ---------------------------------------------------------------------------
+
+PStatus Session::try_lock(Fh fh, std::uint64_t start, std::uint64_t len,
+                          bool exclusive) {
+  auto id = submit_simple(Proc::kLock, {}, fh, start, len,
+                          exclusive ? kLockExclusive : 0, 0);
+  if (!id.ok()) return id.error();
+  const PStatus st = wait_slot(id.value());
+  free_slot(id.value());
+  if (st == PStatus::kOk) record_lock_lease(fh.ino, start, len, exclusive);
+  return st;
+}
+
+PStatus Session::lock(Fh fh, std::uint64_t start, std::uint64_t len,
+                      bool exclusive) {
+  Actor* actor = Actor::current();
+  // Jittered exponential backoff between conflict retries: fixed spacing
+  // keeps contending clients phase-locked, re-colliding on every probe.
+  Backoff backoff(kLockBackoffBase, kLockBackoffCap);
+  for (int i = 0; i < kLockRetries; ++i) {
+    const PStatus st = try_lock(fh, start, len, exclusive);
+    if (st != PStatus::kLockConflict) return st;
+    actor->advance(backoff.next(backoff_rng_));
+    std::this_thread::yield();
+  }
+  return PStatus::kLockConflict;
+}
+
+PStatus Session::unlock(Fh fh, std::uint64_t start, std::uint64_t len) {
+  auto id = submit_simple(Proc::kUnlock, {}, fh, start, len, 0, 0);
+  if (!id.ok()) return id.error();
+  const PStatus st = wait_slot(id.value());
+  free_slot(id.value());
+  if (st == PStatus::kOk) drop_lock_lease(fh.ino, start, len);
+  return st;
+}
+
+Result<std::uint64_t> Session::fetch_add(std::string_view key,
+                                         std::uint64_t delta) {
+  auto id = submit_simple(Proc::kFetchAdd, key, Fh{}, 0, 0, delta, 0);
+  if (!id.ok()) return id.error();
+  const PStatus st = wait_slot(id.value());
+  const std::uint64_t old = slots_[id.value()].resp.aux;
+  free_slot(id.value());
+  if (st != PStatus::kOk) return st;
+  return old;
+}
+
+PStatus Session::set_counter(std::string_view key, std::uint64_t value) {
+  auto id = submit_simple(Proc::kSetCounter, key, Fh{}, 0, 0, value, 0);
+  if (!id.ok()) return id.error();
+  const PStatus st = wait_slot(id.value());
+  free_slot(id.value());
+  return st;
+}
+
+// ---------------------------------------------------------------------------
+// Telemetry
+// ---------------------------------------------------------------------------
+
+namespace {
+/// Parse a kStatsQuery response payload (layout in proto.hpp). Every read is
+/// bounds-checked: a short or internally-inconsistent snapshot is a protocol
+/// error, never an out-of-bounds read.
+bool parse_stats_payload(std::span<const std::byte> payload,
+                         StatsSnapshot& out) {
+  const std::byte* p = payload.data();
+  const std::byte* end = p + payload.size();
+  if (payload.size() < sizeof(WireStatsHeader)) return false;
+  std::memcpy(&out.header, p, sizeof(out.header));
+  p += sizeof(out.header);
+  if (out.header.version != kStatsVersion) return false;
+  out.sessions.resize(out.header.nsessions);
+  for (WireSessionStats& s : out.sessions) {
+    if (p + sizeof(WireSessionStats) > end) return false;
+    std::memcpy(&s, p, sizeof(s));
+    p += sizeof(s);
+  }
+  out.kv.reserve(out.header.nkv);
+  for (std::uint32_t i = 0; i < out.header.nkv; ++i) {
+    WireStatsKv kv;
+    if (p + sizeof(kv) > end) return false;
+    std::memcpy(&kv, p, sizeof(kv));
+    p += sizeof(kv);
+    if (p + kv.key_len > end) return false;
+    out.kv.emplace_back(
+        std::string(reinterpret_cast<const char*>(p), kv.key_len), kv.value);
+    p += kv.key_len;
+  }
+  return true;
+}
+}  // namespace
+
+Result<StatsSnapshot> Session::query_stats() {
+  auto id = submit_simple(Proc::kStatsQuery, {}, Fh{}, 0, 0, 0, 0);
+  if (!id.ok()) return id.error();
+  const PStatus st = wait_slot(id.value());
+  StatsSnapshot snap;
+  bool parsed = false;
+  if (st == PStatus::kOk) {
+    parsed = parse_stats_payload(slots_[id.value()].payload, snap);
+  }
+  free_slot(id.value());
+  if (st != PStatus::kOk) return st;
+  if (!parsed) return PStatus::kProtoError;
+  return snap;
+}
+
+}  // namespace dafs

@@ -1,0 +1,381 @@
+#pragma once
+
+#include <chrono>
+#include <cstdint>
+#include <memory>
+#include <span>
+#include <string>
+#include <string_view>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
+
+#include "dafs/client.hpp"
+#include "dafs/mount.hpp"
+#include "dafs/proto.hpp"
+#include "fstore/types.hpp"
+#include "sim/rng.hpp"
+#include "via/reg_cache.hpp"
+#include "via/vi.hpp"
+
+namespace dafs {
+
+/// The DAFS transport to one filer, internal to dafs::Client (which binds
+/// one per filer of its mount): the protocol over one VI with its credit
+/// window, registration cache, retries and transport-failure recovery.
+/// Small transfers ride inline in messages; large ones are *direct*: the
+/// client registers the user buffer (with a registration cache) and the
+/// server RDMAs the data, so the client CPU never touches payload bytes.
+///
+/// Concurrency contract: a Session is owned by one thread (its Client's),
+/// matching the DAFS provider model.
+class Session {
+ public:
+  /// Mount `spec` and bind to its first reachable endpoint. Later endpoints
+  /// are failover targets: the recovery path rotates to them when the bound
+  /// filer stays unreachable or answers kNotLeader (a quorum follower).
+  static Result<std::unique_ptr<Session>> connect(via::Nic& nic,
+                                                  const MountSpec& spec = {});
+  ~Session();
+
+  Session(const Session&) = delete;
+  Session& operator=(const Session&) = delete;
+
+  /// What the server granted at open (all zero when it granted nothing).
+  struct DelegGrant {
+    std::uint64_t id = 0;       // delegation id (a pure capability token)
+    bool write = false;         // write delegation (else read-only)
+    std::uint64_t term_ns = 0;  // lease term; renewed by every stamped op
+  };
+
+  // ---- namespace -----------------------------------------------------------
+  /// Open `path`. With `grant`, the request asks for a delegation (the
+  /// caller must also set kOpenWantDeleg in `flags`) and `*grant` reports
+  /// what the server issued. Re-opening a path whose file this session
+  /// holds a delegation on stamps that id, so the server re-advertises the
+  /// holder's own grant instead of recalling it.
+  Result<Fh> open(std::string_view path, std::uint16_t flags = 0,
+                  DelegGrant* grant = nullptr);
+  Result<fstore::Attrs> getattr(Fh fh);
+  PStatus set_size(Fh fh, std::uint64_t size);
+  PStatus remove(std::string_view path);
+  PStatus mkdir(std::string_view path);
+  PStatus rmdir(std::string_view path);
+  PStatus rename(std::string_view from, std::string_view to);
+  Result<std::vector<fstore::DirEntry>> readdir(std::string_view path);
+  PStatus sync(Fh fh);
+
+  // ---- delegations ----------------------------------------------------------
+  /// Renewal/recall poll: renews the lease on the delegation stamped for
+  /// `fh` and returns the renewed term (ns). kDelegExpired once the server
+  /// no longer honors the id (also clears the local stamp). A pending recall
+  /// surfaces through recall_pending().
+  Result<std::uint64_t> deleg_renew(Fh fh);
+  /// Voluntarily return the delegation stamped for `fh` (no-op when none).
+  PStatus deleg_return(Fh fh);
+  /// The delegation id stamped on every request for `ino` (0 = none).
+  std::uint64_t deleg_of(fstore::Ino ino) const {
+    auto it = delegs_.find(ino);
+    return it == delegs_.end() ? 0 : it->second;
+  }
+  void set_deleg(fstore::Ino ino, std::uint64_t id) { delegs_[ino] = id; }
+  void clear_deleg(fstore::Ino ino) { delegs_.erase(ino); }
+  /// Sticky recall notification: set when any response for `ino` carried
+  /// kFlagDelegRecall; the cache owner services it and clears the flag.
+  bool recall_pending(fstore::Ino ino) const {
+    return recalled_.count(ino) != 0;
+  }
+  void clear_recall(fstore::Ino ino) { recalled_.erase(ino); }
+  /// Bumped at every transport recovery. A recovery can land the session on
+  /// a different server incarnation that never issued our delegations, so a
+  /// cache compares the epoch it recorded at grant before serving bytes.
+  std::uint64_t recovery_epoch() const { return recovery_epoch_; }
+
+  // ---- data -----------------------------------------------------------------
+  Result<std::uint64_t> pread(Fh fh, std::uint64_t off,
+                              std::span<std::byte> out);
+  Result<std::uint64_t> pwrite(Fh fh, std::uint64_t off,
+                               std::span<const std::byte> in);
+  /// Scatter/gather list I/O: each IoVec names its own file offset. Uses one
+  /// direct request when possible, minimizing round trips.
+  Result<std::uint64_t> read_batch(Fh fh, std::span<const IoVec> iovs);
+  Result<std::uint64_t> write_batch(Fh fh, std::span<const IoVec> iovs);
+  /// Asynchronous list I/O: submit the batch and return the op id without
+  /// waiting. The striped Client uses these to drive one in-flight batch per
+  /// data server; wait()/test()/wait_all() complete them like any other op.
+  Result<OpId> submit_read_batch(Fh fh, std::span<const IoVec> iovs);
+  Result<OpId> submit_write_batch(Fh fh, std::span<const IoVec> iovs);
+
+  // ---- asynchronous I/O ------------------------------------------------------
+  Result<OpId> submit_pread(Fh fh, std::uint64_t off, std::span<std::byte> out);
+  Result<OpId> submit_pwrite(Fh fh, std::uint64_t off,
+                             std::span<const std::byte> in);
+  /// Block until `op` completes; optionally return bytes transferred.
+  /// kInval when `op` is not in flight (never submitted, or collected).
+  PStatus wait(OpId op, std::uint64_t* bytes = nullptr);
+  /// Non-blocking completion check; frees the op when it returns done=true
+  /// and returns its error when it failed.
+  Result<bool> test(OpId op, std::uint64_t* bytes = nullptr);
+  PStatus wait_all(std::span<const OpId> ops);
+  /// Completion-group wait: block until any of `ops` has completed and
+  /// returns its index within `ops`. The op stays allocated:
+  /// `wait(ops[i], &bytes)` collects its status and byte count without
+  /// blocking. kInval on an empty span.
+  Result<std::size_t> wait_any(std::span<const OpId> ops);
+
+  // ---- locks & counters -------------------------------------------------------
+  /// Acquire with bounded retry on conflict.
+  PStatus lock(Fh fh, std::uint64_t start, std::uint64_t len, bool exclusive);
+  PStatus try_lock(Fh fh, std::uint64_t start, std::uint64_t len,
+                   bool exclusive);
+  PStatus unlock(Fh fh, std::uint64_t start, std::uint64_t len);
+  Result<std::uint64_t> fetch_add(std::string_view key, std::uint64_t delta);
+  PStatus set_counter(std::string_view key, std::uint64_t value);
+
+  // ---- telemetry -------------------------------------------------------------
+  /// Live stats snapshot from the bound filer. Served outside the server's
+  /// admission control (succeeds while the data plane sheds kBusy) and by
+  /// quorum followers (which report their role/term instead of refusing).
+  Result<StatsSnapshot> query_stats();
+
+  std::uint64_t session_id() const { return session_id_; }
+  std::uint64_t client_id() const { return client_id_; }
+  via::Nic& nic() { return nic_; }
+  const ClientConfig& config() const { return cfg_; }
+  /// Endpoint list this session was mounted with (never empty).
+  const std::vector<Endpoint>& endpoints() const { return eps_; }
+  /// Index of the endpoint the session is currently bound to.
+  std::size_t endpoint_index() const { return ep_; }
+  /// Service name of the bound endpoint.
+  const std::string& active_service() const { return eps_[ep_].service; }
+  /// Retry policy of the bound endpoint.
+  const RetryPolicy& policy() const { return eps_[ep_].retry; }
+  /// Times the session rotated to a different endpoint (failovers).
+  std::uint64_t failovers() const { return failovers_; }
+  /// Registration-cache counters (hits/misses/evictions).
+  std::uint64_t reg_cache_hits() const { return reg_cache_.hits(); }
+  std::uint64_t reg_cache_misses() const { return reg_cache_.misses(); }
+  /// Change the per-request deadline budget (virtual ns, 0 = none).
+  void set_deadline(std::uint64_t ns) { deadline_ns_ = ns; }
+  std::uint64_t deadline() const { return deadline_ns_; }
+  /// Handles invalidated by a server restart that found the file changed
+  /// underneath them (removed / recreated): ops on them return kStale.
+  bool is_stale(Fh fh) const { return stale_.count(fh.ino) != 0; }
+  std::size_t stale_count() const { return stale_.size(); }
+
+ private:
+  struct Slot {
+    bool in_use = false;
+    bool done = false;
+    Proc proc{};                 // procedure in flight (RTT attribution)
+    fstore::Ino ino = fstore::kInvalidIno;  // target file (recall routing)
+    std::uint32_t seq = 0;       // session sequence number of the request
+    int busy_retries = 0;        // kBusy retransmissions so far
+    int reclaim_retries = 0;     // kBadSession-triggered reclaims so far
+    std::size_t wire_len = 0;    // request bytes (for retransmission)
+    sim::Time t_submit = 0;      // virtual doorbell time of the request
+    std::uint64_t trace_id = 0;  // trace the request belongs to (0 = none)
+    std::uint64_t span_id = 0;   // this request's client-side span id
+    std::uint64_t parent_span = 0;  // span open at submit (the MPI-IO op)
+    MsgHeader resp;
+    std::vector<std::byte> payload;   // small response payloads (attrs, dirents)
+    std::byte* user_buf = nullptr;    // inline-read destination
+    std::uint64_t user_cap = 0;
+    /// Direct-read destination when the request's segments were contiguous
+    /// (memory and file): the server's payload CRC then covers exactly the
+    /// first resp.len bytes here. Null = skip client-side wire verification.
+    std::byte* verify_buf = nullptr;
+    std::vector<via::MemHandle> temp_handles;  // released on completion
+    std::vector<std::byte> send_buf;
+    via::MemHandle send_handle = via::kInvalidMemHandle;
+    via::Descriptor send_desc;
+  };
+
+  struct RecvBuf {
+    std::vector<std::byte> mem;
+    via::MemHandle handle = via::kInvalidMemHandle;
+    via::Descriptor desc;
+  };
+
+  Session(via::Nic& nic, MountSpec spec);
+  PStatus do_connect();
+  /// One establishment pass against the bound endpoint (connect retry loop,
+  /// buffer arming, kConnect RPC). do_connect rotates endpoints between
+  /// passes when the answer is kNotLeader.
+  PStatus connect_once();
+  /// Rotate to the next endpoint in the mount order (wraps; reseeds the
+  /// backoff jitter from the new endpoint's policy).
+  void advance_endpoint();
+  /// Demote the bound endpoint to the back of the rotation and bind the
+  /// next one. Used when the endpoint *answered* but refused service
+  /// (kNotLeader): it is alive yet useless for now, so it should be the
+  /// last thing reprobed — unlike a transport failure, where the plain
+  /// in-place rotation of advance_endpoint is right.
+  void demote_endpoint();
+  /// Bind the endpoint tagged with quorum member `aux - 1` (the wire
+  /// encoding of a kNotLeader leader hint; aux == 0 means no hint). Returns
+  /// false when the hint is empty, unknown, or names the bound endpoint.
+  bool follow_leader_hint(std::uint64_t aux);
+
+  /// Allocate a free request slot; kProtoError if the session is dead,
+  /// kInval if the caller exceeded the credit limit.
+  Result<OpId> alloc_slot();
+  void free_slot(OpId id);
+  /// Build+transmit the request in slot `id`. MsgView over the slot's send
+  /// buffer must already be finalized.
+  PStatus transmit(OpId id);
+  /// Pump one response off the VI (blocking). Returns false if the session
+  /// died.
+  bool pump_one();
+  /// Handle one successfully-received response buffer: complete the matching
+  /// slot (or count it as stale) and repost the buffer. Returns true when it
+  /// completed a live slot.
+  bool process_response(RecvBuf& rb);
+  /// The receive buffer a completed receive descriptor scatters into.
+  RecvBuf& recv_buf(const via::Descriptor* d);
+  /// Post `rb` on the VI's receive queue (false: the VI is dead).
+  bool repost(RecvBuf& rb);
+  /// Post every receive buffer: the credit contract with the server.
+  bool repost_all();
+  /// Pump responses until slot `id` has settled; returns its final status.
+  PStatus wait_slot(OpId id);
+  /// The one completion rule for a slot whose response arrived, shared by
+  /// wait, test and wait_any. kBusy with a retry-after hint and kCorrupt go
+  /// back on the wire after a jittered wait; kBadSession, and kNotLeader on
+  /// a bound session, recover the session and retransmit (at most
+  /// kSlotReclaimRetries times). Returns true when resp.status is final
+  /// (including kConnLost when a retransmission failed), false when the
+  /// request is in flight again.
+  bool settle(OpId id);
+  /// Retransmit slot `id` after a jittered virtual wait of about `wait_ns`
+  /// plus a real-time `yield`, counting the retry under `counter`. False
+  /// once the slot's retry budget is spent.
+  bool retry_after(OpId id, std::uint64_t wait_ns, const char* counter,
+                   std::chrono::microseconds yield);
+
+  // ---- transport-failure recovery ----
+  /// Reconnect, resume the session, and retransmit in-flight requests, with
+  /// capped jittered exponential backoff between attempts. Returns false
+  /// (and marks the session dead) once attempts are exhausted.
+  bool recover();
+  enum class ResumeOutcome {
+    kFailed,     // transport error / garbled answer: retry the attempt
+    kResumed,    // server still had the session (connection-level failure)
+    kLostState,  // kBadSession: server restarted, reclaim from leases
+    kNotLeader,  // quorum follower: follow its leader hint (or demote)
+  };
+  ResumeOutcome resume_session();
+  /// Rebuild server-side state from client leases after a server restart:
+  /// fresh connect, re-open leased paths (validating (ino, gen) identity;
+  /// mismatches mark the handle stale), re-acquire leased byte-range locks
+  /// with kLockReclaim, then repoint in-flight requests at the new session.
+  bool reclaim_session();
+  bool retransmit_inflight();
+  /// One synchronous RPC over the dedicated resume buffer (usable while all
+  /// regular slots are occupied by in-flight requests). The caller builds
+  /// the request in resume_buf_; identity/seq stamping happens here.
+  struct RawResp {
+    bool transport_ok = false;  // false: send/recv died, retry the attempt
+    PStatus status = PStatus::kProtoError;
+    MsgHeader hdr{};
+    fstore::Attrs attrs{};
+    bool have_attrs = false;
+  };
+  RawResp raw_rpc();
+  /// The wait between lease-reclaim RPCs the restarting filer shed (kBusy)
+  /// or refused (kLockConflict): the server's hint, floored at `floor_ns`,
+  /// then a real-time yield. False once `tries` reaches the busy-retry
+  /// budget, or at once for a deadline shed (kBusy with no hint).
+  bool reclaim_backoff(const RawResp& r, int& tries, sim::Time floor_ns);
+  /// Header flags the session's IntegrityMode asks for on data procedures.
+  std::uint16_t integrity_flags() const;
+  /// Record the request's submit->response RTT into the fabric histogram
+  /// registry, keyed by procedure ("dafs.rtt_ns.<proc>").
+  void record_rtt(const Slot& sl);
+
+  /// One NIC handle per segment of a direct request (kNoResource when a
+  /// registration failed). Handles pinned outside the cache land in the
+  /// slot's temp_handles and are released with it.
+  Result<std::vector<via::MemHandle>> register_segments(
+      std::span<const IoVec> iovs, OpId slot);
+
+  Result<OpId> submit_io(Proc proc, Fh fh, std::span<const IoVec> iovs,
+                         bool writing);
+  /// Marshal `in` (at most one message's inline capacity) into an inline
+  /// write request stamped with the ino's delegation, and transmit it.
+  Result<OpId> submit_write_inline(Fh fh, std::uint64_t off,
+                                   std::span<const std::byte> in);
+  Result<std::uint64_t> run_sync(OpId id);
+  Result<OpId> submit_simple(Proc proc, std::string_view name, Fh fh,
+                             std::uint64_t offset, std::uint64_t len,
+                             std::uint64_t aux, std::uint16_t flags);
+
+  /// Leases: the client-side record of server state it can rebuild after a
+  /// crash-restart wiped the server's volatile tables.
+  struct OpenLease {
+    std::string path;
+    fstore::Ino ino = fstore::kInvalidIno;
+    std::uint64_t gen = 0;  // (ino, gen) names one file incarnation
+  };
+  struct LockLease {
+    fstore::Ino ino = fstore::kInvalidIno;
+    std::uint64_t start = 0;
+    std::uint64_t len = 0;
+    bool exclusive = false;
+  };
+  void record_open_lease(std::string_view path, fstore::Ino ino,
+                         std::uint64_t gen);
+  void record_lock_lease(fstore::Ino ino, std::uint64_t start,
+                         std::uint64_t len, bool exclusive);
+  void drop_lock_lease(fstore::Ino ino, std::uint64_t start,
+                       std::uint64_t len);
+
+  via::Nic& nic_;
+  ClientConfig cfg_;
+  /// Normalized endpoint list from the MountSpec (never empty) and the
+  /// index of the endpoint currently bound.
+  std::vector<Endpoint> eps_;
+  std::size_t ep_ = 0;
+  std::uint64_t failovers_ = 0;
+  std::uint64_t rotations_ = 0;
+  /// Last kNotLeader leader hint seen (wire encoding: member index + 1,
+  /// 0 = none). Recorded wherever a kNotLeader answer lands — connect,
+  /// resume, wait — and consumed by the recovery rotation.
+  std::uint64_t leader_hint_ = 0;
+  via::ProtectionTag ptag_;
+  /// Owned by pointer so recovery can replace the endpoint: a VI that has
+  /// seen a transport failure is dead for good, but the NIC registrations
+  /// backing the session's buffers survive it.
+  std::unique_ptr<via::Vi> vi_;
+  std::uint64_t session_id_ = 0;
+  std::uint64_t client_id_ = 0;
+  std::uint64_t deadline_ns_ = 0;
+  std::uint32_t next_seq_ = 1;
+  bool dead_ = false;
+  bool recovering_ = false;
+  sim::Rng backoff_rng_;
+
+  std::vector<OpenLease> leases_;
+  std::vector<LockLease> lock_leases_;
+  std::unordered_set<fstore::Ino> stale_;
+  /// Per-ino delegation stamp: every request for the ino carries this id in
+  /// MsgHeader::deleg, which is both the server's holder check and the
+  /// per-request lease renewal.
+  std::unordered_map<fstore::Ino, std::uint64_t> delegs_;
+  std::unordered_set<fstore::Ino> recalled_;
+  std::uint64_t recovery_epoch_ = 0;
+
+  std::vector<Slot> slots_;
+  std::vector<OpId> free_slots_;
+  std::vector<RecvBuf> recv_bufs_;
+
+  /// Dedicated send buffer for the resume handshake: every regular slot may
+  /// already be occupied by an in-flight request when the connection dies.
+  std::vector<std::byte> resume_buf_;
+  via::MemHandle resume_handle_ = via::kInvalidMemHandle;
+  via::Descriptor resume_desc_;
+
+  via::RegCache reg_cache_;
+};
+
+}  // namespace dafs

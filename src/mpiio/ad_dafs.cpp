@@ -21,13 +21,12 @@ std::vector<dafs::IoVec> to_iovecs(std::span<const IoSeg> segs) {
 
 }  // namespace
 
-template <typename S>
-Result<std::uint64_t> AdDafsT<S>::read_list(std::span<const IoSeg> segs) {
+Result<std::uint64_t> AdDafs::read_list(std::span<const IoSeg> segs) {
   // Small segments would each pay a direct-I/O registration; fall back to
   // the default per-run path (inline transfers) when everything is tiny.
   std::uint64_t total_len = 0;
   for (const IoSeg& s : segs) total_len += s.len;
-  if (total_len < s_.config().direct_threshold) {
+  if (total_len < client_.config().direct_threshold) {
     return AdioDriver::read_list(segs);
   }
   std::uint64_t total = 0;
@@ -36,7 +35,7 @@ Result<std::uint64_t> AdDafsT<S>::read_list(std::span<const IoSeg> segs) {
     const std::size_t n = std::min(kMaxSegsPerRequest, iovs.size() - i);
     std::uint64_t want = 0;
     for (std::size_t k = i; k < i + n; ++k) want += iovs[k].len;
-    auto r = s_.read_batch(fh_, std::span(iovs.data() + i, n));
+    auto r = client_.read_batch(fh_, std::span(iovs.data() + i, n));
     if (!r.ok()) return r;
     total += r.value();
     // A short batch means EOF inside it; later batches lie wholly past EOF,
@@ -46,11 +45,10 @@ Result<std::uint64_t> AdDafsT<S>::read_list(std::span<const IoSeg> segs) {
   return total;
 }
 
-template <typename S>
-Result<std::uint64_t> AdDafsT<S>::write_list(std::span<const IoSeg> segs) {
+Result<std::uint64_t> AdDafs::write_list(std::span<const IoSeg> segs) {
   std::uint64_t total_len = 0;
   for (const IoSeg& s : segs) total_len += s.len;
-  if (total_len < s_.config().direct_threshold) {
+  if (total_len < client_.config().direct_threshold) {
     return AdioDriver::write_list(segs);
   }
   std::uint64_t total = 0;
@@ -59,7 +57,7 @@ Result<std::uint64_t> AdDafsT<S>::write_list(std::span<const IoSeg> segs) {
     const std::size_t n = std::min(kMaxSegsPerRequest, iovs.size() - i);
     std::uint64_t want = 0;
     for (std::size_t k = i; k < i + n; ++k) want += iovs[k].len;
-    auto r = s_.write_batch(fh_, std::span(iovs.data() + i, n));
+    auto r = client_.write_batch(fh_, std::span(iovs.data() + i, n));
     if (!r.ok()) return r;
     total += r.value();
     // Stop on a short batch: the device accepted less than asked, so
@@ -68,8 +66,5 @@ Result<std::uint64_t> AdDafsT<S>::write_list(std::span<const IoSeg> segs) {
   }
   return total;
 }
-
-template class AdDafsT<dafs::Session>;
-template class AdDafsT<dafs::Client>;
 
 }  // namespace mpiio

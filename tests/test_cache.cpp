@@ -9,6 +9,7 @@
 
 #include "dafs/client.hpp"
 #include "dafs/server.hpp"
+#include "dafs/session.hpp"
 #include "quorum_bed.hpp"
 #include "sim/rng.hpp"
 
@@ -241,6 +242,53 @@ TEST_F(CacheTest, BudgetPressureFlushesDirtyAndEvictsClean) {
             .ok());
     EXPECT_EQ(back, chunk) << "chunk " << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Async I/O on a cached open goes through the cache
+// ---------------------------------------------------------------------------
+
+TEST_F(CacheTest, AsyncWriteOnCachedOpenKeepsTheCacheCoherent) {
+  ActorScope scope(actor_a_);
+  auto c = std::move(dafs::Client::connect(nic_a_, cache_mount()).value());
+  auto fh =
+      c->open("/aw.dat", cached_open(Consistency::kAfterWrite)).value();
+  ASSERT_TRUE(c->has_delegation(fh));
+  const auto before = pattern(4 * 1024, 31);
+  const auto after = pattern(4 * 1024, 32);
+  ASSERT_TRUE(c->pwrite(fh, 0, before).ok());
+  std::vector<std::byte> back(before.size());
+  ASSERT_TRUE(c->pread(fh, 0, back).ok());
+  ASSERT_EQ(back, before);
+
+  auto op = c->submit_pwrite(fh, 0, after);
+  ASSERT_TRUE(op.ok());
+  std::uint64_t wrote = 0;
+  ASSERT_EQ(c->wait(op.value(), &wrote), PStatus::kOk);
+  EXPECT_EQ(wrote, after.size());
+  ASSERT_TRUE(c->pread(fh, 0, back).ok());
+  EXPECT_EQ(back, after) << "a cached read returned bytes the async write "
+                            "had replaced";
+  EXPECT_EQ(c->close(fh), PStatus::kOk);
+}
+
+TEST_F(CacheTest, AsyncReadOnCachedOpenSeesBufferedWrites) {
+  ActorScope scope(actor_a_);
+  auto c = std::move(dafs::Client::connect(nic_a_, cache_mount()).value());
+  auto fh =
+      c->open("/ar.dat", cached_open(Consistency::kAfterClose)).value();
+  ASSERT_TRUE(c->has_delegation(fh));
+  const auto data = pattern(8 * 1024, 33);
+  ASSERT_TRUE(c->pwrite(fh, 0, data).ok());  // buffered: the filer has none
+
+  std::vector<std::byte> back(data.size());
+  auto op = c->submit_pread(fh, 0, back);
+  ASSERT_TRUE(op.ok());
+  std::uint64_t got = 0;
+  ASSERT_EQ(c->wait(op.value(), &got), PStatus::kOk);
+  EXPECT_EQ(got, data.size());
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(c->close(fh), PStatus::kOk);
 }
 
 // ---------------------------------------------------------------------------

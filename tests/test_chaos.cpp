@@ -10,6 +10,7 @@
 
 #include "dafs/client.hpp"
 #include "dafs/server.hpp"
+#include "dafs/session.hpp"
 #include "mpiio/ad_dafs.hpp"
 #include "mpiio/file.hpp"
 #include "sim/fault.hpp"
@@ -127,18 +128,18 @@ ChaosCounters run_crash_world(std::uint64_t seed) {
   mpi::World world(wcfg);
   world.run([&](Comm& c) {
     via::Nic nic(fabric, world.node_of(c.rank()), "cli");
-    auto session = std::move(
-        dafs::Session::connect(nic, chaos_cfg(seed, c.rank())).value());
+    auto client = std::move(
+        dafs::Client::connect(nic, chaos_cfg(seed, c.rank())).value());
     auto fa = std::move(File::open(c, "/a.dat",
                                    mpiio::kModeCreate | mpiio::kModeRdwr,
-                                   Info{}, mpiio::dafs_driver(*session))
+                                   Info{}, mpiio::dafs_driver(*client))
                             .value());
     auto fb = std::move(File::open(c, "/b.dat",
                                    mpiio::kModeCreate | mpiio::kModeRdwr,
-                                   Info{}, mpiio::dafs_driver(*session))
+                                   Info{}, mpiio::dafs_driver(*client))
                             .value());
     // Baseline for rank 0's crash-trip polling below.
-    auto poll_fh = session->open("/a.dat").value();
+    auto poll_fh = client->open("/a.dat").value();
 
     // Phase 1 (no faults): durable baseline. Synced bytes must survive the
     // crash byte-exact no matter where it lands.
@@ -174,7 +175,7 @@ ChaosCounters run_crash_world(std::uint64_t seed) {
     }
     ASSERT_TRUE(ok) << "faulted collective write, seed " << seed;
     for (int i = 0; i < kAdds; ++i) {
-      auto r = session->fetch_add("chaos.ctr", kDelta);
+      auto r = client->fetch_add("chaos.ctr", kDelta);
       ASSERT_TRUE(r.ok()) << "fetch_add " << i << ", seed " << seed << ": "
                           << dafs::to_string(r.error());
     }
@@ -185,7 +186,7 @@ ChaosCounters run_crash_world(std::uint64_t seed) {
     if (c.rank() == 0) {
       int guard = 0;
       while (fabric.stats().get("dafs.server_crashes") == 0 && guard++ < 500) {
-        (void)session->getattr(poll_fh);
+        (void)client->getattr(poll_fh);
       }
       EXPECT_GE(fabric.stats().get("dafs.server_crashes"), 1u)
           << "seed " << seed;
@@ -511,15 +512,15 @@ TEST(Chaos, DeadlineHintFlowsThroughMpiIo) {
   mpi::World world(wcfg);
   world.run([&](Comm& c) {
     via::Nic nic(fabric, world.node_of(c.rank()), "cli");
-    auto session = std::move(dafs::Session::connect(nic).value());
+    auto client = std::move(dafs::Client::connect(nic).value());
     Info info;
     info.set("dafs_deadline_ms", std::uint64_t{5000});
     auto f = std::move(File::open(c, "/hint.dat",
                                   mpiio::kModeCreate | mpiio::kModeRdwr, info,
-                                  mpiio::dafs_driver(*session))
+                                  mpiio::dafs_driver(*client))
                            .value());
     // The hint reached the transport: every request now carries the budget.
-    EXPECT_EQ(session->deadline(), 5000ull * 1'000'000);
+    EXPECT_EQ(client->deadline(), 5000ull * 1'000'000);
     const auto data = pattern(kChunk, 121 + c.rank());
     ASSERT_TRUE(f->write_at_all(c.rank() * kChunk, data.data(), kChunk,
                                 Datatype::byte())

@@ -10,6 +10,7 @@
 #include "dafs/client.hpp"
 #include "dafs/lock_table.hpp"
 #include "dafs/server.hpp"
+#include "dafs/session.hpp"
 #include "sim/fault.hpp"
 #include "sim/rng.hpp"
 
@@ -653,6 +654,69 @@ TEST_F(DafsTest, CreditLimitRefusesExcessOutstandingOps) {
   ASSERT_EQ(s->wait(op1.value()), PStatus::kOk);
   ASSERT_EQ(s->wait(op2.value()), PStatus::kOk);
   s.reset();
+}
+
+TEST_F(DafsTest, WaitOnAnOpNotInFlightIsInval) {
+  auto s = Connect();
+  ActorScope scope(client_actor_);
+  const Fh fh = s->open("/twice", kOpenCreate).value();
+  const auto data = pattern(4 * 1024, 13);
+  // A collected op's slot is free again: a second wait must refuse it, not
+  // hand the slot out twice.
+  auto op = s->submit_pwrite(fh, 0, data);
+  ASSERT_TRUE(op.ok());
+  ASSERT_EQ(s->wait(op.value()), PStatus::kOk);
+  EXPECT_EQ(s->wait(op.value()), PStatus::kInval);
+  auto a = s->submit_pwrite(fh, 0, data);
+  auto b = s->submit_pwrite(fh, 0, data);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_NE(a.value(), b.value());
+  EXPECT_EQ(s->wait(a.value()), PStatus::kOk);
+  EXPECT_EQ(s->wait(b.value()), PStatus::kOk);
+  s.reset();
+
+  // The Client keeps the same contract over its own op table.
+  auto c = std::move(dafs::Client::connect(client_nic_).value());
+  const Fh cfh = c->open("/twice").value();
+  auto cop = c->submit_pwrite(cfh, 0, data);
+  ASSERT_TRUE(cop.ok());
+  ASSERT_EQ(c->wait(cop.value()), PStatus::kOk);
+  EXPECT_EQ(c->wait(cop.value()), PStatus::kInval);
+  EXPECT_EQ(c->wait(cop.value() + 1), PStatus::kInval);  // never submitted
+  auto ca = c->submit_pwrite(cfh, 0, data);
+  auto cb = c->submit_pwrite(cfh, 0, data);
+  ASSERT_TRUE(ca.ok());
+  ASSERT_TRUE(cb.ok());
+  EXPECT_NE(ca.value(), cb.value());
+  EXPECT_EQ(c->wait(ca.value()), PStatus::kOk);
+  EXPECT_EQ(c->wait(cb.value()), PStatus::kOk);
+  c.reset();
+}
+
+TEST_F(DafsTest, ClientSmallAsyncIoRidesInline) {
+  ActorScope scope(client_actor_);
+  auto c = std::move(dafs::Client::connect(client_nic_).value());
+  const Fh fh = c->open("/small-async", kOpenCreate).value();
+  auto stat = [&](const char* key) { return fabric_.stats().get(key); };
+  const std::uint64_t direct_reads = stat("dafs.direct_read_reqs");
+  const std::uint64_t direct_writes = stat("dafs.direct_write_reqs");
+  // Below direct_threshold an async request goes inline, as pread and
+  // pwrite do.
+  const auto data = pattern(2 * 1024, 14);
+  auto w = c->submit_pwrite(fh, 0, data);
+  ASSERT_TRUE(w.ok());
+  ASSERT_EQ(c->wait(w.value()), PStatus::kOk);
+  std::vector<std::byte> back(data.size());
+  auto r = c->submit_pread(fh, 0, back);
+  ASSERT_TRUE(r.ok());
+  std::uint64_t got = 0;
+  ASSERT_EQ(c->wait(r.value(), &got), PStatus::kOk);
+  EXPECT_EQ(got, data.size());
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(stat("dafs.direct_read_reqs"), direct_reads);
+  EXPECT_EQ(stat("dafs.direct_write_reqs"), direct_writes);
+  c.reset();
 }
 
 // ---------------------------------------------------------------------------

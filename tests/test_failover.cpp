@@ -10,6 +10,7 @@
 
 #include "dafs/client.hpp"
 #include "dafs/server.hpp"
+#include "dafs/session.hpp"
 #include "mpiio/ad_dafs.hpp"
 #include "mpiio/file.hpp"
 #include "quorum_bed.hpp"
@@ -275,19 +276,19 @@ void run_failover_world(std::uint64_t seed) {
   mpi::World world(wcfg);
   world.run([&](Comm& c) {
     via::Nic nic(fabric, world.node_of(c.rank()), "cli");
-    auto session = std::move(
-        dafs::Session::connect(nic, g.mount(seed, c.rank(), l0)).value());
-    EXPECT_EQ(session->active_service(), g.client_service(l0))
+    auto client = std::move(
+        dafs::Client::connect(nic, g.mount(seed, c.rank(), l0)).value());
+    EXPECT_EQ(client->active_service(), g.client_service(l0))
         << "rank " << c.rank() << " must start on the leader, seed " << seed;
     auto fa = std::move(File::open(c, "/a.dat",
                                    mpiio::kModeCreate | mpiio::kModeRdwr,
-                                   Info{}, mpiio::dafs_driver(*session))
+                                   Info{}, mpiio::dafs_driver(*client))
                             .value());
     auto fb = std::move(File::open(c, "/b.dat",
                                    mpiio::kModeCreate | mpiio::kModeRdwr,
-                                   Info{}, mpiio::dafs_driver(*session))
+                                   Info{}, mpiio::dafs_driver(*client))
                             .value());
-    auto poll_fh = session->open("/a.dat").value();
+    auto poll_fh = client->open("/a.dat").value();
 
     // Phase 1 (healthy group): durable baseline. The sync's commit barrier
     // means a majority holds the journal carrying these bytes, so the
@@ -324,7 +325,7 @@ void run_failover_world(std::uint64_t seed) {
     }
     ASSERT_TRUE(ok) << "collective write across failover, seed " << seed;
     for (int i = 0; i < kAdds; ++i) {
-      auto r = session->fetch_add("fo.ctr", kDelta);
+      auto r = client->fetch_add("fo.ctr", kDelta);
       ASSERT_TRUE(r.ok()) << "fetch_add " << i << ", seed " << seed << ": "
                           << dafs::to_string(r.error());
     }
@@ -334,7 +335,7 @@ void run_failover_world(std::uint64_t seed) {
     if (c.rank() == 0) {
       int guard = 0;
       while (fabric.stats().get("dafs.server_crashes") == 0 && guard++ < 500) {
-        (void)session->getattr(poll_fh);
+        (void)client->getattr(poll_fh);
       }
       EXPECT_GE(fabric.stats().get("dafs.server_crashes"), 1u)
           << "seed " << seed;
@@ -359,7 +360,7 @@ void run_failover_world(std::uint64_t seed) {
         << "synced baseline after failover, seed " << seed;
     ASSERT_TRUE(fb->read_at_all(off, back.data(), kChunk, Datatype::byte()).ok());
     EXPECT_EQ(std::memcmp(back.data(), db.data(), kChunk), 0);
-    EXPECT_GE(session->failovers(), 1u)
+    EXPECT_GE(client->failovers(), 1u)
         << "rank " << c.rank() << " must have left the killed leader, seed "
         << seed;
 

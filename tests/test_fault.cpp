@@ -7,6 +7,7 @@
 
 #include "dafs/client.hpp"
 #include "dafs/server.hpp"
+#include "dafs/session.hpp"
 #include "mpiio/ad_dafs.hpp"
 #include "mpiio/file.hpp"
 #include "sim/fault.hpp"
@@ -118,16 +119,16 @@ SweepCounters run_faulted_world(Mode mode, std::uint64_t seed) {
   mpi::World world(wcfg);
   world.run([&](Comm& c) {
     via::Nic nic(fabric, world.node_of(c.rank()), "cli");
-    auto session =
-        std::move(dafs::Session::connect(nic, recovery_cfg(seed, c.rank()))
+    auto client =
+        std::move(dafs::Client::connect(nic, recovery_cfg(seed, c.rank()))
                       .value());
     auto fc = std::move(File::open(c, "/col.dat",
                                    mpiio::kModeCreate | mpiio::kModeRdwr,
-                                   Info{}, mpiio::dafs_driver(*session))
+                                   Info{}, mpiio::dafs_driver(*client))
                             .value());
     auto fi = std::move(File::open(c, "/ind.dat",
                                    mpiio::kModeCreate | mpiio::kModeRdwr,
-                                   Info{}, mpiio::dafs_driver(*session))
+                                   Info{}, mpiio::dafs_driver(*client))
                             .value());
 
     c.barrier();
@@ -282,12 +283,12 @@ TEST(Fault, CollectiveWriteSurvivesMidTransferBreak) {
     mpi::World world(wcfg);
     world.run([&](Comm& c) {
       via::Nic nic(fabric, world.node_of(c.rank()), "cli");
-      auto session =
-          std::move(dafs::Session::connect(nic, recovery_cfg(nth, c.rank()))
+      auto client =
+          std::move(dafs::Client::connect(nic, recovery_cfg(nth, c.rank()))
                         .value());
       auto f = std::move(File::open(c, "/acc.dat",
                                     mpiio::kModeCreate | mpiio::kModeRdwr,
-                                    Info{}, mpiio::dafs_driver(*session))
+                                    Info{}, mpiio::dafs_driver(*client))
                              .value());
       c.barrier();
       // Armed after open: the Nth completion lands inside the collective.
@@ -505,10 +506,10 @@ TEST(Fault, ExhaustedRetriesAgreeOnErrorClass) {
     mspec.endpoints[0].retry.backoff_ns = 1'000;
     mspec.endpoints[0].retry.backoff_cap_ns = 4'000;
     via::Nic nic(fabric, world.node_of(c.rank()), "cli");
-    auto session = std::move(dafs::Session::connect(nic, mspec).value());
+    auto client = std::move(dafs::Client::connect(nic, mspec).value());
     auto f = std::move(File::open(c, "/dead.dat",
                                   mpiio::kModeCreate | mpiio::kModeRdwr,
-                                  Info{}, mpiio::dafs_driver(*session))
+                                  Info{}, mpiio::dafs_driver(*client))
                            .value());
     c.barrier();
     if (c.rank() == 0) {

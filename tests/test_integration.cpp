@@ -7,6 +7,7 @@
 
 #include "dafs/client.hpp"
 #include "dafs/server.hpp"
+#include "dafs/session.hpp"
 #include "mpiio/ad_dafs.hpp"
 #include "mpiio/file.hpp"
 #include "nfs/client.hpp"
@@ -276,10 +277,10 @@ TEST(Integration, SecondWorldReadsFirstWorldsFile) {
     mpi::World w1(cfg);
     w1.run([&](Comm& c) {
       via::Nic nic(fabric, w1.node_of(c.rank()), "cli");
-      auto session = std::move(dafs::Session::connect(nic).value());
+      auto client = std::move(dafs::Client::connect(nic).value());
       auto f = std::move(File::open(c, "/handoff.dat",
                                     mpiio::kModeCreate | mpiio::kModeRdwr,
-                                    Info{}, mpiio::dafs_driver(*session))
+                                    Info{}, mpiio::dafs_driver(*client))
                              .value());
       auto data = pattern(kChunk, 70 + c.rank());
       ASSERT_TRUE(
@@ -296,9 +297,9 @@ TEST(Integration, SecondWorldReadsFirstWorldsFile) {
     mpi::World w2(cfg);
     w2.run([&](Comm& c) {
       via::Nic nic(fabric, w2.node_of(c.rank()), "cli");
-      auto session = std::move(dafs::Session::connect(nic).value());
+      auto client = std::move(dafs::Client::connect(nic).value());
       auto f = std::move(File::open(c, "/handoff.dat", mpiio::kModeRdonly,
-                                    Info{}, mpiio::dafs_driver(*session))
+                                    Info{}, mpiio::dafs_driver(*client))
                              .value());
       // Each of the 2 readers checks two of the 4 chunks.
       for (int k = 0; k < 2; ++k) {
@@ -329,10 +330,10 @@ TEST(Integration, SplitCollectiveMatchesBlockingCollective) {
   mpi::World world(cfg);
   world.run([&](Comm& c) {
     via::Nic nic(fabric, world.node_of(c.rank()), "cli");
-    auto session = std::move(dafs::Session::connect(nic).value());
+    auto client = std::move(dafs::Client::connect(nic).value());
     auto f = std::move(File::open(c, "/split.dat",
                                   mpiio::kModeCreate | mpiio::kModeRdwr,
-                                  Info{}, mpiio::dafs_driver(*session))
+                                  Info{}, mpiio::dafs_driver(*client))
                            .value());
     constexpr std::uint64_t kChunk = 32 * 1024;
     auto data = pattern(kChunk, 80 + c.rank());
@@ -434,10 +435,10 @@ TEST(Integration, RandomViewsMatchReferenceModel) {
     std::vector<std::byte> reference;  // expected absolute file content
     world.run([&](Comm& c) {
       via::Nic nic(fabric, world.node_of(0), "cli");
-      auto session = std::move(dafs::Session::connect(nic).value());
+      auto client = std::move(dafs::Client::connect(nic).value());
       auto f = std::move(File::open(c, "/prop.dat",
                                     mpiio::kModeCreate | mpiio::kModeRdwr,
-                                    Info{}, mpiio::dafs_driver(*session))
+                                    Info{}, mpiio::dafs_driver(*client))
                              .value());
       auto ft = mpi::Datatype::resized(
           mpi::Datatype::hvector(1, block, stride, mpi::Datatype::byte()), 0,
@@ -460,11 +461,11 @@ TEST(Integration, RandomViewsMatchReferenceModel) {
       }
 
       // Compare against a raw read of the whole file.
-      auto raw = session->open("/prop.dat").value();
-      const std::uint64_t fsize = session->getattr(raw).value().size;
+      auto raw = client->open("/prop.dat").value();
+      const std::uint64_t fsize = client->getattr(raw).value().size;
       ASSERT_EQ(fsize, reference.size()) << "seed " << seed;
       std::vector<std::byte> all(fsize);
-      ASSERT_TRUE(session->pread(raw, 0, all).ok());
+      ASSERT_TRUE(client->pread(raw, 0, all).ok());
       EXPECT_EQ(std::memcmp(all.data(), reference.data(), fsize), 0)
           << "seed " << seed << " block " << block << " stride " << stride;
 

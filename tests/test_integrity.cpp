@@ -9,6 +9,7 @@
 
 #include "dafs/client.hpp"
 #include "dafs/server.hpp"
+#include "dafs/session.hpp"
 #include "fstore/file_store.hpp"
 #include "fstore/journal.hpp"
 #include "quorum_bed.hpp"

@@ -35,7 +35,7 @@ std::vector<std::byte> pattern(std::size_t n, std::uint64_t seed) {
 }
 
 /// A cluster: one fabric carrying a DAFS filer, an NFS server and N compute
-/// nodes. Each rank makes its own session/client inside the run lambda.
+/// nodes. Each rank makes its own DAFS or NFS client inside the run lambda.
 class MpiioTest : public ::testing::Test {
  protected:
   static constexpr int kNp = 4;
@@ -57,19 +57,19 @@ class MpiioTest : public ::testing::Test {
   /// Per-rank DAFS context (second NIC on the rank's node).
   struct DafsCtx {
     via::Nic nic;
-    std::unique_ptr<dafs::Session> session;
+    std::unique_ptr<dafs::Client> client;
     DafsCtx(sim::Fabric& f, sim::NodeId node, dafs::ClientConfig cfg = {})
         : nic(f, node, "dafs-cli") {
-      auto r = dafs::Session::connect(nic, dafs::MountSpec{{}, std::move(cfg)});
+      auto r = dafs::Client::connect(nic, dafs::MountSpec{{}, std::move(cfg)});
       EXPECT_TRUE(r.ok());
-      if (r.ok()) session = std::move(r.value());
+      if (r.ok()) client = std::move(r.value());
     }
   };
 
   std::unique_ptr<File> OpenDafs(Comm& c, DafsCtx& ctx,
                                  const std::string& path, int amode,
                                  const Info& info = {}) {
-    auto f = File::open(c, path, amode, info, mpiio::dafs_driver(*ctx.session));
+    auto f = File::open(c, path, amode, info, mpiio::dafs_driver(*ctx.client));
     EXPECT_TRUE(f.ok());
     return f.ok() ? std::move(f.value()) : nullptr;
   }
@@ -106,7 +106,7 @@ TEST_F(MpiioTest, OpenMissingFileFailsEverywhere) {
   world_->run([this](Comm& c) {
     DafsCtx ctx(*fabric_, world_->node_of(c.rank()));
     auto f = File::open(c, "/missing.dat", kModeRdwr, Info{},
-                        mpiio::dafs_driver(*ctx.session));
+                        mpiio::dafs_driver(*ctx.client));
     EXPECT_FALSE(f.ok());
   });
 }
@@ -121,7 +121,7 @@ TEST_F(MpiioTest, DeleteOnCloseRemovesFile) {
       EXPECT_EQ(f->close(), Err::kOk);
     }
     c.barrier();
-    EXPECT_EQ(ctx.session->open("/temp.dat").error(), dafs::PStatus::kNoEnt);
+    EXPECT_EQ(ctx.client->open("/temp.dat").error(), dafs::PStatus::kNoEnt);
   });
 }
 
@@ -238,9 +238,9 @@ TEST_F(MpiioTest, BlockViewPartitionsFile) {
 
     // Raw check: byte at absolute position t*kBlock*np + r*kBlock + i must
     // be r+1 for covered tiles.
-    auto raw = ctx.session->open("/view.dat").value();
+    auto raw = ctx.client->open("/view.dat").value();
     std::vector<std::byte> all(kBlock * kNp * 3);
-    ASSERT_TRUE(ctx.session->pread(raw, 0, all).ok());
+    ASSERT_TRUE(ctx.client->pread(raw, 0, all).ok());
     for (int r = 0; r < kNp; ++r) {
       // Tile 0 fully written by rank r.
       const std::size_t base = static_cast<std::size_t>(r) * kBlock;
@@ -278,9 +278,9 @@ TEST_F(MpiioTest, ViewWithEtypeOffsets) {
     EXPECT_EQ(f->byte_offset(0), 8u);
     EXPECT_EQ(f->byte_offset(1), 16u);
 
-    auto raw = ctx.session->open("/etype.dat").value();
+    auto raw = ctx.client->open("/etype.dat").value();
     std::vector<std::int32_t> all(12, -1);
-    ASSERT_TRUE(ctx.session
+    ASSERT_TRUE(ctx.client
                     ->pread(raw, 0,
                             std::span(reinterpret_cast<std::byte*>(all.data()),
                                       48))
@@ -427,10 +427,10 @@ TEST_F(MpiioTest, CollectiveWriteReadBlockCyclic) {
     // Cross-check a couple of absolute positions.
     c.barrier();
     if (c.rank() == 0) {
-      auto raw = ctx.session->open("/coll.dat").value();
+      auto raw = ctx.client->open("/coll.dat").value();
       std::vector<std::byte> probe(kBlock);
       // Tile 3, block of rank 2.
-      ASSERT_TRUE(ctx.session
+      ASSERT_TRUE(ctx.client
                       ->pread(raw, 3ull * kBlock * kNp + 2ull * kBlock, probe)
                       .ok());
       auto expect = pattern(kBlock * kTiles, 302);
@@ -564,9 +564,9 @@ TEST_F(MpiioTest, CollectiveWriteLeavesHolesUntouched) {
         f->write_at_all(0, mine.data(), mine.size(), Datatype::byte()).ok());
     c.barrier();
     if (c.rank() == 0) {
-      auto raw = ctx.session->open("/holes.dat").value();
+      auto raw = ctx.client->open("/holes.dat").value();
       std::vector<std::byte> all(kTile * kTiles);
-      EXPECT_EQ(ctx.session->pread(raw, 0, all).value(), all.size());
+      EXPECT_EQ(ctx.client->pread(raw, 0, all).value(), all.size());
       // No ASSERT inside a rank: bailing out early would strand the other
       // ranks in close().
       std::uint64_t bad = 0;

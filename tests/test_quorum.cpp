@@ -11,6 +11,7 @@
 #include "dafs/client.hpp"
 #include "dafs/repl.hpp"
 #include "dafs/server.hpp"
+#include "dafs/session.hpp"
 #include "mpiio/ad_dafs.hpp"
 #include "mpiio/file.hpp"
 #include "quorum_bed.hpp"
@@ -405,20 +406,20 @@ void run_kill_world(std::uint64_t seed, std::size_t replicas) {
   mpi::World world(wcfg);
   world.run([&](Comm& c) {
     via::Nic nic(fabric, world.node_of(c.rank()), "cli");
-    auto session = std::move(
-        dafs::Session::connect(
+    auto client = std::move(
+        dafs::Client::connect(
             nic, g.mount(seed, c.rank(),
                          static_cast<std::size_t>(c.rank()) % replicas))
             .value());
     auto fa = std::move(File::open(c, "/a.dat",
                                    mpiio::kModeCreate | mpiio::kModeRdwr,
-                                   Info{}, mpiio::dafs_driver(*session))
+                                   Info{}, mpiio::dafs_driver(*client))
                             .value());
     auto fb = std::move(File::open(c, "/b.dat",
                                    mpiio::kModeCreate | mpiio::kModeRdwr,
-                                   Info{}, mpiio::dafs_driver(*session))
+                                   Info{}, mpiio::dafs_driver(*client))
                             .value());
-    auto poll_fh = session->open("/a.dat").value();
+    auto poll_fh = client->open("/a.dat").value();
 
     // Phase 1 (healthy group): durable baseline. Sync means the journal
     // bytes carrying it were committed at majority, so the baseline must
@@ -449,7 +450,7 @@ void run_kill_world(std::uint64_t seed, std::size_t replicas) {
     }
     ASSERT_TRUE(ok) << "collective write across leader death, seed " << seed;
     for (int i = 0; i < kAdds; ++i) {
-      auto r = session->fetch_add("qk.ctr", kDelta);
+      auto r = client->fetch_add("qk.ctr", kDelta);
       ASSERT_TRUE(r.ok()) << "fetch_add " << i << ", seed " << seed << ": "
                           << dafs::to_string(r.error());
     }
@@ -459,7 +460,7 @@ void run_kill_world(std::uint64_t seed, std::size_t replicas) {
     if (c.rank() == 0) {
       int guard = 0;
       while (fabric.stats().get("dafs.server_crashes") == 0 && guard++ < 500) {
-        (void)session->getattr(poll_fh);
+        (void)client->getattr(poll_fh);
       }
       EXPECT_GE(fabric.stats().get("dafs.server_crashes"), 1u)
           << "seed " << seed;
@@ -573,14 +574,14 @@ void run_partition_world(std::uint64_t seed, std::size_t replicas) {
   mpi::World world(wcfg);
   world.run([&](Comm& c) {
     via::Nic nic(fabric, world.node_of(c.rank()), "cli");
-    auto session = std::move(
-        dafs::Session::connect(
+    auto client = std::move(
+        dafs::Client::connect(
             nic, g.mount(seed, c.rank(),
                          static_cast<std::size_t>(c.rank()) % replicas))
             .value());
     auto fa = std::move(File::open(c, "/a.dat",
                                    mpiio::kModeCreate | mpiio::kModeRdwr,
-                                   Info{}, mpiio::dafs_driver(*session))
+                                   Info{}, mpiio::dafs_driver(*client))
                             .value());
 
     // Durable baseline through the healthy group.
@@ -618,7 +619,7 @@ void run_partition_world(std::uint64_t seed, std::size_t replicas) {
     }
     ASSERT_TRUE(ok) << "collective write across partition, seed " << seed;
     for (int i = 0; i < kAdds; ++i) {
-      auto r = session->fetch_add("qp.ctr", kDelta);
+      auto r = client->fetch_add("qp.ctr", kDelta);
       ASSERT_TRUE(r.ok()) << "fetch_add " << i << ", seed " << seed << ": "
                           << dafs::to_string(r.error());
     }

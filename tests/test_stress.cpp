@@ -8,6 +8,7 @@
 
 #include "dafs/client.hpp"
 #include "dafs/server.hpp"
+#include "dafs/session.hpp"
 #include "mpi/runtime.hpp"
 #include "mpiio/ad_dafs.hpp"
 #include "mpiio/file.hpp"
@@ -294,11 +295,11 @@ TEST(MpiioBuftype, StridedMemoryGatherAndScatter) {
   mpi::World world(cfg);
   world.run([&](mpi::Comm& c) {
     via::Nic nic(fabric, world.node_of(0), "cli");
-    auto session = std::move(dafs::Session::connect(nic).value());
+    auto client = std::move(dafs::Client::connect(nic).value());
     auto f = std::move(
         mpiio::File::open(c, "/mem.dat",
                           mpiio::kModeCreate | mpiio::kModeRdwr,
-                          mpiio::Info{}, mpiio::dafs_driver(*session))
+                          mpiio::Info{}, mpiio::dafs_driver(*client))
             .value());
     // Memory: every other int32 of a 64-int array (gather on write).
     auto stride2 = mpi::Datatype::vector(32, 1, 2, mpi::Datatype::int32());
@@ -336,11 +337,11 @@ TEST(MpiioBuftype, StridedMemoryMeetsStridedViewInCollective) {
   mpi::World world(cfg);
   world.run([&](mpi::Comm& c) {
     via::Nic nic(fabric, world.node_of(c.rank()), "cli");
-    auto session = std::move(dafs::Session::connect(nic).value());
+    auto client = std::move(dafs::Client::connect(nic).value());
     auto f = std::move(
         mpiio::File::open(c, "/both.dat",
                           mpiio::kModeCreate | mpiio::kModeRdwr,
-                          mpiio::Info{}, mpiio::dafs_driver(*session))
+                          mpiio::Info{}, mpiio::dafs_driver(*client))
             .value());
     // File view: block-cyclic by rank (1 KiB blocks).
     constexpr std::uint32_t kBlock = 1024;
@@ -365,11 +366,11 @@ TEST(MpiioBuftype, StridedMemoryMeetsStridedViewInCollective) {
     c.barrier();
     // Verify: the file contains only rank-marker bytes, never 0xEE.
     if (c.rank() == 0) {
-      auto raw = session->open("/both.dat").value();
-      const auto size = session->getattr(raw).value().size;
+      auto raw = client->open("/both.dat").value();
+      const auto size = client->getattr(raw).value().size;
       EXPECT_EQ(size, 4u * 16 * 512);  // 4 ranks x 16 pieces x 512 B
       std::vector<std::byte> all(size);
-      ASSERT_TRUE(session->pread(raw, 0, all).ok());
+      ASSERT_TRUE(client->pread(raw, 0, all).ok());
       for (std::size_t i = 0; i < all.size(); ++i) {
         ASSERT_NE(all[i], std::byte{0xEE}) << i;
         ASSERT_NE(all[i], std::byte{0}) << i;

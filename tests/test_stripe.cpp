@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dafs/client.hpp"
@@ -19,8 +20,9 @@
 /// single filers as one namespace, round-robining file data across them in
 /// stripe_size units while metadata stays on filer 0. Covers byte-exact
 /// read-back across stripe boundaries, hole zero-fill and short reads at
-/// EOF, a striped 4-rank MPI-IO collective, and an 8-seed sweep that kills a
-/// data server mid-transfer and expects the client to ride out the outage.
+/// EOF, one session (and one request per namespace call) per filer, a
+/// striped 4-rank MPI-IO collective, and an 8-seed sweep that kills a data
+/// server mid-transfer and expects the client to ride out the outage.
 
 namespace {
 
@@ -101,8 +103,9 @@ TEST(Stripe, ByteExactReadbackAcrossBoundaries) {
   EXPECT_EQ(c->stripe_size(), kStripe);
 
   auto fh = c->open("/s.dat", dafs::kOpenCreate).value();
-  // Every data server opened its subfile at open time.
-  EXPECT_GE(fabric.stats().get("dafs.data_opens"), 3u);
+  // Every data server past filer 0 opened its subfile at open time; filer
+  // 0's file is data server 0's subfile.
+  EXPECT_EQ(fabric.stats().get("dafs.data_opens"), 2u);
 
   // A big write at an unaligned offset: spans ~12 stripes, so every server
   // holds several, and both ends of the extent sit mid-stripe.
@@ -267,6 +270,56 @@ TEST(Stripe, AsyncSubmitWaitAndSingleServerDegenerates) {
 }
 
 // ---------------------------------------------------------------------------
+// One session per filer
+// ---------------------------------------------------------------------------
+
+TEST(Stripe, OneSessionPerFiler) {
+  sim::Fabric fabric;
+  StripedFilers filers(fabric, 3);
+  const auto node = fabric.add_node("client");
+  Actor actor("client", &fabric.node(node));
+  ActorScope scope(actor);
+  via::Nic nic(fabric, node, "nic");
+  auto stat = [&](const char* key) { return fabric.stats().get(key); };
+
+  // A one-filer mount binds one session, and a namespace call is one
+  // request on it.
+  auto single = std::move(
+      dafs::Client::connect(nic, dafs::single_mount(filers.services[0]))
+          .value());
+  EXPECT_EQ(stat("dafs.client_sessions"), 1u);
+  std::uint64_t reqs = stat("dafs.requests");
+  ASSERT_TRUE(single->open("/one.dat", dafs::kOpenCreate).ok());
+  EXPECT_EQ(stat("dafs.requests"), reqs + 1) << "create";
+  reqs = stat("dafs.requests");
+  ASSERT_EQ(single->remove("/one.dat"), PStatus::kOk);
+  EXPECT_EQ(stat("dafs.requests"), reqs + 1) << "remove";
+  reqs = stat("dafs.requests");
+  ASSERT_EQ(single->mkdir("/d"), PStatus::kOk);
+  EXPECT_EQ(stat("dafs.requests"), reqs + 1) << "mkdir";
+  single.reset();
+
+  // A three-filer striped mount binds one session per filer, and an open
+  // is one request on each.
+  const std::uint64_t sessions = stat("dafs.client_sessions");
+  auto striped = std::move(
+      dafs::Client::connect(nic, dafs::striped_mount(filers.services))
+          .value());
+  EXPECT_EQ(stat("dafs.client_sessions"), sessions + 3);
+  reqs = stat("dafs.requests");
+  ASSERT_TRUE(striped->open("/three.dat", dafs::kOpenCreate).ok());
+  EXPECT_EQ(stat("dafs.requests"), reqs + 3);
+  striped.reset();
+
+  // Filer 0 is also data server 0, so a data list must start there.
+  dafs::MountSpec skewed = dafs::striped_mount(filers.services);
+  std::swap(skewed.data_endpoints[0], skewed.data_endpoints[1]);
+  auto refused = dafs::Client::connect(nic, skewed);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error(), PStatus::kInval);
+}
+
+// ---------------------------------------------------------------------------
 // Striped MPI-IO collective: 4 ranks, stripe-aligned file domains
 // ---------------------------------------------------------------------------
 
@@ -309,9 +362,9 @@ TEST(Stripe, CollectiveWriteReadbackOverStripedClient) {
     f->close();
   });
 
-  // The stripes really spread: every data filer admitted write traffic.
-  EXPECT_GE(fabric.stats().get("dafs.data_opens"),
-            static_cast<std::uint64_t>(kRanks) * 4u);
+  // Every rank opened a subfile on each data filer past filer 0.
+  EXPECT_EQ(fabric.stats().get("dafs.data_opens"),
+            static_cast<std::uint64_t>(kRanks) * 3u);
 
   // Cross-check the whole file through a fresh striped mount.
   const auto node = fabric.add_node("verify");

@@ -9,6 +9,7 @@
 
 #include "dafs/client.hpp"
 #include "dafs/server.hpp"
+#include "dafs/session.hpp"
 #include "sim/histogram.hpp"
 #include "sim/metric_key.hpp"
 #include "sim/metrics.hpp"

@@ -10,6 +10,7 @@
 
 #include "dafs/client.hpp"
 #include "dafs/server.hpp"
+#include "dafs/session.hpp"
 #include "mpiio/ad_dafs.hpp"
 #include "mpiio/file.hpp"
 #include "sim/trace.hpp"
@@ -74,10 +75,10 @@ TEST(Trace, CollectiveWriteParentsAcrossAllLayers) {
   mpi::World world(wcfg);
   world.run([&](Comm& c) {
     via::Nic nic(fabric, world.node_of(c.rank()), "cli");
-    auto session = std::move(dafs::Session::connect(nic).value());
+    auto client = std::move(dafs::Client::connect(nic).value());
     auto f = std::move(File::open(c, "/t.dat",
                                   mpiio::kModeCreate | mpiio::kModeRdwr,
-                                  Info{}, mpiio::dafs_driver(*session))
+                                  Info{}, mpiio::dafs_driver(*client))
                            .value());
     const auto data = pattern(kChunk);
     ASSERT_TRUE(f->write_at_all(c.rank() * kChunk, data.data(), kChunk,
@@ -341,12 +342,12 @@ TEST(Trace, SampleHintZeroRecordsNothing) {
   mpi::World world(wcfg);
   world.run([&](Comm& c) {
     via::Nic nic(fabric, world.node_of(c.rank()), "cli");
-    auto session = std::move(dafs::Session::connect(nic).value());
+    auto client = std::move(dafs::Client::connect(nic).value());
     Info info;
     info.set("dafs_trace_sample", std::uint64_t{0});
     auto f = std::move(File::open(c, "/off.dat",
                                   mpiio::kModeCreate | mpiio::kModeRdwr, info,
-                                  mpiio::dafs_driver(*session))
+                                  mpiio::dafs_driver(*client))
                            .value());
     const auto data = pattern(kChunk);
     const std::uint64_t before = tracer.spans_recorded();
