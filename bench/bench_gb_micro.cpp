@@ -1,14 +1,22 @@
 // Google-benchmark microbenchmarks of the emulation substrate itself (real
 // host time, not modeled time): datatype flattening, resource arithmetic,
-// and the fabric transfer computation. These guard against the cost engine
-// itself becoming the bottleneck of large experiments.
+// the fabric transfer computation and completion-queue reaping. These guard
+// against the cost engine itself becoming the bottleneck of large
+// experiments.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
+#include <chrono>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include "mpi/datatype.hpp"
+#include "sim/actor.hpp"
 #include "sim/fabric.hpp"
 #include "sim/resource.hpp"
+#include "via/vi.hpp"
 
 namespace {
 
@@ -73,6 +81,80 @@ void BM_DatatypePackStrided(benchmark::State& state) {
                           static_cast<std::int64_t>(t.size()));
 }
 BENCHMARK(BM_DatatypePackStrided);
+
+// One reap from a receive CQ that holds `depth` pending receives, spread
+// over up to 16 VIs as a filer's sessions spread theirs (256 is the filer's
+// default admission bound). After each reap the sender refills the receive,
+// so the depth stays put; only the reap is timed. Completion-order reaping
+// scans the head of every VI's queue for the earliest completion.
+void BM_CqReap(benchmark::State& state) {
+  using namespace std::chrono_literals;
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  const std::size_t vis = std::min<std::size_t>(depth, 16);
+  sim::Fabric f;
+  const auto na = f.add_node("client");
+  const auto nb = f.add_node("filer");
+  via::Nic nic_a(f, na, "nic-a");
+  via::Nic nic_b(f, nb, "nic-b");
+  sim::Actor client("client", &f.node(na));
+  sim::Actor filer("filer", &f.node(nb));
+  via::CompletionQueue cq;
+  std::vector<std::unique_ptr<via::Vi>> senders, receivers;
+  for (std::size_t v = 0; v < vis; ++v) {
+    senders.push_back(std::make_unique<via::Vi>(nic_a, via::ViAttrs{}));
+    receivers.push_back(
+        std::make_unique<via::Vi>(nic_b, via::ViAttrs{}, nullptr, &cq));
+  }
+  {
+    via::Listener lis(nic_b, "svc");
+    std::thread acceptor([&] {
+      sim::ActorScope scope(filer);
+      for (auto& r : receivers) (void)lis.accept(*r, 2s);
+    });
+    sim::ActorScope scope(client);
+    for (auto& s : senders) (void)nic_a.connect(*s, "svc", 2s);
+    acceptor.join();
+  }
+  std::vector<std::byte> src(64), dst(64 * depth);
+  via::MemHandle hs, hd;
+  {
+    sim::ActorScope scope(client);
+    hs = nic_a.register_memory(src.data(), src.size(), nic_a.create_ptag(), {});
+  }
+  {
+    sim::ActorScope scope(filer);
+    hd = nic_b.register_memory(dst.data(), dst.size(), nic_b.create_ptag(), {});
+  }
+  std::vector<via::Descriptor> recvs(depth);
+  via::Descriptor send;
+  send.segs = {via::DataSegment{src.data(), hs, 64}};
+  // Receive i lives on VI i % vis.
+  auto refill = [&](std::size_t i) {
+    recvs[i].segs = {via::DataSegment{dst.data() + 64 * i, hd, 64}};
+    (void)receivers[i % vis]->post_recv(recvs[i]);
+    sim::ActorScope scope(client);
+    (void)senders[i % vis]->post_send(send);
+    via::Descriptor* done = nullptr;
+    (void)senders[i % vis]->send_done(done);
+  };
+  for (std::size_t i = 0; i < depth; ++i) refill(i);
+  sim::ActorScope scope(filer);
+  for (auto _ : state) {
+    via::Completion c;
+    const auto t0 = std::chrono::steady_clock::now();
+    const via::Status st = cq.poll(c);
+    const auto t1 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(c);
+    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
+    if (st != via::Status::kSuccess) {
+      state.SkipWithError("CQ ran dry");
+      break;
+    }
+    refill(static_cast<std::size_t>(c.desc - recvs.data()));
+  }
+  for (auto& r : receivers) r->disconnect();
+}
+BENCHMARK(BM_CqReap)->Arg(1)->Arg(16)->Arg(256)->UseManualTime();
 
 }  // namespace
 

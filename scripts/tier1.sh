@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the standard build + full test suite, then an
-# AddressSanitizer/UBSan build running the fault-injection slice (ctest -L
-# fault), the server crash/restart chaos slice (ctest -L chaos), the
+# AddressSanitizer/UBSan build running the VIA emulation suite (ctest -L
+# via; completion queues reap in completion order for every CQ user), the
+# fault-injection slice (ctest -L fault), the server crash/restart chaos
+# slice (ctest -L chaos), the
 # quorum failover slice (ctest -L failover), the causal-tracing
 # slice (ctest -L trace), the striped-layout slice (ctest -L stripe), the
 # quorum-replication slice (ctest -L raft), the data-integrity slice
@@ -63,9 +65,9 @@ cmake --build "$BUILD" -j "$JOBS"
 ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS" \
   --timeout "$TEST_TIMEOUT"
 
-echo "== tier1: sanitizer leg (ASan+UBSan, fault + chaos + failover + trace + stripe + raft + integrity + telemetry + cache + mpi + mpiio + dafs + nfs + integration + stress labels) =="
+echo "== tier1: sanitizer leg (ASan+UBSan, via + fault + chaos + failover + trace + stripe + raft + integrity + telemetry + cache + mpi + mpiio + dafs + nfs + integration + stress labels) =="
 cmake -B "$ASAN_BUILD" -S . -DDAFS_SANITIZE=ON >/dev/null
-cmake --build "$ASAN_BUILD" -j "$JOBS" --target test_fault \
+cmake --build "$ASAN_BUILD" -j "$JOBS" --target test_via --target test_fault \
   --target test_chaos --target test_failover --target test_trace \
   --target test_stripe --target test_quorum --target test_integrity \
   --target test_telemetry --target test_cache --target test_mpi \
@@ -73,7 +75,7 @@ cmake --build "$ASAN_BUILD" -j "$JOBS" --target test_fault \
   --target test_integration --target test_stress
 ctest --test-dir "$ASAN_BUILD" --output-on-failure -j "$JOBS" \
   --timeout "$TEST_TIMEOUT" \
-  -L 'fault|chaos|failover|trace|stripe|raft|integrity|telemetry|cache|mpi|dafs|nfs|integration|stress'
+  -L 'via|fault|chaos|failover|trace|stripe|raft|integrity|telemetry|cache|mpi|dafs|nfs|integration|stress'
 
 echo "== tier1: trace-validation leg (traced benches -> check_trace.py) =="
 TRACE_OUT="$BUILD/tier1_trace.json"

@@ -112,6 +112,7 @@ void Server::start() {
   for (int i = 0; i < cfg_.workers; ++i) {
     worker_actors_.push_back(std::make_unique<Actor>(
         "dafs-worker" + std::to_string(i), &fabric_.node(node_)));
+    worker_pool_.add(*worker_actors_.back());
     auto buf = std::make_unique<MsgBuf>();
     buf->mem.resize(cfg_.msg_buf_size);
     {
@@ -275,8 +276,14 @@ void Server::accept_loop() {
           // session, never register it) or this registration completes first
           // and the sweep — which runs strictly after — tears it down. A
           // session registered after the sweep would otherwise be served
-          // straight through the outage.
-          if (crash_pending_.load()) break;
+          // straight through the outage. The abandoned session is kept, not
+          // destroyed: destroying its VI would flush its posted receives
+          // into the shared CQ after their buffers were freed.
+          if (crash_pending_.load()) {
+            session->closing = true;
+            sessions_.push_back(std::move(session));
+            break;
+          }
           by_vi_.emplace(vi, session.get());
           sessions_.push_back(std::move(session));
         }
@@ -441,15 +448,18 @@ std::size_t Server::replay_cache_bytes() const {
 }
 
 void Server::worker_loop(int idx) {
-  ActorScope scope(*worker_actors_[idx]);
   while (running_.load()) {
+    // First come, first served in virtual time: the earliest completed
+    // request runs on the earliest-clock idle worker actor.
     via::Completion c;
-    if (recv_cq_.wait(c, kPollPeriod) != via::Status::kSuccess) continue;
+    if (recv_cq_.take(c, kPollPeriod) != via::Status::kSuccess) continue;
+    sim::ActorPool::Lease worker(worker_pool_);
+    recv_cq_.reap(c);
     if (c.desc->status != DescStatus::kSuccess) continue;  // flushed recv
     // Scheduled crash: the fault plan may kill the server on this request.
     // The tripping request dies unanswered, like every other in-flight op.
     std::uint64_t restart_ms = 0;
-    if (fabric_.faults().on_server_request(worker_actors_[idx]->now(), node_,
+    if (fabric_.faults().on_server_request(worker.actor().now(), node_,
                                            &restart_ms)) {
       do_crash(restart_ms);
       continue;
@@ -488,7 +498,7 @@ void Server::worker_loop(int idx) {
     handle_request(*session, *req, *worker_send_bufs_[idx]);
     // Time-series heartbeat: the sampler itself decides (by cadence) whether
     // this tick records a snapshot; a no-op unless enable_timeseries() ran.
-    fabric_.metrics().tick(worker_actors_[idx]->now());
+    fabric_.metrics().tick(worker.actor().now());
     // Return the buffer to the session's receive pool (credit restored). A
     // failed repost means the connection died; the session is torn down (or
     // resumed onto a fresh VI) elsewhere.

@@ -226,6 +226,8 @@ class Server {
   };
 
   void accept_loop();
+  /// Serve requests off the shared receive CQ. `idx` names the thread's
+  /// reply buffer; the worker actor is borrowed per request.
   void worker_loop(int idx);
   /// Start a new incarnation from the journal: sever every connected
   /// session and clear its replay cache, drop locks and delegations, and
@@ -410,6 +412,10 @@ class Server {
   std::thread accept_thread_;
   std::vector<std::thread> worker_threads_;
   std::vector<std::unique_ptr<sim::Actor>> worker_actors_;
+  /// Lends each picked-up request the earliest-clock idle worker actor.
+  /// There are as many actors as worker threads, and a thread holds at most
+  /// one, so a thread with a request in hand always finds one idle.
+  sim::ActorPool worker_pool_;
   std::unique_ptr<sim::Actor> accept_actor_;
   std::vector<std::unique_ptr<MsgBuf>> worker_send_bufs_;
 

@@ -1052,10 +1052,9 @@ Result<Fh> Session::open(std::string_view path, std::uint16_t flags,
   // A re-open of a path leased to a file we hold a delegation on goes out
   // under that ino, which stamps the request with the holder's id.
   Fh held;
-  for (const OpenLease& l : leases_) {
-    if (l.path == path && deleg_of(l.ino) != 0 && !is_stale(Fh{l.ino})) {
-      held.ino = l.ino;
-    }
+  if (const OpenLease* l = find_open_lease(path);
+      l != nullptr && deleg_of(l->ino) != 0 && !is_stale(Fh{l->ino})) {
+    held.ino = l->ino;
   }
   auto id = submit_simple(Proc::kOpen, path, held, 0, 0, 0, flags);
   if (!id.ok()) return id.error();
@@ -1115,15 +1114,20 @@ PStatus Session::deleg_return(Fh fh) {
   return st;
 }
 
+const Session::OpenLease* Session::find_open_lease(
+    std::string_view path) const {
+  const auto it = lease_index_.find(path);
+  return it == lease_index_.end() ? nullptr : &leases_[it->second];
+}
+
 void Session::record_open_lease(std::string_view path, fstore::Ino ino,
                                 std::uint64_t gen) {
-  for (auto& l : leases_) {
-    if (l.path == path) {
-      l.ino = ino;
-      l.gen = gen;
-      return;
-    }
+  if (const auto it = lease_index_.find(path); it != lease_index_.end()) {
+    leases_[it->second].ino = ino;
+    leases_[it->second].gen = gen;
+    return;
   }
+  lease_index_.emplace(path, leases_.size());
   leases_.push_back(OpenLease{std::string(path), ino, gen});
 }
 

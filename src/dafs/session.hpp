@@ -323,6 +323,8 @@ class Session {
     std::uint64_t len = 0;
     bool exclusive = false;
   };
+  /// The lease recorded for `path`, or nullptr.
+  const OpenLease* find_open_lease(std::string_view path) const;
   void record_open_lease(std::string_view path, fstore::Ino ino,
                          std::uint64_t gen);
   void record_lock_lease(fstore::Ino ino, std::uint64_t start,
@@ -355,7 +357,18 @@ class Session {
   bool recovering_ = false;
   sim::Rng backoff_rng_;
 
+  /// One lease per path ever opened, in first-open order (the order
+  /// reclaim_session re-opens them), and each path's position in it, so an
+  /// open does not walk every path this mount has opened.
   std::vector<OpenLease> leases_;
+  struct PathHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view p) const {
+      return std::hash<std::string_view>{}(p);
+    }
+  };
+  std::unordered_map<std::string, std::size_t, PathHash, std::equal_to<>>
+      lease_index_;
   std::vector<LockLease> lock_leases_;
   std::unordered_set<fstore::Ino> stale_;
   /// Per-ino delegation stamp: every request for the ino carries this id in

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <cassert>
 #include <cstddef>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "sim/node.hpp"
 #include "sim/time.hpp"
@@ -120,6 +122,42 @@ class ActorScope {
 
  private:
   Actor* prev_;
+};
+
+/// Interchangeable actors serving one queue, such as a filer's workers. A
+/// thread that picks up work borrows the idle actor whose clock is earliest
+/// (ties to the one added first) and returns it when the work is done, so
+/// work never waits in virtual time behind an actor that is ahead while
+/// another one sat idle.
+class ActorPool {
+ public:
+  void add(Actor& a);
+
+  /// Borrows the earliest idle actor and makes it current on this thread
+  /// for the lease's lifetime. At least one actor must be idle.
+  class Lease {
+   public:
+    explicit Lease(ActorPool& pool);
+    ~Lease();
+
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+
+    Actor& actor() const { return actor_; }
+
+   private:
+    ActorPool& pool_;
+    Actor& actor_;
+    ActorScope scope_;
+  };
+
+ private:
+  Actor& acquire();
+  void release(Actor& a);
+
+  std::mutex mu_;
+  std::vector<Actor*> members_;  // in add order
+  std::vector<bool> lent_;       // under mu_, parallel to members_
 };
 
 }  // namespace sim

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 
 #include "sim/actor.hpp"
 
@@ -58,42 +59,74 @@ void flip_scattered_bit(Segs& segs, std::uint64_t total, std::uint64_t seed) {
 void CompletionQueue::push(const Completion& c) {
   {
     std::lock_guard lock(mu_);
-    q_.push_back(c);
+    auto lane = std::find_if(lanes_.begin(), lanes_.end(), [&](const Lane& l) {
+      return l.vi == c.vi && l.is_recv == c.is_recv;
+    });
+    if (lane == lanes_.end()) {
+      lane = lanes_.insert(lanes_.end(), Lane{c.vi, c.is_recv, {}});
+    }
+    lane->q.push_back(Entry{c, next_seq_++});
+    ++size_;
   }
   cv_.notify_all();
 }
 
-Status CompletionQueue::finish_reap(Completion& out) {
+bool CompletionQueue::pop_locked(Completion& out) {
+  if (size_ == 0) return false;
+  auto best = lanes_.begin();
+  for (auto it = std::next(best); it != lanes_.end(); ++it) {
+    const Entry& e = it->q.front();
+    const Entry& b = best->q.front();
+    if (e.c.desc->done_at < b.c.desc->done_at ||
+        (e.c.desc->done_at == b.c.desc->done_at && e.seq < b.seq)) {
+      best = it;
+    }
+  }
+  out = best->q.front().c;
+  best->q.pop_front();
+  --size_;
+  if (best->q.empty()) {
+    // Lane order carries no meaning (ties go by seq): move the last lane in.
+    if (best != std::prev(lanes_.end())) *best = std::move(lanes_.back());
+    lanes_.pop_back();
+  }
+  return true;
+}
+
+void CompletionQueue::reap(const Completion& c) {
   Actor* actor = Actor::current();
   assert(actor && "CQ reaped outside an ActorScope");
-  actor->sync_to(out.desc->done_at);
-  actor->charge(CostKind::kProtocol, out.vi->nic().cost().completion);
-  if (!out.is_recv && out.desc->posted_at != 0) {
-    out.vi->nic().fabric().histograms().record(
-        "via.doorbell_to_reap_ns", since(out.desc->posted_at, actor->now()));
+  actor->sync_to(c.desc->done_at);
+  actor->charge(CostKind::kProtocol, c.vi->nic().cost().completion);
+  if (!c.is_recv && c.desc->posted_at != 0) {
+    c.vi->nic().fabric().histograms().record(
+        "via.doorbell_to_reap_ns", since(c.desc->posted_at, actor->now()));
   }
+}
+
+Status CompletionQueue::take(Completion& out,
+                             std::chrono::milliseconds timeout) {
+  std::unique_lock lock(mu_);
+  if (!bounded_wait(cv_, lock, timeout, [&] { return size_ != 0; })) {
+    return Status::kTimeout;
+  }
+  pop_locked(out);
   return Status::kSuccess;
 }
 
 Status CompletionQueue::wait(Completion& out, std::chrono::milliseconds timeout) {
-  std::unique_lock lock(mu_);
-  if (!bounded_wait(cv_, lock, timeout, [&] { return !q_.empty(); })) {
-    return Status::kTimeout;
-  }
-  out = q_.front();
-  q_.pop_front();
-  lock.unlock();
-  return finish_reap(out);
+  const Status st = take(out, timeout);
+  if (st == Status::kSuccess) reap(out);
+  return st;
 }
 
 Status CompletionQueue::poll(Completion& out) {
   {
     std::lock_guard lock(mu_);
-    if (q_.empty()) return Status::kNotDone;
-    out = q_.front();
-    q_.pop_front();
+    if (!pop_locked(out)) return Status::kNotDone;
   }
-  return finish_reap(out);
+  reap(out);
+  return Status::kSuccess;
 }
 
 // ---------------------------------------------------------------------------

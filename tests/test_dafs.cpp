@@ -273,6 +273,77 @@ TEST_F(DafsTest, SetSizeRoundTrips) {
 }
 
 // ---------------------------------------------------------------------------
+// Filer dispatch
+// ---------------------------------------------------------------------------
+
+TEST(DafsDispatch, RequestRunsOnTheEarliestFreeWorker) {
+  // Two idle workers whose clocks differ: a client 50 ms ahead in virtual
+  // time pushes the worker that serves it forward. The next request, from a
+  // client that is behind, must run on the other, earlier worker, so the
+  // filer books it no phantom queue wait behind the worker that is ahead.
+  // Which worker thread wakes for it is up to the host, so the scenario runs
+  // on a few fresh filers.
+  constexpr std::uint64_t kIdBehind = 9002;
+  constexpr sim::Time kAhead = 50'000'000;  // 50 ms
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE(round);
+    sim::Fabric fabric;
+    const sim::NodeId filer = fabric.add_node("filer");
+    const sim::NodeId node_a = fabric.add_node("client-ahead");
+    const sim::NodeId node_b = fabric.add_node("client-behind");
+    ServerConfig scfg;
+    scfg.workers = 2;
+    Server server(fabric, filer, scfg);
+    server.start();
+    via::Nic nic_a(fabric, node_a, "nic-ahead");
+    via::Nic nic_b(fabric, node_b, "nic-behind");
+    Actor ahead("ahead", &fabric.node(node_a));
+    Actor behind("behind", &fabric.node(node_b));
+
+    auto connect = [&](Actor& actor, via::Nic& nic, std::uint64_t id) {
+      ActorScope scope(actor);
+      ClientConfig ccfg;
+      ccfg.client_id = id;
+      auto r = Session::connect(nic, dafs::single_mount("dafs", {}, ccfg));
+      EXPECT_TRUE(r.ok());
+      return r.ok() ? std::move(r.value()) : nullptr;
+    };
+    auto sa = connect(ahead, nic_a, 9001);
+    auto sb = connect(behind, nic_b, kIdBehind);
+    ASSERT_NE(sa, nullptr);
+    ASSERT_NE(sb, nullptr);
+    // A worker returns its actor only after its reply is out; give the ones
+    // that served the connects time to go idle, so both are free below.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+    ahead.advance(kAhead);
+    {
+      ActorScope scope(ahead);
+      ASSERT_TRUE(sa->open("/ahead.bin", kOpenCreate).ok());
+    }
+    ASSERT_GE(ahead.now(), kAhead);
+    const std::uint64_t wait_before =
+        server.client_stats()[kIdBehind].queue_wait_ns;
+    {
+      ActorScope scope(behind);
+      ASSERT_TRUE(sb->open("/behind.bin", kOpenCreate).ok());
+    }
+    // The request waited for its own reap and dispatch charges (about
+    // 4.3 us), not for the worker 50 ms ahead.
+    EXPECT_LT(server.client_stats()[kIdBehind].queue_wait_ns - wait_before,
+              1'000'000u);
+    EXPECT_LT(behind.now(), kAhead / 10);
+
+    {
+      ActorScope scope(behind);
+      sb.reset();
+    }
+    ActorScope scope(ahead);
+    sa.reset();
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Inline vs direct data path
 // ---------------------------------------------------------------------------
 

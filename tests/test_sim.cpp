@@ -162,6 +162,38 @@ TEST(Actor, CurrentFollowsScopeNesting) {
   EXPECT_EQ(Actor::current(), nullptr);
 }
 
+TEST(ActorPool, LendsTheEarliestIdleActorTiesToTheFirstAdded) {
+  Fabric f;
+  auto n = f.add_node("n0");
+  Actor a("a", &f.node(n));
+  Actor b("b", &f.node(n));
+  Actor c("c", &f.node(n));
+  a.advance(5'000);
+  b.advance(2'000);
+  c.advance(2'000);
+  sim::ActorPool pool;
+  pool.add(a);
+  pool.add(b);
+  pool.add(c);
+  {
+    sim::ActorPool::Lease first(pool);
+    EXPECT_EQ(&first.actor(), &b);  // earliest; b was added before c
+    EXPECT_EQ(Actor::current(), &b);
+    {
+      sim::ActorPool::Lease second(pool);
+      EXPECT_EQ(&second.actor(), &c);  // b is lent out
+      sim::ActorPool::Lease third(pool);
+      EXPECT_EQ(&third.actor(), &a);
+      EXPECT_EQ(Actor::current(), &a);
+    }
+    EXPECT_EQ(Actor::current(), &b);
+    b.advance(10'000);  // b comes back later than a and c
+  }
+  EXPECT_EQ(Actor::current(), nullptr);
+  sim::ActorPool::Lease next(pool);
+  EXPECT_EQ(&next.actor(), &c);
+}
+
 // ---------------------------------------------------------------------------
 // Fabric transfer timing
 // ---------------------------------------------------------------------------

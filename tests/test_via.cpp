@@ -639,33 +639,56 @@ TEST_F(ViaPairTest, CompletionQueueMultiplexesManyVis) {
   }
   server.join();
 
-  std::vector<std::byte> dst1(64), dst2(64), src(64);
+  std::vector<std::byte> dst1(64), dst2(64), dst3(64), src(64);
   const MemHandle hd1 = Register(nic_b_, actor_b_, dst1.data(), dst1.size());
   const MemHandle hd2 = Register(nic_b_, actor_b_, dst2.data(), dst2.size());
+  const MemHandle hd3 = Register(nic_b_, actor_b_, dst3.data(), dst3.size());
   const MemHandle hs = Register(nic_a_, actor_a_, src.data(), src.size());
-  Descriptor r1, r2;
+  Descriptor r1, r2, r3;
   r1.segs = {DataSegment{dst1.data(), hd1, 64}};
   r2.segs = {DataSegment{dst2.data(), hd2, 64}};
+  r3.segs = {DataSegment{dst3.data(), hd3, 64}};
   ASSERT_EQ(b1.post_recv(r1), Status::kSuccess);
   ASSERT_EQ(b2.post_recv(r2), Status::kSuccess);
+  ASSERT_EQ(b1.post_recv(r3), Status::kSuccess);
 
-  Descriptor s1, s2;
+  // The senders' clocks differ: the one 1 ms ahead pushes r1's completion
+  // first, the one behind then pushes r2's and r3's, which complete earlier.
+  Actor behind("behind", &fabric_.node(na_));
+  actor_a_.advance(1'000'000);
+  Descriptor s1, s2, s3;
   s1.segs = {DataSegment{src.data(), hs, 64}};
   s2.segs = {DataSegment{src.data(), hs, 64}};
+  s3.segs = {DataSegment{src.data(), hs, 64}};
   {
     ActorScope scope(actor_a_);
-    ASSERT_EQ(a2.post_send(s2), Status::kSuccess);
     ASSERT_EQ(a1.post_send(s1), Status::kSuccess);
   }
+  {
+    ActorScope scope(behind);
+    ASSERT_EQ(a2.post_send(s2), Status::kSuccess);
+    ASSERT_EQ(a1.post_send(s3), Status::kSuccess);
+  }
+  ASSERT_LT(r2.done_at, r1.done_at);
+  ASSERT_LT(r3.done_at, r1.done_at);
+
+  // Completion order, as a NIC writes its CQ: the virtually earliest head
+  // first (r2, though pushed after r1), and each VI's receive queue stays
+  // FIFO (r3 completed before r1 but was posted after it on b1).
   ActorScope scope(actor_b_);
-  via::Completion c1, c2;
+  via::Completion c1, c2, c3;
   ASSERT_EQ(cq.wait(c1, kWait), Status::kSuccess);
+  EXPECT_EQ(c1.vi, &b2);
+  EXPECT_EQ(c1.desc, &r2);
+  EXPECT_LT(actor_b_.now(), r1.done_at);  // synced to r2 only
   ASSERT_EQ(cq.wait(c2, kWait), Status::kSuccess);
-  EXPECT_TRUE(c1.is_recv);
-  EXPECT_TRUE(c2.is_recv);
-  // Both VIs delivered through the same CQ.
-  EXPECT_TRUE((c1.vi == &b1 && c2.vi == &b2) ||
-              (c1.vi == &b2 && c2.vi == &b1));
+  ASSERT_EQ(cq.poll(c3), Status::kSuccess);
+  EXPECT_EQ(c2.vi, &b1);
+  EXPECT_EQ(c2.desc, &r1);
+  EXPECT_EQ(c3.vi, &b1);
+  EXPECT_EQ(c3.desc, &r3);
+  EXPECT_TRUE(c1.is_recv && c2.is_recv && c3.is_recv);
+  EXPECT_GE(actor_b_.now(), r1.done_at);
   EXPECT_EQ(cq.pending(), 0u);
   via::Completion none;
   EXPECT_EQ(cq.poll(none), Status::kNotDone);
