@@ -1,17 +1,19 @@
 // Google-benchmark microbenchmarks of the emulation substrate itself (real
 // host time, not modeled time): datatype flattening, resource arithmetic,
-// the fabric transfer computation and completion-queue reaping. These guard
-// against the cost engine itself becoming the bottleneck of large
-// experiments.
+// the fabric transfer computation, completion-queue reaping and the CRC
+// codecs. These guard against the cost engine itself becoming the
+// bottleneck of large experiments.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
+#include "fstore/journal.hpp"
 #include "mpi/datatype.hpp"
 #include "sim/actor.hpp"
 #include "sim/fabric.hpp"
@@ -155,6 +157,34 @@ void BM_CqReap(benchmark::State& state) {
   for (auto& r : receivers) r->disconnect();
 }
 BENCHMARK(BM_CqReap)->Arg(1)->Arg(16)->Arg(256)->UseManualTime();
+
+// The journal's CRC-32 and the integrity layer's CRC-32C over one 4 KiB
+// page, one 64 KiB chunk (what the filer re-hashes for every chunk a write
+// touches) and 1 MiB. These are the simulator's largest per-byte host cost.
+template <typename Crc>
+void crc_bench(benchmark::State& state, Crc crc) {
+  std::vector<std::byte> buf(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<std::byte>(i * 131 + 7);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc(std::span<const std::byte>(buf)));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(buf.size()));
+}
+
+void BM_Crc32(benchmark::State& state) {
+  crc_bench(state,
+            [](std::span<const std::byte> b) { return fstore::crc32(b); });
+}
+BENCHMARK(BM_Crc32)->Arg(4096)->Arg(64 << 10)->Arg(1 << 20);
+
+void BM_Crc32c(benchmark::State& state) {
+  crc_bench(state,
+            [](std::span<const std::byte> b) { return fstore::crc32c(b); });
+}
+BENCHMARK(BM_Crc32c)->Arg(4096)->Arg(64 << 10)->Arg(1 << 20);
 
 }  // namespace
 

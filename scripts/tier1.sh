@@ -36,6 +36,14 @@
 # path (the exact bug class the chaos suite hunts) fails the gate instead of
 # wedging it.
 #
+# A benchmark leg runs the end-to-end benchmark (benchmark/, a CMake project
+# of its own that the standard build never touches) for one second per
+# workload. run.py exits non-zero when the build or a run fails (2), when
+# the calibration fingerprint no longer matches benchmark/calibration.json
+# (3) or when a metric is missing (4), and any of those fails the gate.
+#
+# Each leg prints its wall time when it ends.
+#
 # Usage: scripts/tier1.sh [build-dir] [asan-build-dir]
 set -euo pipefail
 
@@ -47,7 +55,20 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 # slower than the standard build.
 TEST_TIMEOUT="${TEST_TIMEOUT:-300}"
 
-echo "== tier1: one public mount (dafs::Client) =="
+# leg <title>: report the wall time of the leg that just ended, then open
+# the next one (an empty title only closes the last).
+LEG=""
+LEG_START=$SECONDS
+leg() {
+  if [[ -n "$LEG" ]]; then
+    echo "-- tier1: $LEG: $((SECONDS - LEG_START)) s"
+  fi
+  LEG="$1"
+  LEG_START=$SECONDS
+  if [[ -n "$LEG" ]]; then echo "== tier1: $LEG =="; fi
+}
+
+leg "one public mount (dafs::Client)"
 if grep -rlwE 'dafs::Session|dafs/session\.hpp' src/mpiio bench examples \
     benchmark; then
   echo "tier1: the files above name dafs::Session; mount a dafs::Client" >&2
@@ -59,13 +80,16 @@ if grep -nE '^[[:space:]]*#[[:space:]]*include[[:space:]]*["<](dafs/)?session\.h
   exit 1
 fi
 
-echo "== tier1: standard build =="
+leg "standard build"
 cmake -B "$BUILD" -S . >/dev/null
 cmake --build "$BUILD" -j "$JOBS"
 ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS" \
   --timeout "$TEST_TIMEOUT"
 
-echo "== tier1: sanitizer leg (ASan+UBSan, via + fault + chaos + failover + trace + stripe + raft + integrity + telemetry + cache + mpi + mpiio + dafs + nfs + integration + stress labels) =="
+leg "benchmark leg (benchmark/run.py, 1 s per workload)"
+CARGO_TARGET_DIR="$BUILD/bench_smoke" python3 benchmark/run.py --seconds 1
+
+leg "sanitizer leg (ASan+UBSan, via + fault + chaos + failover + trace + stripe + raft + integrity + telemetry + cache + mpi + mpiio + dafs + nfs + integration + stress labels)"
 cmake -B "$ASAN_BUILD" -S . -DDAFS_SANITIZE=ON >/dev/null
 cmake --build "$ASAN_BUILD" -j "$JOBS" --target test_via --target test_fault \
   --target test_chaos --target test_failover --target test_trace \
@@ -77,7 +101,7 @@ ctest --test-dir "$ASAN_BUILD" --output-on-failure -j "$JOBS" \
   --timeout "$TEST_TIMEOUT" \
   -L 'via|fault|chaos|failover|trace|stripe|raft|integrity|telemetry|cache|mpi|dafs|nfs|integration|stress'
 
-echo "== tier1: trace-validation leg (traced benches -> check_trace.py) =="
+leg "trace-validation leg (traced benches -> check_trace.py)"
 TRACE_OUT="$BUILD/tier1_trace.json"
 DAFS_TRACE="$TRACE_OUT" "$BUILD/bench/bench_e8_breakdown" >/dev/null
 python3 scripts/check_trace.py "$TRACE_OUT"
@@ -112,7 +136,7 @@ CACHE_TRACE="$BUILD/tier1_trace_cache.json"
 DAFS_TRACE="$CACHE_TRACE" "$BUILD/bench/bench_e21_cache" >/dev/null
 python3 scripts/check_trace.py --require-span dafs.deleg.recall "$CACHE_TRACE"
 
-echo "== tier1: metrics-validation leg (bench JSON -> check_metrics.py) =="
+leg "metrics-validation leg (bench JSON -> check_metrics.py)"
 # The breakdown bench emits the plain schema (counters/gauges/histograms);
 # the telemetry bench additionally arms the time-series sampler, so its
 # document must carry a monotone, non-empty "timeseries" section.
@@ -126,4 +150,5 @@ CACHE_OUT="$BUILD/tier1_metrics_e21.txt"
 "$BUILD/bench/bench_e21_cache" >"$CACHE_OUT"
 python3 scripts/check_metrics.py "$CACHE_OUT"
 
-echo "== tier1: all green =="
+leg ""
+echo "== tier1: all green ($SECONDS s) =="

@@ -2247,7 +2247,7 @@ void Server::do_read_inline(MsgView& req, MsgView& resp) {
   if ((req.header().flags & kFlagPayloadCrc) != 0 && r.value() > 0) {
     resp.header().flags |= kFlagPayloadCrc;
     resp.header().payload_crc = fstore::crc32c({resp.data_payload(), r.value()});
-    Actor::current()->charge(CostKind::kCopy,
+    Actor::current()->charge(CostKind::kChecksum,
                              fabric_.cost().copy_time(r.value()));
     fabric_.stats().add("dafs.integrity_crc_bytes", r.value());
   }
@@ -2257,7 +2257,7 @@ void Server::do_read_inline(MsgView& req, MsgView& resp) {
 void Server::do_write_inline(MsgView& req, MsgView& resp) {
   Actor::current()->charge(CostKind::kDispatch, fabric_.cost().fs_op);
   if ((req.header().flags & kFlagPayloadCrc) != 0 && req.header().data_len > 0) {
-    Actor::current()->charge(CostKind::kCopy,
+    Actor::current()->charge(CostKind::kChecksum,
                              fabric_.cost().copy_time(req.header().data_len));
     fabric_.stats().add("dafs.integrity_crc_bytes", req.header().data_len);
     if (fstore::crc32c({req.data_payload(), req.header().data_len}) !=
@@ -2335,7 +2335,7 @@ void Server::do_read_direct(Session& s, MsgView& req, MsgView& resp) {
     // landed prefix against payload_crc.
     resp.header().flags |= kFlagPayloadCrc;
     resp.header().payload_crc = crc_of(ds);
-    actor->charge(CostKind::kCopy, fabric_.cost().copy_time(total));
+    actor->charge(CostKind::kChecksum, fabric_.cost().copy_time(total));
     fabric_.stats().add("dafs.integrity_crc_bytes", total);
   }
   fabric_.stats().add("dafs.direct_read_bytes", total);
@@ -2381,7 +2381,7 @@ void Server::do_write_direct(Session& s, MsgView& req, MsgView& resp) {
   if (check) {
     if (pulled < ds.size()) return;
     if (total > 0) {
-      actor->charge(CostKind::kCopy, fabric_.cost().copy_time(total));
+      actor->charge(CostKind::kChecksum, fabric_.cost().copy_time(total));
       fabric_.stats().add("dafs.integrity_crc_bytes", total);
     }
     if (crc_of(ds) != req.header().payload_crc) {

@@ -375,7 +375,7 @@ bool Session::process_response(RecvBuf& rb) {
         covered = {sl.verify_buf, h.len};
       }
       if (!covered.empty()) {
-        Actor::current()->charge(CostKind::kCopy,
+        Actor::current()->charge(CostKind::kChecksum,
                                  nic_.cost().copy_time(covered.size()));
         nic_.fabric().stats().add("dafs.integrity_crc_bytes", covered.size());
         if (fstore::crc32c(covered) != h.payload_crc) {
@@ -979,7 +979,7 @@ Result<OpId> Session::submit_io(Proc proc, Fh fh, std::span<const IoVec> iovs,
         covered += v.len;
       }
       msg.header().payload_crc = crc;
-      Actor::current()->charge(CostKind::kCopy,
+      Actor::current()->charge(CostKind::kChecksum,
                                nic_.cost().copy_time(covered));
       nic_.fabric().stats().add("dafs.integrity_crc_bytes", covered);
     } else {
@@ -1331,7 +1331,7 @@ Result<OpId> Session::submit_write_inline(Fh fh, std::uint64_t off,
   if ((integrity_flags() & kFlagPayloadCrc) != 0 && !in.empty()) {
     msg.header().flags |= kFlagPayloadCrc;
     msg.header().payload_crc = fstore::crc32c({msg.data_payload(), in.size()});
-    actor->charge(CostKind::kCopy, nic_.cost().copy_time(in.size()));
+    actor->charge(CostKind::kChecksum, nic_.cost().copy_time(in.size()));
     nic_.fabric().stats().add("dafs.integrity_crc_bytes", in.size());
   }
   if (const PStatus st = transmit(id.value()); st != PStatus::kOk) {

@@ -106,7 +106,7 @@ bool FileStore::chunk_clean_locked(const Inode& node,
 void FileStore::charge_crc(std::uint64_t bytes) const {
   if (bytes == 0) return;
   if (Actor* actor = Actor::current()) {
-    actor->charge(CostKind::kCopy,
+    actor->charge(CostKind::kChecksum,
                   static_cast<sim::Time>(static_cast<double>(bytes) * 1'000.0 /
                                          opt_.crc_mbps));
   }

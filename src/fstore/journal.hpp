@@ -12,8 +12,9 @@
 
 namespace fstore {
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) over a byte span. Table-driven;
-/// the table is built once on first use.
+/// CRC-32 (IEEE 802.3 polynomial, reflected) over a byte span. Both codecs
+/// share one slice-by-8 kernel (eight bytes per step through compile-time
+/// tables); the values are those of the classic byte-at-a-time table loop.
 std::uint32_t crc32(std::span<const std::byte> data);
 
 /// CRC-32C (Castagnoli polynomial, reflected) — the block/wire checksum of

@@ -22,6 +22,7 @@ enum class CostKind : std::size_t {
   kInterrupt,     // device interrupt handling
   kRegistration,  // memory registration / deregistration
   kDispatch,      // server request dispatch + fs layer
+  kChecksum,      // payload and block checksums (CRC-32C)
   kCount,
 };
 
@@ -33,6 +34,7 @@ constexpr const char* to_string(CostKind k) {
     case CostKind::kInterrupt: return "interrupt";
     case CostKind::kRegistration: return "registration";
     case CostKind::kDispatch: return "dispatch";
+    case CostKind::kChecksum: return "checksum";
     default: return "?";
   }
 }

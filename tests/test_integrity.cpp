@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,8 +19,9 @@
 #include "sim/rng.hpp"
 
 /// \file test_integrity.cpp
-/// End-to-end data-integrity suite (ctest label `integrity`): the CRC-32C
-/// block/wire codec round-trips every block shape, at-rest bit rot is
+/// End-to-end data-integrity suite (ctest label `integrity`): both CRC
+/// codecs match their known answers and a byte-at-a-time reference, the
+/// CRC-32C block/wire codec round-trips every block shape, at-rest bit rot is
 /// detected before a byte reaches a client and repaired from a quorum
 /// replica's verified copy, a filer with no healthy copy demotes the block
 /// to a read error (never silent bad bytes), and a wire flip on a write
@@ -88,6 +91,76 @@ TEST(IntegrityCodec, Crc32cSeedChainsToWholeBufferChecksum) {
   auto bent = data;
   bent[1234] ^= std::byte{0x01};
   EXPECT_NE(fstore::crc32c(bent), whole);
+}
+
+/// The classic one-lookup-per-byte table loop over a reflected polynomial:
+/// the reference both word-at-a-time codecs must reproduce bit for bit,
+/// because journal frames and chunk checksums already hold its values.
+class ByteAtATimeCrc {
+ public:
+  explicit ByteAtATimeCrc(std::uint32_t poly) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) c = (c & 1u) ? poly ^ (c >> 1) : c >> 1;
+      table_[i] = c;
+    }
+  }
+
+  std::uint32_t operator()(std::span<const std::byte> data,
+                           std::uint32_t seed = 0) const {
+    std::uint32_t c = seed ^ 0xFFFFFFFFu;
+    for (std::byte b : data) {
+      c = table_[(c ^ static_cast<std::uint8_t>(b)) & 0xFFu] ^ (c >> 8);
+    }
+    return c ^ 0xFFFFFFFFu;
+  }
+
+ private:
+  std::array<std::uint32_t, 256> table_{};
+};
+
+const ByteAtATimeCrc kRefCrc32(0xEDB88320u);
+const ByteAtATimeCrc kRefCrc32c(0x82F63B78u);
+
+TEST(IntegrityCodec, KnownAnswers) {
+  // The standard check values of both codecs over the ASCII digits.
+  const std::string digits = "123456789";
+  const auto bytes = std::as_bytes(std::span(digits));
+  EXPECT_EQ(fstore::crc32(bytes), 0xCBF43926u);
+  EXPECT_EQ(fstore::crc32c(bytes), 0xE3069283u);
+  EXPECT_EQ(kRefCrc32(bytes), 0xCBF43926u);
+  EXPECT_EQ(kRefCrc32c(bytes), 0xE3069283u);
+}
+
+TEST(IntegrityCodec, MatchesByteAtATimeReference) {
+  // Every length 0..300 at every start offset within a word, so the word
+  // loop, the tail loop and every misalignment of the loads are exercised.
+  const auto data = pattern(300 + 8, 11);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const auto s = std::span(data).subspan(off, len);
+      ASSERT_EQ(fstore::crc32(s), kRefCrc32(s)) << "off " << off << " len "
+                                                << len;
+      ASSERT_EQ(fstore::crc32c(s), kRefCrc32c(s)) << "off " << off << " len "
+                                                  << len;
+    }
+  }
+  const auto big = pattern(1 << 20, 12);
+  EXPECT_EQ(fstore::crc32(big), kRefCrc32(big));
+  EXPECT_EQ(fstore::crc32c(big), kRefCrc32c(big));
+  EXPECT_EQ(fstore::crc32c(big, 0xDEADBEEFu), kRefCrc32c(big, 0xDEADBEEFu));
+}
+
+TEST(IntegrityCodec, Crc32cSeedChainsAcrossEverySplit) {
+  const auto data = pattern(100, 13);
+  const std::uint32_t whole = kRefCrc32c(data);
+  ASSERT_EQ(fstore::crc32c(data), whole);
+  for (std::size_t cut = 0; cut <= data.size(); ++cut) {
+    const auto s = std::span(data);
+    EXPECT_EQ(fstore::crc32c(s.subspan(cut), fstore::crc32c(s.first(cut))),
+              whole)
+        << "cut " << cut;
+  }
 }
 
 TEST(IntegrityCodec, BlockShapesDetectRotAndRepair) {
@@ -229,6 +302,67 @@ TEST(Integrity, SingleFilerRotDemotesToReadErrorNotSilentBytes) {
   EXPECT_NE(std::memcmp(back.data(), rewrite.data(), kBlock), 0);
   s2.reset();
   s.reset();
+  server.stop();
+}
+
+TEST(Integrity, ChecksumCpuIsBilledApartFromCopies) {
+  // Every CRC the integrity layer computes is charged as CostKind::kChecksum
+  // with the duration it always had, so the per-kind CPU tables can tell
+  // checksum work from data copies. Inline data pays one marshalling copy
+  // on the client each way; direct data pays none.
+  sim::Fabric fabric;
+  const auto snode = fabric.add_node("filer");
+  dafs::ServerConfig cfg;
+  cfg.service = "dafs-cpu";
+  cfg.grace_period_ms = 10;
+  dafs::Server server(fabric, snode, cfg);
+  server.start();
+
+  const auto cnode = fabric.add_node("client");
+  Actor actor("client", &fabric.node(cnode));
+  ActorScope scope(actor);
+  via::Nic nic(fabric, cnode, "nic");
+  const auto data = pattern(kBlock, 21);
+  const sim::Time wire = fabric.cost().copy_time(kBlock);
+  const auto store = static_cast<sim::Time>(static_cast<double>(kBlock) *
+                                            1'000.0 / cfg.store.crc_mbps);
+  using sim::CostKind;
+  for (const bool direct : {false, true}) {
+    SCOPED_TRACE(direct ? "direct" : "inline");
+    dafs::ClientConfig cc;
+    cc.integrity = dafs::IntegrityMode::kFull;
+    cc.direct_threshold = direct ? 0 : 1u << 20;
+    auto s = std::move(
+        dafs::Session::connect(nic, dafs::single_mount("dafs-cpu", {}, cc))
+            .value());
+    auto fh = s->open(direct ? "/d.dat" : "/i.dat", dafs::kOpenCreate).value();
+    const sim::Time copy = direct ? 0 : wire;
+
+    // Write: the client hashes the payload, the filer verifies it.
+    auto c0 = actor.busy();
+    auto f0 = server.worker_busy();
+    ASSERT_TRUE(s->pwrite(fh, 0, data).ok());
+    EXPECT_EQ(actor.busy()[CostKind::kChecksum] - c0[CostKind::kChecksum],
+              wire);
+    EXPECT_EQ(actor.busy()[CostKind::kCopy] - c0[CostKind::kCopy], copy);
+    EXPECT_EQ(server.worker_busy()[CostKind::kChecksum] -
+                  f0[CostKind::kChecksum],
+              wire);
+
+    // Read: the filer verifies the stored blocks and hashes the reply, the
+    // client verifies the payload.
+    c0 = actor.busy();
+    f0 = server.worker_busy();
+    std::vector<std::byte> back(kBlock);
+    ASSERT_EQ(s->pread(fh, 0, back).value(), kBlock);
+    EXPECT_EQ(back, data);
+    EXPECT_EQ(actor.busy()[CostKind::kChecksum] - c0[CostKind::kChecksum],
+              wire);
+    EXPECT_EQ(actor.busy()[CostKind::kCopy] - c0[CostKind::kCopy], copy);
+    EXPECT_EQ(server.worker_busy()[CostKind::kChecksum] -
+                  f0[CostKind::kChecksum],
+              store + wire);
+  }
   server.stop();
 }
 
