@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the standard build + full test suite, then an
-# AddressSanitizer/UBSan build running the VIA emulation suite (ctest -L
+# AddressSanitizer/UBSan build running the simulator core suite (ctest -L
+# sim; the wait module, the worker ActorPool and concurrent Resource
+# properties), the VIA emulation suite (ctest -L
 # via; completion queues reap in completion order for every CQ user), the
 # fault-injection slice (ctest -L fault), the server crash/restart chaos
 # slice (ctest -L chaos), the
@@ -27,10 +29,14 @@
 # dotted-lowercase keys, percentile ordering, monotone time series) with
 # scripts/check_metrics.py.
 #
-# A source check comes first: dafs::Client is the one public mount, so the
+# Two source checks come first. dafs::Client is the one public mount, so the
 # MPI-IO driver, benches, examples and benchmark never name its internal
 # per-filer transport (dafs::Session, dafs/session.hpp), and
-# src/dafs/client.hpp only forward-declares it.
+# src/dafs/client.hpp only forward-declares it. And every blocking point in
+# src/ waits through sim/wait.hpp (sim::Deadline, sim::CondVar, sim::sleep),
+# the one reader of a host clock: no .cpp or .hpp under src/ outside src/sim/
+# names a std::chrono clock, sleep_for, sleep_until, wait_for, wait_until or
+# a condition_variable.
 #
 # Every ctest invocation runs under a per-test timeout so a hung recovery
 # path (the exact bug class the chaos suite hunts) fails the gate instead of
@@ -80,6 +86,15 @@ if grep -nE '^[[:space:]]*#[[:space:]]*include[[:space:]]*["<](dafs/)?session\.h
   exit 1
 fi
 
+leg "one wait primitive (sim/wait.hpp)"
+if grep -rnwE --include='*.cpp' --include='*.hpp' --exclude-dir=sim \
+    'steady_clock|system_clock|high_resolution_clock|utc_clock|tai_clock|gps_clock|file_clock|sleep_for|sleep_until|wait_for|wait_until|condition_variable|condition_variable_any' \
+    src; then
+  echo "tier1: the lines above block or read a clock outside src/sim/;" \
+    "wait through sim::Deadline, sim::CondVar and sim::sleep" >&2
+  exit 1
+fi
+
 leg "standard build"
 cmake -B "$BUILD" -S . >/dev/null
 cmake --build "$BUILD" -j "$JOBS"
@@ -89,17 +104,17 @@ ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS" \
 leg "benchmark leg (benchmark/run.py, 1 s per workload)"
 CARGO_TARGET_DIR="$BUILD/bench_smoke" python3 benchmark/run.py --seconds 1
 
-leg "sanitizer leg (ASan+UBSan, via + fault + chaos + failover + trace + stripe + raft + integrity + telemetry + cache + mpi + mpiio + dafs + nfs + integration + stress labels)"
+leg "sanitizer leg (ASan+UBSan, sim + via + fault + chaos + failover + trace + stripe + raft + integrity + telemetry + cache + mpi + mpiio + dafs + nfs + integration + stress labels)"
 cmake -B "$ASAN_BUILD" -S . -DDAFS_SANITIZE=ON >/dev/null
-cmake --build "$ASAN_BUILD" -j "$JOBS" --target test_via --target test_fault \
-  --target test_chaos --target test_failover --target test_trace \
-  --target test_stripe --target test_quorum --target test_integrity \
-  --target test_telemetry --target test_cache --target test_mpi \
-  --target test_mpiio --target test_dafs --target test_nfs \
+cmake --build "$ASAN_BUILD" -j "$JOBS" --target test_sim --target test_via \
+  --target test_fault --target test_chaos --target test_failover \
+  --target test_trace --target test_stripe --target test_quorum \
+  --target test_integrity --target test_telemetry --target test_cache \
+  --target test_mpi --target test_mpiio --target test_dafs --target test_nfs \
   --target test_integration --target test_stress
 ctest --test-dir "$ASAN_BUILD" --output-on-failure -j "$JOBS" \
   --timeout "$TEST_TIMEOUT" \
-  -L 'via|fault|chaos|failover|trace|stripe|raft|integrity|telemetry|cache|mpi|dafs|nfs|integration|stress'
+  -L 'sim|via|fault|chaos|failover|trace|stripe|raft|integrity|telemetry|cache|mpi|dafs|nfs|integration|stress'
 
 leg "trace-validation leg (traced benches -> check_trace.py)"
 TRACE_OUT="$BUILD/tier1_trace.json"

@@ -42,8 +42,8 @@ struct RetryPolicy {
 /// The one jittered exponential backoff every DAFS retry waits on. `next()`
 /// draws a delay uniformly from [b/2, b] with an RNG the caller owns, then
 /// doubles b up to the cap; `reset()` starts over at the base. Units are
-/// the caller's (virtual ns on the client, wall-clock ms or ns on the
-/// filer). A single jittered wait of about `b` is `Backoff(b, b).next(rng)`.
+/// the caller's (virtual ns on the client, modeled ms or ns that the filer
+/// waits out through sim::Deadline::modeled). A single jittered wait of about `b` is `Backoff(b, b).next(rng)`.
 class Backoff {
  public:
   Backoff(std::uint64_t base, std::uint64_t cap)

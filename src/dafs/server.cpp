@@ -58,7 +58,7 @@ Server::Server(sim::Fabric& fabric, sim::NodeId node, ServerConfig cfg)
     const std::size_t n = cfg_.quorum_group.size();
     match_off_.assign(n, 0);
     next_off_.assign(n, 0);
-    peer_heard_.assign(n, std::chrono::steady_clock::time_point{});
+    peer_lease_.assign(n, sim::Deadline{});
     raft_rng_ = std::make_unique<sim::Rng>(
         jitter_rng(cfg_.repl_retry.jitter_seed, cfg_.member_id + 1));
   }
@@ -315,15 +315,15 @@ void Server::accept_loop() {
       }
       by_vi_.clear();
     }
-    // Down: hold the outage for the scheduled real-time delay, then come
+    // Down: hold the outage for the scheduled restart delay, then come
     // back with a fresh listener and a lease-reclaim grace period.
-    std::chrono::steady_clock::time_point until;
+    sim::Deadline until;
     {
       std::lock_guard lock(crash_mu_);
       until = restart_at_;
     }
-    while (running_.load() && std::chrono::steady_clock::now() < until) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    while (running_.load() && !until.passed()) {
+      sim::sleep(sim::Deadline::host(1ms));
     }
     crash_pending_.store(false);
     arm_grace();
@@ -332,16 +332,16 @@ void Server::accept_loop() {
 }
 
 void Server::arm_grace() {
-  grace_until_.store((std::chrono::steady_clock::now() +
-                      std::chrono::milliseconds(cfg_.grace_period_ms))
-                         .time_since_epoch()
-                         .count());
+  grace_until_.store(
+      sim::Deadline::modeled(cfg_.grace_period_ms * sim::kMsec));
 }
 
 bool Server::in_grace() const {
-  const std::int64_t until = grace_until_.load(std::memory_order_relaxed);
-  return until != 0 &&
-         std::chrono::steady_clock::now().time_since_epoch().count() < until;
+  return !grace_until_.load(std::memory_order_relaxed).passed();
+}
+
+sim::Deadline Server::lease_from_now() const {
+  return sim::Deadline::modeled(2 * cfg_.election_timeout_max_ms * sim::kMsec);
 }
 
 void Server::inject_crash(std::uint64_t restart_delay_ms) {
@@ -351,8 +351,7 @@ void Server::inject_crash(std::uint64_t restart_delay_ms) {
 void Server::do_crash(std::uint64_t restart_delay_ms) {
   std::lock_guard crash_lock(crash_mu_);
   if (crash_pending_.load()) return;  // already down
-  restart_at_ = std::chrono::steady_clock::now() +
-                std::chrono::milliseconds(restart_delay_ms);
+  restart_at_ = sim::Deadline::modeled(restart_delay_ms * sim::kMsec);
   crash_count_.fetch_add(1);
   fabric_.stats().add("dafs.server_crashes");
   // Flight recorder: stamp the crash into the timeline and dump everything —
@@ -1076,8 +1075,8 @@ void Server::rebuild_term_runs_locked() {
 void Server::reset_election_deadline_locked() {
   const std::uint64_t lo = cfg_.election_timeout_min_ms;
   const std::uint64_t hi = std::max(cfg_.election_timeout_max_ms, lo + 1);
-  election_deadline_ = std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(raft_rng_->range(lo, hi));
+  election_deadline_ =
+      sim::Deadline::modeled(raft_rng_->range(lo, hi) * sim::kMsec);
 }
 
 void Server::become_follower_locked(std::uint64_t term) {
@@ -1178,11 +1177,11 @@ void Server::become_leader_locked() {
   }
   arm_grace();
   const std::uint64_t jsize = store_->journal_size();
-  const auto now = std::chrono::steady_clock::now();
+  const sim::Deadline lease = lease_from_now();
   for (std::size_t p = 0; p < cfg_.quorum_group.size(); ++p) {
     match_off_[p] = 0;
     next_off_[p] = jsize;
-    peer_heard_[p] = now;
+    peer_lease_[p] = lease;
   }
   role_.store(Role::kLeader, std::memory_order_release);
   raft_cv_.notify_all();
@@ -1214,8 +1213,7 @@ Server::QuorumAck Server::quorum_commit_barrier() {
   const std::uint64_t budget_ns = cfg_.repl_retry.deadline_ns != 0
                                       ? cfg_.repl_retry.deadline_ns
                                       : 200'000'000;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::nanoseconds(budget_ns);
+  const sim::Deadline deadline = sim::Deadline::modeled(budget_ns);
   std::unique_lock lock(raft_mu_);
   advance_commit_locked();   // single-member groups commit on the spot
   raft_cv_.notify_all();     // kick idle per-peer senders out of their
@@ -1228,7 +1226,7 @@ Server::QuorumAck Server::quorum_commit_barrier() {
     if (commit_off_.load(std::memory_order_relaxed) >= target) {
       return QuorumAck::kOk;
     }
-    if (raft_cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
+    if (!raft_cv_.wait(lock, deadline)) {
       fabric_.stats().add("dafs.quorum_barrier_timeouts");
       return crash_pending_.load() ? QuorumAck::kDrop : QuorumAck::kNotLeader;
     }
@@ -1238,13 +1236,8 @@ Server::QuorumAck Server::quorum_commit_barrier() {
 void Server::quorum_tick_loop() {
   Actor actor("dafs-raft-tick", &fabric_.node(node_));
   ActorScope scope(actor);
-  // Leader lease: step down once a majority of the group has been silent
-  // for this long — a partitioned ex-leader stops acknowledging strictly
-  // before a new leader (elected after one election timeout) can diverge.
-  const auto lease =
-      std::chrono::milliseconds(2 * cfg_.election_timeout_max_ms);
   while (running_.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    sim::sleep(sim::Deadline::host(1ms));
     if (crash_pending_.load()) {
       std::lock_guard lock(raft_mu_);
       reset_election_deadline_locked();  // the dead start no elections
@@ -1253,14 +1246,10 @@ void Server::quorum_tick_loop() {
     std::lock_guard lock(raft_mu_);
     const Role r = role_.load(std::memory_order_acquire);
     if (r == Role::kLeader) {
-      const auto now = std::chrono::steady_clock::now();
+      // Step down once a majority of the group has been silent for a lease.
       std::uint32_t heard = 1;  // self
       for (std::uint32_t p = 0; p < cfg_.quorum_group.size(); ++p) {
-        if (p == cfg_.member_id) continue;
-        if (peer_heard_[p] != std::chrono::steady_clock::time_point{} &&
-            now - peer_heard_[p] < lease) {
-          ++heard;
-        }
+        if (p != cfg_.member_id && !peer_lease_[p].passed()) ++heard;
       }
       if (heard < cfg_.quorum_group.size() / 2 + 1) {
         fabric_.stats().add("dafs.leader_lease_expirations");
@@ -1268,7 +1257,7 @@ void Server::quorum_tick_loop() {
         reset_election_deadline_locked();
       }
     } else if (r == Role::kFollower || r == Role::kCandidate) {
-      if (std::chrono::steady_clock::now() >= election_deadline_) {
+      if (election_deadline_.passed()) {
         run_election_locked();
       }
     }
@@ -1585,7 +1574,7 @@ void Server::quorum_sender_loop(std::uint32_t peer) {
   }
   std::unique_ptr<via::Vi> vi;
   sim::Rng jitter = jitter_rng(cfg_.repl_retry.jitter_seed, peer + 1);
-  // Wall-clock ms: b runs 2, 4, ... 100, so a wait is 1-2 ms at first and
+  // Modeled ms: b runs 2, 4, ... 100, so a wait is 1-2 ms at first and
   // 50-100 ms at the cap.
   Backoff retry(2, 100);
   std::uint64_t last_vote_term = 0;
@@ -1596,7 +1585,7 @@ void Server::quorum_sender_loop(std::uint32_t peer) {
   // failures too, a persistent fault turns the loop into a reconnect storm —
   // each cycle costs the peer an accepted VI and a handler thread.
   const auto backoff = [&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(retry.next(jitter)));
+    sim::sleep(sim::Deadline::modeled(retry.next(jitter) * sim::kMsec));
   };
   const auto drop_conn = [&] {
     if (vi) {
@@ -1631,14 +1620,12 @@ void Server::quorum_sender_loop(std::uint32_t peer) {
   // from an earlier reply's leftovers. A malformed reply drops the
   // connection like any broken exchange.
   const auto wait_resp = [&](ReplHeader& out) {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+    const sim::Deadline deadline = sim::Deadline::host(200ms);
     for (;;) {
       Descriptor* d = nullptr;
-      const via::Status st = vi->recv_wait(d, std::chrono::milliseconds(20));
+      const via::Status st = vi->recv_wait(d, 20ms);
       if (st == via::Status::kTimeout) {
-        if (!running_.load() || crash_pending_.load() ||
-            std::chrono::steady_clock::now() >= deadline) {
+        if (!running_.load() || crash_pending_.load() || deadline.passed()) {
           return false;
         }
         continue;
@@ -1663,14 +1650,14 @@ void Server::quorum_sender_loop(std::uint32_t peer) {
   while (running_.load()) {
     if (crash_pending_.load()) {
       drop_conn();
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      sim::sleep(sim::Deadline::host(1ms));
       continue;
     }
     const Role r = role_.load(std::memory_order_acquire);
     const std::uint64_t term = epoch_.load(std::memory_order_relaxed);
     const bool want_vote = r == Role::kCandidate && last_vote_term < term;
     if (!want_vote && r != Role::kLeader) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      sim::sleep(sim::Deadline::host(1ms));
       continue;
     }
     if (!vi) {
@@ -1754,7 +1741,7 @@ void Server::quorum_sender_loop(std::uint32_t peer) {
     bool in_sync = false;
     {
       std::lock_guard lock(raft_mu_);
-      peer_heard_[peer] = std::chrono::steady_clock::now();
+      peer_lease_[peer] = lease_from_now();
       if (resp.epoch > epoch_.load(std::memory_order_relaxed)) {
         become_follower_locked(resp.epoch);
         continue;
@@ -1778,7 +1765,8 @@ void Server::quorum_sender_loop(std::uint32_t peer) {
       // Nothing to ship: heartbeat cadence, but wake instantly when the
       // commit barrier signals fresh journal bytes.
       std::unique_lock lock(raft_mu_);
-      raft_cv_.wait_for(lock, std::chrono::milliseconds(cfg_.heartbeat_ms));
+      raft_cv_.wait(lock,
+                    sim::Deadline::modeled(cfg_.heartbeat_ms * sim::kMsec));
     }
   }
   drop_conn();
@@ -1798,8 +1786,7 @@ void Server::scrub_loop() {
   std::uint64_t pass_checked = 0;
   std::uint64_t pass_bad = 0;
   while (running_.load()) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(cfg_.scrub_interval_ms));
+    sim::sleep(sim::Deadline::modeled(cfg_.scrub_interval_ms * sim::kMsec));
     if (!running_.load()) break;
     // Only a serving filer scrubs: a crashed one has no live image, and in a
     // quorum a follower's image is only materialized on election — the
@@ -1864,8 +1851,8 @@ bool Server::scrub_repair_block(fstore::Ino ino, std::uint64_t chunk) {
   const via::MemHandle req_h =
       nic_.register_memory(req_buf.data(), req_buf.size(), ptag_, {});
   sim::Rng jitter = jitter_rng(cfg_.repl_retry.jitter_seed, ino + chunk + 1);
-  // Capped, jittered exponential backoff between sweeps of the group — real
-  // time, like the rest of the scrubber.
+  // Capped, jittered exponential backoff between sweeps of the group, in
+  // modeled ns.
   const std::uint64_t cap = cfg_.repl_retry.backoff_cap_ns;
   Backoff backoff(
       std::min(std::max<std::uint64_t>(cfg_.repl_retry.backoff_ns, 1), cap),
@@ -1876,8 +1863,7 @@ bool Server::scrub_repair_block(fstore::Ino ino, std::uint64_t chunk) {
        a < attempts && !repaired && running_.load() && !crash_pending_.load();
        ++a) {
     if (a > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(backoff.next(jitter)));
+      sim::sleep(sim::Deadline::modeled(backoff.next(jitter)));
     }
     for (std::uint32_t peer = 0;
          peer < cfg_.quorum_group.size() && !repaired; ++peer) {
@@ -1913,13 +1899,12 @@ bool Server::scrub_repair_block(fstore::Ino ino, std::uint64_t chunk) {
       ReplHeader resp{};
       bool got = false;
       if (sent) {
-        const auto deadline =
-            std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+        const sim::Deadline deadline = sim::Deadline::host(500ms);
         while (running_.load() && !crash_pending_.load()) {
           Descriptor* rd = nullptr;
-          const via::Status st = vi.recv_wait(rd, std::chrono::milliseconds(20));
+          const via::Status st = vi.recv_wait(rd, 20ms);
           if (st == via::Status::kTimeout) {
-            if (std::chrono::steady_clock::now() >= deadline) break;
+            if (deadline.passed()) break;
             continue;
           }
           if (st == via::Status::kSuccess && rd->status == DescStatus::kSuccess) {

@@ -1,8 +1,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -21,6 +19,7 @@
 #include "sim/actor.hpp"
 #include "sim/fabric.hpp"
 #include "sim/rng.hpp"
+#include "sim/wait.hpp"
 #include "via/vi.hpp"
 
 namespace dafs {
@@ -46,8 +45,8 @@ struct ServerConfig {
   std::size_t admission_max_queue = 256;
   /// Retry-after hint carried in a kBusy response (virtual ns).
   std::uint64_t busy_retry_ns = 200'000;  // 200 us
-  /// Real-time window after a restart in which only lease *reclaims* may
-  /// take locks; fresh acquires are shed with kBusy so surviving clients can
+  /// Window (modeled milliseconds) after a restart in which only lease
+  /// *reclaims* may take locks; fresh acquires are shed with kBusy so surviving clients can
   /// re-establish state before new traffic races them.
   std::uint64_t grace_period_ms = 50;
   /// Delegation lease term (virtual ns). Every grant and every holder
@@ -84,8 +83,8 @@ struct ServerConfig {
   /// leader hint instead of going dark. Empty (default) = unreplicated.
   std::vector<std::string> quorum_group;
   std::uint32_t member_id = 0;
-  /// Randomized election timeout window and leader heartbeat period (real
-  /// milliseconds, like grace_period_ms — the group runs on wall time).
+  /// Randomized election timeout window and leader heartbeat period
+  /// (modeled milliseconds, like grace_period_ms).
   std::uint64_t election_timeout_min_ms = 50;
   std::uint64_t election_timeout_max_ms = 100;
   std::uint64_t heartbeat_ms = 10;
@@ -94,8 +93,7 @@ struct ServerConfig {
   /// rotted block is repaired from a healthy replica's verified copy. Off by
   /// default (E19 sweeps the verify/scrub overhead).
   bool scrub_enabled = false;
-  /// Real milliseconds between scrub steps (the scrubber, like the raft
-  /// timers, runs on wall time).
+  /// Modeled milliseconds between scrub steps (like the raft timers).
   std::uint64_t scrub_interval_ms = 5;
   /// Chunks verified per scrub step.
   std::size_t scrub_chunks_per_step = 64;
@@ -128,7 +126,7 @@ class Server {
   /// Crash the server now (tests drive this directly; the FaultPlan's
   /// crash_server_* arming takes the same path from a worker). All volatile
   /// state — sessions, locks, replay caches, un-synced data — is discarded;
-  /// the listener goes away for `restart_delay_ms` of real time and the
+  /// the listener goes away for `restart_delay_ms` of modeled time and the
   /// server then restarts with a lease-reclaim grace period.
   void inject_crash(std::uint64_t restart_delay_ms);
   /// Times the server has crashed (and restarted) so far.
@@ -236,6 +234,10 @@ class Server {
   void reset_incarnation();
   /// Open the post-restart reclaim window (grace_period_ms from now).
   void arm_grace();
+  /// The leader lease, starting now: twice the longest election timeout, so
+  /// a partitioned ex-leader steps down strictly before a new leader
+  /// (elected after one election timeout) can diverge.
+  sim::Deadline lease_from_now() const;
 
   // ---- quorum (Raft-style) machinery; all inert unless quorum() ----------
   /// What the commit barrier tells handle_request to do with a successful
@@ -405,10 +407,10 @@ class Server {
   std::atomic<bool> crash_pending_{false};
   std::atomic<std::uint64_t> crash_count_{0};
   std::atomic<std::size_t> admission_limit_{0};
-  /// Grace-period end, steady_clock ticks since epoch (0 = no grace).
-  std::atomic<std::int64_t> grace_until_{0};
+  /// Grace-period end (a default Deadline has passed: no grace).
+  std::atomic<sim::Deadline> grace_until_{};
   mutable std::mutex crash_mu_;
-  std::chrono::steady_clock::time_point restart_at_{};  // under crash_mu_
+  sim::Deadline restart_at_;  // under crash_mu_
   std::thread accept_thread_;
   std::vector<std::thread> worker_threads_;
   std::vector<std::unique_ptr<sim::Actor>> worker_actors_;
@@ -434,16 +436,15 @@ class Server {
   };
   static constexpr std::uint32_t kNoVote = UINT32_MAX;
   mutable std::mutex raft_mu_;
-  std::condition_variable raft_cv_;
+  sim::CondVar raft_cv_;
   std::vector<TermRun> term_runs_;             // under raft_mu_
   std::uint32_t voted_for_ = kNoVote;          // under raft_mu_ (durable)
   std::uint32_t votes_ = 0;                    // under raft_mu_ (candidate)
   std::uint64_t votes_term_ = 0;               // under raft_mu_
   std::vector<std::uint64_t> match_off_;       // under raft_mu_ (leader)
   std::vector<std::uint64_t> next_off_;        // under raft_mu_ (leader)
-  std::vector<std::chrono::steady_clock::time_point>
-      peer_heard_;                             // under raft_mu_ (leader lease)
-  std::chrono::steady_clock::time_point election_deadline_{};  // raft_mu_
+  std::vector<sim::Deadline> peer_lease_;      // under raft_mu_ (leader)
+  sim::Deadline election_deadline_;            // under raft_mu_
   sim::Time election_started_{0};              // under raft_mu_ (span start)
   std::unique_ptr<sim::Rng> raft_rng_;         // under raft_mu_
   std::atomic<std::uint64_t> commit_off_{0};

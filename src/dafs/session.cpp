@@ -8,6 +8,7 @@
 
 #include "fstore/journal.hpp"
 #include "sim/actor.hpp"
+#include "sim/wait.hpp"
 
 namespace dafs {
 
@@ -28,14 +29,17 @@ constexpr OpId kResumeReqId = 0xFFFFFFFFu;
 // kBadSession beyond this means the server is crash-looping.
 constexpr int kSlotReclaimRetries = 4;
 
-/// Transport patience for one wait. With no deadline, the generous fixed
-/// kIoWait; with one, the deadline budget translated ns -> real time and
-/// floored so scheduling noise cannot starve a short-deadline request of its
-/// one chance to complete.
-std::chrono::milliseconds io_budget(std::uint64_t deadline_ns) {
-  if (deadline_ns == 0) return kIoWait;
-  return std::min(kIoWait, std::chrono::milliseconds(std::max<std::uint64_t>(
-                               100, deadline_ns / 1'000'000)));
+/// One transport wait, `wait(until)`. Its patience is the generous host
+/// watchdog kIoWait or, with a request deadline, that modeled budget, floored
+/// at 100 ms of host time so scheduling noise cannot starve a short-deadline
+/// request of its one chance to complete. The watchdog goes down as a
+/// duration, so a completion already queued costs no clock read.
+template <typename Wait>
+via::Status io_wait(std::uint64_t deadline_ns, Wait wait) {
+  if (deadline_ns == 0) return wait(kIoWait);
+  return wait(std::clamp(sim::Deadline::modeled(deadline_ns),
+                         sim::Deadline::host(100ms),
+                         sim::Deadline::host(kIoWait)));
 }
 }  // namespace
 
@@ -125,7 +129,7 @@ PStatus Session::do_connect() {
     // way the next attempt needs a fresh VI.
     if (!follow_leader_hint(leader_hint_)) {
       demote_endpoint();
-      std::this_thread::sleep_for(20ms);
+      sim::sleep(sim::Deadline::host(20ms));
     }
     vi_->disconnect();
     vi_ = std::make_unique<via::Vi>(nic_, session_vi_attrs(ptag_));
@@ -144,7 +148,7 @@ PStatus Session::connect_once() {
     cst = nic_.connect(*vi_, active_service(), kIoWait);
     if (cst != via::Status::kNoMatchingListener) break;
     if (eps_.size() > 1) advance_endpoint();
-    std::this_thread::sleep_for(10ms);
+    sim::sleep(sim::Deadline::host(10ms));
   }
   if (cst != via::Status::kSuccess) return PStatus::kProtoError;
   // Receive buffers must be posted before the first request leaves (credit
@@ -306,7 +310,9 @@ PStatus Session::transmit(OpId id) {
                        static_cast<std::uint32_t>(sl.wire_len)}};
   via::Descriptor* done = nullptr;
   if (vi_->post_send(sl.send_desc) == via::Status::kSuccess &&
-      vi_->send_wait(done, io_budget(deadline_ns_)) == via::Status::kSuccess &&
+      io_wait(deadline_ns_,
+              [&](auto until) { return vi_->send_wait(done, until); }) ==
+          via::Status::kSuccess &&
       done->status == via::DescStatus::kSuccess) {
     return PStatus::kOk;
   }
@@ -319,7 +325,9 @@ PStatus Session::transmit(OpId id) {
 bool Session::pump_one() {
   for (;;) {
     via::Descriptor* d = nullptr;
-    if (vi_->recv_wait(d, io_budget(deadline_ns_)) != via::Status::kSuccess ||
+    if (io_wait(deadline_ns_,
+                [&](auto until) { return vi_->recv_wait(d, until); }) !=
+            via::Status::kSuccess ||
         d->status != via::DescStatus::kSuccess) {
       // Connection died (or a fault flushed the receive ring). Recovery
       // retransmits everything in flight; responses arrive on the new VI.
@@ -452,14 +460,14 @@ bool Session::settle(OpId id) {
   }
   // Damaged data, not damaged state: the server never executed (writes) or
   // can safely re-execute (reads) this request. A wire flip is transient,
-  // and the real-time yield gives the filer's scrubber the chance to repair
+  // and the host-time yield gives the filer's scrubber the chance to repair
   // an at-rest flip between attempts.
   if (st == PStatus::kCorrupt) {
     return !retry_after(id,
                         std::max<std::uint64_t>(policy().backoff_ns, 100'000),
                         "dafs.corrupt_retries", 1ms);
   }
-  // Shed by the server: honor the retry-after hint; the real-time yield lets
+  // Shed by the server: honor the retry-after hint; the host-time yield lets
   // the admission queue actually drain. aux == 0 marks a deadline expiry,
   // not overload: retrying cannot help.
   if (st == PStatus::kBusy && sl.resp.aux != 0) {
@@ -475,7 +483,7 @@ bool Session::retry_after(OpId id, std::uint64_t wait_ns, const char* counter,
   ++sl.busy_retries;
   nic_.fabric().stats().add(counter);
   Actor::current()->advance(Backoff(wait_ns, wait_ns).next(backoff_rng_));
-  std::this_thread::sleep_for(yield);
+  sim::sleep(sim::Deadline::host(yield));
   sl.done = false;
   // A shed or kCorrupt-answered request never executed (or is an idempotent
   // read), and the server never replay-caches failures, so the fresh seq
@@ -553,20 +561,18 @@ bool Session::recover() {
       // the server can still RDMA against the same client buffers.
       vi_->disconnect();
       vi_ = std::make_unique<via::Vi>(nic_, session_vi_attrs(ptag_));
-      // A crashed server takes its listener down for the whole (real-time)
-      // restart delay. A single-endpoint mount has nowhere else to go, so
-      // it polls through the outage; a multi-endpoint mount probes briefly
-      // and rotates to the surviving members instead.
+      // A crashed server takes its listener down for the whole restart
+      // delay. A single-endpoint mount has nowhere else to go, so it polls
+      // through the outage; a multi-endpoint mount probes briefly and
+      // rotates to the surviving members instead.
       const int polls = eps_.size() == 1 ? 400 : 8;
-      const auto poll_sleep =
-          eps_.size() == 1 ? std::chrono::milliseconds(5)
-                           : std::chrono::milliseconds(1);
+      const auto poll_sleep = eps_.size() == 1 ? 5ms : 1ms;
       via::Status cst = via::Status::kNoMatchingListener;
       for (int i = 0;
            i < polls && cst == via::Status::kNoMatchingListener; ++i) {
         cst = nic_.connect(*vi_, ep.service, kIoWait);
         if (cst == via::Status::kNoMatchingListener) {
-          std::this_thread::sleep_for(poll_sleep);
+          sim::sleep(sim::Deadline::host(poll_sleep));
         }
       }
       if (cst != via::Status::kSuccess) {
@@ -581,11 +587,11 @@ bool Session::recover() {
         // mount knows its endpoint; otherwise demote the follower and
         // sweep. Either way leadership is still settling (an election in
         // progress, or hints chasing a heartbeat behind), and that is a
-        // real-time wait: pace the sweep instead of burning the whole pass
+        // host-time wait: pace the sweep instead of burning the whole pass
         // budget before a leader can possibly emerge.
         const bool jumped = follow_leader_hint(leader_hint_);
         if (!jumped) demote_endpoint();
-        std::this_thread::sleep_for(std::chrono::milliseconds(jumped ? 2 : 10));
+        sim::sleep(sim::Deadline::host(jumped ? 2ms : 10ms));
         moved = true;
         rotate = true;
         continue;
@@ -793,7 +799,7 @@ bool Session::reclaim_backoff(const RawResp& r, int& tries,
     nic_.fabric().stats().add("dafs.busy_retries");
   }
   Actor::current()->advance(std::max<std::uint64_t>(r.hdr.aux, floor_ns));
-  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  sim::sleep(sim::Deadline::host(1ms));
   return true;
 }
 

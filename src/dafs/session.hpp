@@ -248,7 +248,7 @@ class Session {
   /// request is in flight again.
   bool settle(OpId id);
   /// Retransmit slot `id` after a jittered virtual wait of about `wait_ns`
-  /// plus a real-time `yield`, counting the retry under `counter`. False
+  /// plus a host-time `yield`, counting the retry under `counter`. False
   /// once the slot's retry budget is spent.
   bool retry_after(OpId id, std::uint64_t wait_ns, const char* counter,
                    std::chrono::microseconds yield);
@@ -284,7 +284,7 @@ class Session {
   RawResp raw_rpc();
   /// The wait between lease-reclaim RPCs the restarting filer shed (kBusy)
   /// or refused (kLockConflict): the server's hint, floored at `floor_ns`,
-  /// then a real-time yield. False once `tries` reaches the busy-retry
+  /// then a host-time yield. False once `tries` reaches the busy-retry
   /// budget, or at once for a deadline shed (kBusy with no hint).
   bool reclaim_backoff(const RawResp& r, int& tries, sim::Time floor_ns);
   /// Header flags the session's IntegrityMode asks for on data procedures.

@@ -11,6 +11,7 @@
 #include <thread>
 #include <unordered_map>
 
+#include "sim/wait.hpp"
 #include "via/reg_cache.hpp"
 #include "via/vi.hpp"
 
@@ -164,7 +165,7 @@ class Endpoint {
                   std::span<const Segment> runs, via::MemHandle local,
                   std::uint64_t addr, std::uint64_t mem);
 
-  /// Process one inbound completion. Returns false on (real-time) timeout.
+  /// Process one inbound completion. Returns false on (host-time) timeout.
   bool progress(bool block);
   void handle_eager(const WireHdr& hdr, std::span<const std::byte> payload);
   void handle_rts(const WireHdr& hdr);
@@ -248,7 +249,7 @@ void Endpoint::bootstrap() {
       st = nic_.connect(*peer->vi, cfg_.name + ":" + std::to_string(j),
                         kConnWait);
       if (st != via::Status::kNoMatchingListener) break;
-      std::this_thread::sleep_for(5ms);
+      sim::sleep(sim::Deadline::host(5ms));
     }
     assert(st == via::Status::kSuccess && "mpi bootstrap connect failed");
     WireHdr hello;

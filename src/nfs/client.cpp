@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "sim/actor.hpp"
+#include "sim/wait.hpp"
 
 namespace nfs {
 
@@ -25,7 +26,7 @@ Result<std::unique_ptr<Client>> Client::connect(sim::Fabric& fabric,
   std::unique_ptr<TcpStream> stream;
   for (int attempt = 0; attempt < 200 && !stream; ++attempt) {
     stream = TcpStream::connect(fabric, node, cfg.service, kConnectWait);
-    if (!stream) std::this_thread::sleep_for(10ms);
+    if (!stream) sim::sleep(sim::Deadline::host(10ms));
   }
   if (!stream) return PStatus::kProtoError;
   return std::unique_ptr<Client>(new Client(std::move(stream), cfg));

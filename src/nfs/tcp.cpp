@@ -84,7 +84,8 @@ bool TcpStream::recv_exact(std::span<std::byte> out) {
       const bool peer_closed = is_a_ ? conn_->b_closed : conn_->a_closed;
       const bool self_closed = is_a_ ? conn_->a_closed : conn_->b_closed;
       if (peer_closed || self_closed) return false;
-      conn_->cv.wait_for(lock, std::chrono::milliseconds(100));
+      conn_->cv.wait(lock,
+                     sim::Deadline::host(std::chrono::milliseconds(100)));
       continue;
     }
     Chunk& c = q.front();
@@ -130,14 +131,15 @@ std::unique_ptr<TcpStream> TcpStream::connect(
   if (listener->closed_) return nullptr;
   listener->pending_.push_back(&req);
   listener->cv_.notify_all();
-  if (!req.cv.wait_for(lock, timeout, [&] { return req.done; })) {
+  if (!req.cv.wait(lock, sim::Deadline::host(timeout),
+                   [&] { return req.done; })) {
     auto it = std::find(listener->pending_.begin(), listener->pending_.end(),
                         &req);
     if (it != listener->pending_.end()) {
       listener->pending_.erase(it);
       return nullptr;
     }
-    req.cv.wait(lock, [&] { return req.done; });
+    req.cv.wait(lock, sim::Deadline::never(), [&] { return req.done; });
   }
   if (!req.taken) return nullptr;  // listener closed before accepting us
   actor->advance(3 * fabric.cost().propagation);  // handshake RTTs
@@ -173,8 +175,8 @@ std::unique_ptr<TcpStream> TcpListener::accept(
   Pending* req = nullptr;
   {
     std::unique_lock lock(mu_);
-    if (!cv_.wait_for(lock, timeout,
-                      [&] { return !pending_.empty() || closed_; })) {
+    if (!cv_.wait(lock, sim::Deadline::host(timeout),
+                  [&] { return !pending_.empty() || closed_; })) {
       return nullptr;
     }
     if (closed_ || pending_.empty()) return nullptr;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -13,6 +12,7 @@
 
 #include "sim/actor.hpp"
 #include "sim/fabric.hpp"
+#include "sim/wait.hpp"
 
 /// \file tcp.hpp
 /// An emulated kernel TCP/IP byte stream over the same fabric the VIA NICs
@@ -64,7 +64,7 @@ class TcpStream {
   /// Shared connection state; one queue per direction.
   struct Conn {
     std::mutex mu;
-    std::condition_variable cv;
+    sim::CondVar cv;
     std::deque<Chunk> to_a;
     std::deque<Chunk> to_b;
     bool a_closed = false;
@@ -101,7 +101,7 @@ class TcpListener {
     sim::Time client_time;
     bool taken = false;
     sim::NodeId server_node = 0;  // filled by accept
-    std::condition_variable cv;
+    sim::CondVar cv;
     bool done = false;
   };
 
@@ -109,7 +109,7 @@ class TcpListener {
   sim::NodeId node_;
   std::string key_;
   std::mutex mu_;
-  std::condition_variable cv_;
+  sim::CondVar cv_;
   std::deque<Pending*> pending_;
   bool closed_ = false;
 };

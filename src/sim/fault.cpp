@@ -121,21 +121,20 @@ void FaultPlan::restrict_crash_to_node(NodeId node) {
 void FaultPlan::partition_nodes(NodeId a, NodeId b, std::uint64_t heal_after_ms) {
   if (a == b) return;
   if (a > b) std::swap(a, b);
+  const Deadline heal_at = heal_after_ms > 0
+                               ? Deadline::modeled(heal_after_ms * kMsec)
+                               : Deadline::never();
   std::lock_guard lock(mu_);
   for (auto& p : partitions_) {
     if (p.a == a && p.b == b) {
-      p.timed = heal_after_ms > 0;
-      p.heal_at = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(heal_after_ms);
+      p.heal_at = heal_at;
       return;
     }
   }
   Partition p;
   p.a = a;
   p.b = b;
-  p.timed = heal_after_ms > 0;
-  p.heal_at = std::chrono::steady_clock::now() +
-              std::chrono::milliseconds(heal_after_ms);
+  p.heal_at = heal_at;
   partitions_.push_back(p);
   recompute_armed_locked();
 }
@@ -157,12 +156,10 @@ void FaultPlan::heal_all_partitions() {
 bool FaultPlan::partitioned_locked(NodeId a, NodeId b) {
   if (partitions_.empty()) return false;
   if (a > b) std::swap(a, b);
-  // Lazily retire partitions whose heal deadline (real time, like server
-  // restart delays) has passed.
-  const auto now = std::chrono::steady_clock::now();
+  // Lazily retire partitions whose heal deadline has passed.
   const std::size_t before = partitions_.size();
   std::erase_if(partitions_,
-                [&](const Partition& p) { return p.timed && now >= p.heal_at; });
+                [](const Partition& p) { return p.heal_at.passed(); });
   if (partitions_.size() != before) recompute_armed_locked();
   for (const Partition& p : partitions_) {
     if (p.a == a && p.b == b) return true;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -11,6 +10,7 @@
 #include "sim/node.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
+#include "sim/wait.hpp"
 
 namespace sim {
 
@@ -70,8 +70,8 @@ class FaultPlan {
   /// Sever the link between nodes `a` and `b` symmetrically: every transfer
   /// in either direction is dropped (a reliable VI breaks on first use) and
   /// new connects between the two nodes fail as if no listener existed.
-  /// `heal_after_ms` > 0 heals the partition that much real time after it was
-  /// installed; 0 keeps it until heal_partition()/clear(). Deterministic: no
+  /// `heal_after_ms` > 0 heals the partition that many modeled milliseconds
+  /// after it was installed (a sim::Deadline::modeled timer); 0 keeps it until heal_partition()/clear(). Deterministic: no
   /// RNG involved, so election and split-brain schedules replay from a seed.
   void partition_nodes(NodeId a, NodeId b, std::uint64_t heal_after_ms = 0);
   /// Remove the partition between `a` and `b` (no-op when none exists).
@@ -95,7 +95,7 @@ class FaultPlan {
   // ---- server crash/restart ----------------------------------------------
   /// Kill the (DAFS) server after it has admitted `n` further requests; the
   /// server discards all volatile state (sessions, locks, replay caches,
-  /// un-synced file data) and comes back `restart_delay_ms` of real time
+  /// un-synced file data) and comes back `restart_delay_ms` of modeled time
   /// later on the same node. One-shot; re-arm for repeated crashes.
   void crash_server_after_requests(std::uint64_t n,
                                    std::uint64_t restart_delay_ms);
@@ -192,8 +192,7 @@ class FaultPlan {
   struct Partition {
     NodeId a = 0;  // normalized: a < b
     NodeId b = 0;
-    bool timed = false;
-    std::chrono::steady_clock::time_point heal_at{};
+    Deadline heal_at = Deadline::never();
   };
   std::vector<Partition> partitions_;
 };

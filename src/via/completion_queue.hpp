@@ -1,13 +1,13 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <mutex>
 #include <vector>
 
+#include "sim/wait.hpp"
 #include "via/descriptor.hpp"
 #include "via/types.hpp"
 
@@ -42,8 +42,8 @@ class CompletionQueue {
   CompletionQueue(const CompletionQueue&) = delete;
   CompletionQueue& operator=(const CompletionQueue&) = delete;
 
-  /// Block (real time) until a completion is available or `timeout` expires,
-  /// then reap it.
+  /// Block until a completion is available or `timeout` (a host watchdog)
+  /// expires, then reap it.
   [[nodiscard]] Status wait(Completion& out, std::chrono::milliseconds timeout);
 
   /// Non-blocking reap; kNotDone when empty.
@@ -81,7 +81,7 @@ class CompletionQueue {
   };
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  sim::CondVar cv_;
   std::vector<Lane> lanes_;  // only non-empty lanes
   std::size_t size_ = 0;
   std::uint64_t next_seq_ = 0;

@@ -80,13 +80,8 @@ Status Nic::connect(Vi& vi, const std::string& service,
   // request — accept, reject, or the destructor's sweep — finds it through
   // pending_ and completes the rendezvous under the request's own mutex.
   std::unique_lock lock(req.mu);
-  const bool got = [&] {
-    if (timeout > std::chrono::hours(1)) {
-      req.cv.wait(lock, [&] { return req.done; });
-      return true;
-    }
-    return req.cv.wait_for(lock, timeout, [&] { return req.done; });
-  }();
+  const bool got = req.cv.wait(lock, sim::Deadline::host(timeout),
+                               [&] { return req.done; });
 
   if (!got) {
     // Withdraw the request if the listener still exists and has not claimed
@@ -110,7 +105,7 @@ Status Nic::connect(Vi& vi, const std::string& service,
     });
     if (withdrawn) return Status::kTimeout;
     lock.lock();
-    req.cv.wait(lock, [&] { return req.done; });
+    req.cv.wait(lock, sim::Deadline::never(), [&] { return req.done; });
   }
 
   if (!req.accepted) return Status::kRejected;
@@ -152,15 +147,10 @@ Listener::~Listener() {
 
 Status Listener::take_request(Request*& out, std::chrono::milliseconds timeout) {
   std::unique_lock lock(mu_);
-  const bool got = [&] {
-    if (timeout > std::chrono::hours(1)) {
-      cv_.wait(lock, [&] { return !pending_.empty() || closed_; });
-      return true;
-    }
-    return cv_.wait_for(lock, timeout,
-                        [&] { return !pending_.empty() || closed_; });
-  }();
-  if (!got) return Status::kTimeout;
+  if (!cv_.wait(lock, sim::Deadline::host(timeout),
+                [&] { return !pending_.empty() || closed_; })) {
+    return Status::kTimeout;
+  }
   if (closed_ || pending_.empty()) return Status::kInvalidState;
   out = pending_.front();
   pending_.pop_front();

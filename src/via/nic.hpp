@@ -47,7 +47,8 @@ class Nic {
   [[nodiscard]] Status deregister_memory(MemHandle h);
 
   /// Connect `vi` (must be idle) to whatever Listener is bound to `service`
-  /// on the fabric name service. Blocks (real time) for the accept.
+  /// on the fabric name service. Blocks for the accept until `timeout`, a
+  /// host watchdog.
   [[nodiscard]] Status connect(Vi& vi, const std::string& service,
                                std::chrono::milliseconds timeout);
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+#include <type_traits>
 
 #include "sim/actor.hpp"
 
@@ -17,18 +18,6 @@ using sim::Time;
 namespace {
 
 constexpr auto kLenientRecvWait = std::chrono::seconds(5);
-
-/// wait_for with protection against absurd durations (callers use
-/// milliseconds::max() to mean "forever").
-template <typename Pred>
-bool bounded_wait(std::condition_variable& cv, std::unique_lock<std::mutex>& lk,
-                  std::chrono::milliseconds timeout, Pred pred) {
-  if (timeout > std::chrono::hours(1)) {
-    cv.wait(lk, pred);
-    return true;
-  }
-  return cv.wait_for(lk, timeout, pred);
-}
 
 /// Saturating virtual-time delta (flush/error completions can carry a
 /// done_at from another actor's clock).
@@ -107,7 +96,8 @@ void CompletionQueue::reap(const Completion& c) {
 Status CompletionQueue::take(Completion& out,
                              std::chrono::milliseconds timeout) {
   std::unique_lock lock(mu_);
-  if (!bounded_wait(cv_, lock, timeout, [&] { return size_ != 0; })) {
+  if (!cv_.wait(lock, sim::Deadline::host(timeout),
+                [&] { return size_ != 0; })) {
     return Status::kTimeout;
   }
   pop_locked(out);
@@ -203,13 +193,11 @@ void Vi::unlink() {
   }
   if (!chan) return;
   std::unique_lock lock(chan->ptr_mu);
-  if (chan->a == this) {
-    chan->a = nullptr;
-    chan->cv.wait(lock, [&] { return chan->use_a == 0; });
-  } else if (chan->b == this) {
-    chan->b = nullptr;
-    chan->cv.wait(lock, [&] { return chan->use_b == 0; });
-  }
+  if (chan->a != this && chan->b != this) return;
+  const bool is_a = chan->a == this;
+  (is_a ? chan->a : chan->b) = nullptr;
+  const int& uses = is_a ? chan->use_a : chan->use_b;
+  chan->cv.wait(lock, sim::Deadline::never(), [&] { return uses == 0; });
 }
 
 void Vi::disconnect() {
@@ -227,7 +215,8 @@ void Vi::disconnect() {
     peer->cv_.notify_all();
     unpin_peer(pin);
   }
-  unlink();
+  // Then this end, before waiting for pins to drain: a peer's sender parked
+  // in deposit() holds a pin on this VI and waits for exactly this change.
   {
     std::lock_guard lock(mu_);
     if (state_ == State::kConnected || state_ == State::kIdle) {
@@ -237,6 +226,7 @@ void Vi::disconnect() {
     flush_recvs_locked(actor ? actor->now() : 0);
   }
   cv_.notify_all();
+  unlink();
 }
 
 Vi::State Vi::state() const {
@@ -596,9 +586,9 @@ Vi::DepositOutcome Vi::deposit(const Descriptor* gather,
       return DepositOutcome{DescStatus::kDropped, false};
     }
     if (lenient_wait) {
-      // Emulated link-level flow control: give the receiver a moment (real
+      // Emulated link-level flow control: give the receiver a moment (host
       // time) to replenish its descriptor pool.
-      cv_.wait_for(lock, kLenientRecvWait, [&] {
+      cv_.wait(lock, sim::Deadline::host(kLenientRecvWait), [&] {
         return !recv_posted_.empty() || state_ != State::kConnected;
       });
       if (state_ != State::kConnected) {
@@ -674,22 +664,26 @@ Vi::DepositOutcome Vi::deposit(const Descriptor* gather,
 // Reaping
 // ---------------------------------------------------------------------------
 
-Status Vi::reap(std::deque<Descriptor*>& q, Descriptor*& out, bool block,
-                std::chrono::milliseconds timeout) {
+template <typename Until>
+Status Vi::reap(std::deque<Descriptor*>& q, Descriptor*& out, Until until) {
   Descriptor* d = nullptr;
   {
     std::unique_lock lock(mu_);
     if (q.empty()) {
-      if (!block) return Status::kNotDone;
-      // A broken/disconnected VI will never complete more work: wake and
-      // report kConnectionLost instead of burning the full timeout (already
-      // delivered completions — including flushed ones — drain first).
-      auto live = [&] {
-        return state_ == State::kConnected || state_ == State::kIdle;
-      };
-      bounded_wait(cv_, lock, timeout, [&] { return !q.empty() || !live(); });
-      if (q.empty()) {
-        return live() ? Status::kTimeout : Status::kConnectionLost;
+      if constexpr (std::is_null_pointer_v<Until>) {
+        return Status::kNotDone;
+      } else {
+        // A broken/disconnected VI will never complete more work: wake and
+        // report kConnectionLost instead of burning the full timeout
+        // (already delivered completions — including flushed ones — drain
+        // first).
+        auto live = [&] {
+          return state_ == State::kConnected || state_ == State::kIdle;
+        };
+        cv_.wait(lock, until(), [&] { return !q.empty() || !live(); });
+        if (q.empty()) {
+          return live() ? Status::kTimeout : Status::kConnectionLost;
+        }
       }
     }
     d = q.front();
@@ -708,19 +702,29 @@ Status Vi::reap(std::deque<Descriptor*>& q, Descriptor*& out, bool block,
 }
 
 Status Vi::send_done(Descriptor*& out) {
-  return reap(send_done_q_, out, /*block=*/false, {});
+  return reap(send_done_q_, out, nullptr);
 }
 
 Status Vi::recv_done(Descriptor*& out) {
-  return reap(recv_done_q_, out, /*block=*/false, {});
+  return reap(recv_done_q_, out, nullptr);
 }
 
 Status Vi::send_wait(Descriptor*& out, std::chrono::milliseconds timeout) {
-  return reap(send_done_q_, out, /*block=*/true, timeout);
+  return reap(send_done_q_, out,
+              [timeout] { return sim::Deadline::host(timeout); });
 }
 
 Status Vi::recv_wait(Descriptor*& out, std::chrono::milliseconds timeout) {
-  return reap(recv_done_q_, out, /*block=*/true, timeout);
+  return reap(recv_done_q_, out,
+              [timeout] { return sim::Deadline::host(timeout); });
+}
+
+Status Vi::send_wait(Descriptor*& out, sim::Deadline until) {
+  return reap(send_done_q_, out, [until] { return until; });
+}
+
+Status Vi::recv_wait(Descriptor*& out, sim::Deadline until) {
+  return reap(recv_done_q_, out, [until] { return until; });
 }
 
 }  // namespace via

@@ -1,12 +1,12 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 
+#include "sim/wait.hpp"
 #include "via/completion_queue.hpp"
 #include "via/descriptor.hpp"
 #include "via/nic.hpp"
@@ -49,10 +49,14 @@ class Vi {
   // ---- reaping (per-VI; only when no CQ is attached to that queue) -------
   [[nodiscard]] Status send_done(Descriptor*& out);  // poll; kNotDone if empty
   [[nodiscard]] Status recv_done(Descriptor*& out);
+  /// Block for the queue's head until `timeout` (a host watchdog) expires or
+  /// `until` (say, a request's modeled deadline) passes.
   [[nodiscard]] Status send_wait(Descriptor*& out,
                                  std::chrono::milliseconds timeout);
   [[nodiscard]] Status recv_wait(Descriptor*& out,
                                  std::chrono::milliseconds timeout);
+  [[nodiscard]] Status send_wait(Descriptor*& out, sim::Deadline until);
+  [[nodiscard]] Status recv_wait(Descriptor*& out, sim::Deadline until);
 
   // ---- connection ----------------------------------------------------------
   /// Tear the connection down; flushes posted receives on both endpoints.
@@ -77,7 +81,7 @@ class Vi {
   /// is in flight in the other direction.
   struct Channel {
     std::mutex ptr_mu;
-    std::condition_variable cv;
+    sim::CondVar cv;
     Vi* a = nullptr;
     Vi* b = nullptr;
     int use_a = 0;
@@ -121,8 +125,10 @@ class Vi {
   /// their posted receives so blocked reapers wake with kConnectionLost.
   void fault_break(Vi* peer, sim::Time t);
 
-  Status reap(std::deque<Descriptor*>& q, Descriptor*& out, bool block,
-              std::chrono::milliseconds timeout);
+  /// Pop `q`'s head. When it is empty, kNotDone if `until` is nullptr;
+  /// otherwise block until the Deadline `until()` (called only then).
+  template <typename Until>
+  Status reap(std::deque<Descriptor*>& q, Descriptor*& out, Until until);
 
   Nic& nic_;
   ViAttrs attrs_;
@@ -132,7 +138,7 @@ class Vi {
   std::shared_ptr<Channel> chan_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  sim::CondVar cv_;
   State state_ = State::kIdle;
   std::deque<Descriptor*> recv_posted_;
   std::deque<Descriptor*> recv_done_q_;
@@ -172,7 +178,7 @@ class Listener {
     bool done = false;
     bool accepted = false;
     sim::Time server_time = 0;
-    std::condition_variable cv;
+    sim::CondVar cv;
   };
 
   Status take_request(Request*& out, std::chrono::milliseconds timeout);
@@ -181,7 +187,7 @@ class Listener {
   std::string service_;
   std::string key_;
   std::mutex mu_;
-  std::condition_variable cv_;
+  sim::CondVar cv_;
   std::deque<Request*> pending_;
   bool closed_ = false;
 };

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "sim/resource.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
+#include "sim/wait.hpp"
 
 namespace {
 
@@ -21,6 +24,8 @@ using sim::CostModel;
 using sim::Fabric;
 using sim::Resource;
 using sim::Time;
+using namespace std::chrono_literals;
+using Clock = std::chrono::steady_clock;
 
 // ---------------------------------------------------------------------------
 // Time helpers
@@ -192,6 +197,93 @@ TEST(ActorPool, LendsTheEarliestIdleActorTiesToTheFirstAdded) {
   EXPECT_EQ(Actor::current(), nullptr);
   sim::ActorPool::Lease next(pool);
   EXPECT_EQ(&next.actor(), &c);
+}
+
+// ---------------------------------------------------------------------------
+// Waits (sim::Deadline, sim::CondVar, sim::sleep)
+// ---------------------------------------------------------------------------
+
+TEST(Wait, NotifiedWaitReturnsTrueBeforeItsDeadline) {
+  std::mutex mu;
+  sim::CondVar cv;
+  bool ready = false;
+  std::thread notifier([&] {
+    std::this_thread::sleep_for(10ms);
+    {
+      std::lock_guard lock(mu);
+      ready = true;
+    }
+    cv.notify_all();
+  });
+  const sim::Deadline until = sim::Deadline::host(10s);
+  std::unique_lock lock(mu);
+  EXPECT_TRUE(cv.wait(lock, until, [&] { return ready; }));
+  EXPECT_FALSE(until.passed());
+  lock.unlock();
+  notifier.join();
+}
+
+TEST(Wait, UnnotifiedWaitReturnsFalseOnceItsDeadlineHasPassed) {
+  EXPECT_TRUE(sim::Deadline{}.passed());  // the default has passed already
+  std::mutex mu;
+  sim::CondVar cv;
+  std::unique_lock lock(mu);
+  const auto t0 = Clock::now();
+  const sim::Deadline until = sim::Deadline::modeled(20 * sim::kMsec);
+  EXPECT_FALSE(cv.wait(lock, until, [] { return false; }));
+  EXPECT_GE(Clock::now() - t0, 20ms);
+  EXPECT_TRUE(until.passed());
+  EXPECT_FALSE(cv.wait(lock, sim::Deadline::host(20ms)));
+  EXPECT_GE(Clock::now() - t0, 40ms);
+}
+
+TEST(Wait, NeverWaitWakesOnlyOnANotify) {
+  std::mutex mu;
+  sim::CondVar cv;
+  bool ready = false;
+  const auto t0 = Clock::now();
+  std::thread notifier([&] {
+    std::this_thread::sleep_for(50ms);
+    {
+      std::lock_guard lock(mu);
+      ready = true;
+    }
+    cv.notify_one();
+  });
+  std::unique_lock lock(mu);
+  EXPECT_TRUE(cv.wait(lock, sim::Deadline::never(), [&] { return ready; }));
+  EXPECT_TRUE(ready);
+  EXPECT_GE(Clock::now() - t0, 50ms);
+  EXPECT_FALSE(sim::Deadline::never().passed());
+  lock.unlock();
+  notifier.join();
+}
+
+TEST(Wait, SleepReturnsNoEarlierThanItsDeadline) {
+  const auto t0 = Clock::now();
+  const sim::Deadline host = sim::Deadline::host(20ms);
+  sim::sleep(host);
+  EXPECT_TRUE(host.passed());
+  EXPECT_GE(Clock::now() - t0, 20ms);
+  const sim::Deadline modeled = sim::Deadline::modeled(5 * sim::kMsec);
+  sim::sleep(modeled);
+  EXPECT_TRUE(modeled.passed());
+}
+
+TEST(FaultPlan, TimedPartitionHealsAfterItsDeadline) {
+  Fabric f;
+  const auto a = f.add_node("a");
+  const auto b = f.add_node("b");
+  sim::FaultPlan& plan = f.faults();
+  const auto t0 = Clock::now();
+  plan.partition_nodes(a, b, 20);
+  const auto t1 = Clock::now();  // the heal is due 20 ms after [t0, t1]
+  const bool cut = plan.partitioned(b, a);
+  // Partitioned until 20 ms have passed (a stall past that may see it heal).
+  EXPECT_TRUE(cut || Clock::now() - t0 >= 20ms);
+  std::this_thread::sleep_until(t1 + 20ms);
+  EXPECT_FALSE(plan.partitioned(a, b));
+  EXPECT_FALSE(plan.armed());
 }
 
 // ---------------------------------------------------------------------------

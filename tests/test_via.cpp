@@ -433,6 +433,37 @@ TEST_F(ViaPairTest, DisconnectFlushesPostedReceives) {
   EXPECT_EQ(vi_b_->state(), Vi::State::kDisconnected);
 }
 
+TEST_F(ViaPairTest, DisconnectWakesASenderAwaitingAReceive) {
+  // No receive is posted on b, so a's send parks in b's lenient wait while
+  // pinning b. Disconnecting b must wake it at once (the send flushes), not
+  // sit out the lenient wait for that pin to drain.
+  Connect();
+  std::vector<std::byte> src(64);
+  const MemHandle hs = Register(nic_a_, actor_a_, src.data(), src.size());
+  Descriptor send;
+  send.segs = {DataSegment{src.data(), hs, 64}};
+  Status posted = Status::kInvalidState;
+  Status reaped = Status::kInvalidState;
+  Descriptor* done = nullptr;
+  std::thread sender([&] {
+    ActorScope scope(actor_a_);
+    posted = vi_a_->post_send(send);
+    reaped = vi_a_->send_wait(done, kWait);
+  });
+  std::this_thread::sleep_for(100ms);
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    ActorScope scope(actor_b_);
+    vi_b_->disconnect();
+  }
+  const auto took = std::chrono::steady_clock::now() - t0;
+  sender.join();
+  EXPECT_LT(took, 1s);
+  ASSERT_EQ(posted, Status::kSuccess);
+  ASSERT_EQ(reaped, Status::kSuccess);
+  EXPECT_EQ(done->status, DescStatus::kFlushed);
+}
+
 TEST_F(ViaPairTest, SendAfterPeerDisconnectFailsSynchronously) {
   Connect();
   {
