@@ -2,14 +2,15 @@
 # Tier-1 gate: the standard build + full test suite, then an
 # AddressSanitizer/UBSan build running the simulator core suite (ctest -L
 # sim; the wait module, the worker ActorPool and concurrent Resource
-# properties), the VIA emulation suite (ctest -L
-# via; completion queues reap in completion order for every CQ user), the
-# fault-injection slice (ctest -L fault), the server crash/restart chaos
-# slice (ctest -L chaos), the
-# quorum failover slice (ctest -L failover), the causal-tracing
-# slice (ctest -L trace), the striped-layout slice (ctest -L stripe), the
-# quorum-replication slice (ctest -L raft), the data-integrity slice
-# (ctest -L integrity), the live-telemetry slice (ctest -L telemetry), the
+# properties), the store and journal suite (ctest -L fstore; a quorum
+# follower imports peer bytes through the journal), the VIA emulation suite
+# (ctest -L via; completion queues reap in completion order for every CQ
+# user), the fault-injection slice (ctest -L fault), the server
+# crash/restart chaos slice (ctest -L chaos), the quorum failover slice
+# (ctest -L failover), the causal-tracing slice (ctest -L trace), the
+# striped-layout slice (ctest -L stripe), the quorum-replication slice
+# (ctest -L raft), the data-integrity slice (ctest -L integrity), the
+# live-telemetry slice (ctest -L telemetry), the
 # client-cache/delegation slice (ctest -L cache), the MPI runtime and
 # MPI-IO suites (ctest -L 'mpi|mpiio'; one-sided RDMA writes land in another
 # rank's memory), the DAFS and NFS suites (ctest -L 'dafs|nfs'; the filer
@@ -104,17 +105,18 @@ ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS" \
 leg "benchmark leg (benchmark/run.py, 1 s per workload)"
 CARGO_TARGET_DIR="$BUILD/bench_smoke" python3 benchmark/run.py --seconds 1
 
-leg "sanitizer leg (ASan+UBSan, sim + via + fault + chaos + failover + trace + stripe + raft + integrity + telemetry + cache + mpi + mpiio + dafs + nfs + integration + stress labels)"
+leg "sanitizer leg (ASan+UBSan, sim + fstore + via + fault + chaos + failover + trace + stripe + raft + integrity + telemetry + cache + mpi + mpiio + dafs + nfs + integration + stress labels)"
 cmake -B "$ASAN_BUILD" -S . -DDAFS_SANITIZE=ON >/dev/null
-cmake --build "$ASAN_BUILD" -j "$JOBS" --target test_sim --target test_via \
-  --target test_fault --target test_chaos --target test_failover \
-  --target test_trace --target test_stripe --target test_quorum \
+cmake --build "$ASAN_BUILD" -j "$JOBS" --target test_sim --target test_fstore \
+  --target test_via --target test_fault --target test_chaos \
+  --target test_failover --target test_trace --target test_stripe \
+  --target test_quorum \
   --target test_integrity --target test_telemetry --target test_cache \
   --target test_mpi --target test_mpiio --target test_dafs --target test_nfs \
   --target test_integration --target test_stress
 ctest --test-dir "$ASAN_BUILD" --output-on-failure -j "$JOBS" \
   --timeout "$TEST_TIMEOUT" \
-  -L 'sim|via|fault|chaos|failover|trace|stripe|raft|integrity|telemetry|cache|mpi|dafs|nfs|integration|stress'
+  -L 'sim|fstore|via|fault|chaos|failover|trace|stripe|raft|integrity|telemetry|cache|mpi|dafs|nfs|integration|stress'
 
 leg "trace-validation leg (traced benches -> check_trace.py)"
 TRACE_OUT="$BUILD/tier1_trace.json"

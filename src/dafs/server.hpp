@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -23,6 +24,8 @@
 #include "via/vi.hpp"
 
 namespace dafs {
+
+class ReplLink;
 
 struct ServerConfig {
   std::string service = "dafs";
@@ -175,11 +178,10 @@ class Server {
     return scrub_passes_.load(std::memory_order_relaxed);
   }
 
-  /// Cumulative per-client attribution (the kStatsQuery session table and
-  /// the `dafs.session.<client_id>.*` metrics entries). Keyed by the stable
-  /// client_id, so the row survives reconnects — and crash/restarts: this
-  /// is telemetry about the clients, not volatile session state, so
-  /// do_crash deliberately leaves it alone.
+  /// Cumulative per-client attribution (the kStatsQuery session table).
+  /// Keyed by the stable client_id, so the row survives reconnects — and
+  /// crash/restarts: this is telemetry about the clients, not volatile
+  /// session state, so do_crash deliberately leaves it alone.
   struct ClientStat {
     std::uint64_t bytes_in = 0;
     std::uint64_t bytes_out = 0;
@@ -196,6 +198,18 @@ class Server {
   std::map<std::uint64_t, ClientStat> client_stats() const;
 
  private:
+  // Host watchdogs and bounds shared by the server's concern files.
+  /// Period of the accept and completion-queue polls.
+  static constexpr std::chrono::milliseconds kPollPeriod{50};
+  /// Watchdog on one send's completion.
+  static constexpr std::chrono::milliseconds kSendWait{5'000};
+  /// RDMA bytes one request keeps in flight. Enough to cover a round trip
+  /// many times over (64 KiB is about 0.5 ms on the wire, a round trip about
+  /// 10 us), so small segments stream back to back; a large segment goes out
+  /// alone, so one request never books a client's link for a whole batch in
+  /// one go, much as a NIC bounds its outstanding RDMA reads.
+  static constexpr std::uint64_t kRdmaWindowBytes = 64 * 1024;
+
   struct MsgBuf {
     std::vector<std::byte> mem;
     via::MemHandle handle = via::kInvalidMemHandle;
@@ -255,10 +269,12 @@ class Server {
   /// Accept loop for the member's replication service: one handler thread
   /// per inbound peer connection.
   void quorum_listener_loop();
-  /// Serve kVoteReq/kAppend from one peer connection until it dies. `bufs`
-  /// are the pre-armed receive buffers the listener posted before accept.
-  void quorum_conn_loop(std::unique_ptr<via::Vi> vi,
-                        std::vector<std::unique_ptr<MsgBuf>> bufs);
+  /// Serve kVoteReq/kAppend/kBlockFetch from one peer connection until it
+  /// dies. `link` is the connection the listener armed and accepted.
+  void quorum_conn_loop(std::unique_ptr<ReplLink> link);
+  /// A replication link on this member's NIC whose waits end once the
+  /// member stops or crashes. Each user registers its own buffers.
+  std::unique_ptr<ReplLink> new_repl_link();
   /// Election timers (follower/candidate) and leader lease (step down when a
   /// majority has been unreachable for a full lease window).
   void quorum_tick_loop();
@@ -303,9 +319,8 @@ class Server {
   /// + counter/gauge kv section, clipped to the message buffer (truncated
   /// flag set when anything was dropped).
   void do_stats(MsgView& resp);
-  /// Merge an accounting delta into the per-client table; first sight of a
-  /// client_id also registers its `dafs.session.<cid>.*` gauges. client_id 0
-  /// (a client's very first kConnect, before it has an identity) is ignored.
+  /// Merge an accounting delta into the per-client table. client_id 0 (a
+  /// client's very first kConnect, before it has an identity) is ignored.
   void account_client(std::uint64_t client_id, const ClientStat& delta);
   void send_response(Session& s, MsgBuf& out);
   /// Tear down all volatile state and schedule the restart (crash path).
@@ -480,7 +495,6 @@ class Server {
   // every callback captures `this` (and the members above), so the scopes
   // must unregister before anything they read starts tearing down.
   std::vector<sim::GaugeScope> gauges_;
-  std::vector<sim::GaugeScope> session_gauges_;  // grown under cstats_mu_
 };
 
 }  // namespace dafs

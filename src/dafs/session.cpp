@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <cstring>
 #include <thread>
 
@@ -844,27 +843,15 @@ bool Session::retransmit_inflight() {
 void Session::record_rtt(const Slot& sl) {
   Actor* actor = Actor::current();
   if (actor == nullptr) return;
-  const sim::Time now = actor->now();
-  nic_.fabric().histograms().record(
-      std::string("dafs.rtt_ns.") + proc_name(sl.proc),
-      now > sl.t_submit ? now - sl.t_submit : 0);
   // Close the client-side request span (opened implicitly at transmit; submit
   // and completion are separate calls, so no RAII scope can span them).
-  if (sl.trace_id != 0) {
-    sim::Span s;
-    s.trace_id = sl.trace_id;
-    s.span_id = sl.span_id;
-    s.parent_span_id = sl.parent_span;
-    s.t_start = sl.t_submit;
-    s.t_end = now;
-    s.layer = "dafs.client";
-    s.name = std::string("request.") + proc_name(sl.proc);
-    char attrs[96];
-    std::snprintf(attrs, sizeof(attrs), "\"seq\":%u,\"status\":%d", sl.seq,
-                  static_cast<int>(sl.resp.status));
-    s.attrs = attrs;
-    nic_.fabric().trace().record(std::move(s));
-  }
+  const std::string hist = std::string("dafs.rtt_ns.") + proc_name(sl.proc);
+  sim::record_span(
+      nic_.fabric(), "dafs.client", {"request.", proc_name(sl.proc)},
+      sl.t_submit, actor->now(),
+      sim::SpanParent::ids(sl.trace_id, sl.parent_span, sl.span_id),
+      {{"seq", sl.seq}, {"status", static_cast<std::uint64_t>(sl.resp.status)}},
+      hist);
 }
 
 // ---------------------------------------------------------------------------

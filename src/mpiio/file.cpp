@@ -34,23 +34,10 @@ sim::Time actor_now() {
 void File::record_phase(const char* key, sim::Time t0) const {
   Actor* a = Actor::current();
   if (a == nullptr) return;
-  const sim::Time now = a->now();
-  comm_.world().fabric().histograms().record(key, now > t0 ? now - t0 : 0);
   // Same measurement as a span, nested under this operation's root — the
   // two-phase breakdown shows up as children on the trace timeline.
-  sim::Tracer& tr = tracer();
-  if (!tr.enabled()) return;
-  const sim::SpanContext ctx = sim::Tracer::current();
-  if (!ctx.active()) return;
-  sim::Span s;
-  s.trace_id = ctx.trace_id;
-  s.span_id = tr.new_id();
-  s.parent_span_id = ctx.span_id;
-  s.t_start = t0;
-  s.t_end = now;
-  s.layer = "mpiio";
-  s.name = key;
-  tr.record(std::move(s));
+  sim::record_span(comm_.world().fabric(), "mpiio", key, t0, a->now(),
+                   sim::SpanParent::inherit(), {}, key);
 }
 
 sim::Tracer& File::tracer() const { return comm_.world().fabric().trace(); }

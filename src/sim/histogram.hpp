@@ -4,10 +4,12 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "sim/metric_key.hpp"
 
@@ -116,15 +118,18 @@ class HistogramRegistry {
  public:
   /// The named histogram, created empty on first use. The reference stays
   /// valid for the registry's lifetime.
-  Histogram& get(const std::string& name) {
+  Histogram& get(std::string_view name) {
     assert(valid_metric_key(name) && "histogram keys are dotted lowercase");
     std::lock_guard lock(mu_);
-    auto& slot = hists_[name];
-    if (!slot) slot = std::make_unique<Histogram>();
-    return *slot;
+    auto it = hists_.find(name);
+    if (it == hists_.end()) {
+      it = hists_.emplace(std::string(name), std::make_unique<Histogram>())
+               .first;
+    }
+    return *it->second;
   }
 
-  void record(const std::string& name, std::uint64_t v) { get(name).record(v); }
+  void record(std::string_view name, std::uint64_t v) { get(name).record(v); }
 
   /// Snapshots of every histogram with at least one sample.
   std::map<std::string, Histogram::Snapshot> snapshot_all() const {
@@ -144,7 +149,7 @@ class HistogramRegistry {
 
  private:
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Histogram>> hists_;
+  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> hists_;
 };
 
 }  // namespace sim

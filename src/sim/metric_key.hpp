@@ -11,7 +11,7 @@ namespace sim {
 ///
 ///   - dotted: at least one '.', separating "<layer>.<name>[.<detail>...]"
 ///     (e.g. "dafs.busy_shed", "dafs.rtt_ns.read_inline",
-///     "dafs.session.42.bytes_in")
+///     "dafs.deleg.recall_ns")
 ///   - lowercase: only [a-z0-9_] between the dots; no empty components
 ///
 /// Latency keys end in `_ns` (virtual nanoseconds) and size keys in

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "sim/actor.hpp"
+#include "sim/fabric.hpp"
 
 namespace sim {
 
@@ -46,6 +47,23 @@ void append_escaped(std::string& out, const std::string& s) {
         }
     }
   }
+}
+
+/// Render one attribute the way the trace JSON carries it.
+void append_attr(std::string& out, const SpanAttr& a) {
+  if (a.str == nullptr) {
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "%s\"%s\":%llu", out.empty() ? "" : ",",
+                  a.key, static_cast<unsigned long long>(a.num));
+    out += buf;
+    return;
+  }
+  if (!out.empty()) out += ',';
+  out += '"';
+  out += a.key;
+  out += "\":\"";
+  append_escaped(out, a.str);
+  out += '"';
 }
 
 void append_span_json(std::string& out, const Span& s, std::size_t tid,
@@ -357,22 +375,36 @@ SpanContext Tracer::current() {
 }
 
 void SpanScope::attr(const char* key, std::uint64_t v) {
-  if (!active_) return;
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "%s\"%s\":%llu",
-                span_.attrs.empty() ? "" : ",", key,
-                static_cast<unsigned long long>(v));
-  span_.attrs += buf;
+  if (active_) append_attr(span_.attrs, {key, v});
 }
 
 void SpanScope::attr(const char* key, const char* v) {
-  if (!active_) return;
-  if (!span_.attrs.empty()) span_.attrs += ',';
-  span_.attrs += '"';
-  span_.attrs += key;
-  span_.attrs += "\":\"";
-  append_escaped(span_.attrs, v);
-  span_.attrs += '"';
+  if (active_) append_attr(span_.attrs, {key, v});
+}
+
+void record_span(Fabric& fabric, const char* layer, SpanName name,
+                 Time t_start, Time t_end, SpanParent parent,
+                 std::initializer_list<SpanAttr> attrs, std::string_view hist) {
+  if (!hist.empty()) {
+    fabric.histograms().record(hist, t_end > t_start ? t_end - t_start : 0);
+  }
+  Tracer& tracer = fabric.trace();
+  if (!tracer.enabled()) return;
+  SpanContext up{parent.trace_id, parent.parent_span_id};
+  if (parent.kind == SpanParent::Kind::kInherit) up = Tracer::current();
+  if (parent.kind == SpanParent::Kind::kRoot) up = {tracer.new_id(), 0};
+  if (!up.active()) return;  // no trace to join
+  Span s;
+  s.trace_id = up.trace_id;
+  s.parent_span_id = up.span_id;
+  s.span_id = parent.span_id != 0 ? parent.span_id : tracer.new_id();
+  s.t_start = t_start;
+  s.t_end = t_end;
+  s.layer = layer;
+  s.name = name.head;
+  s.name += name.tail;
+  for (const SpanAttr& a : attrs) append_attr(s.attrs, a);
+  tracer.record(std::move(s));
 }
 
 }  // namespace sim

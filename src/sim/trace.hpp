@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -104,8 +106,8 @@ class Tracer {
   /// The innermost open span on this thread (inactive context if none).
   static SpanContext current();
 
-  /// Record a completed span built by hand (async request paths that cannot
-  /// use SpanScope because submit and completion are separate calls).
+  /// Record a completed span (SpanScope's close and `record_span` land
+  /// here).
   void record(Span s);
 
   /// Record a flight-recorder event (crash, deadline expiry, fault).
@@ -171,6 +173,58 @@ class Tracer {
 
   std::string dump_path_;
 };
+
+/// Where a span recorded by `record_span` hangs in its trace.
+struct SpanParent {
+  enum class Kind : std::uint8_t { kRoot, kInherit, kIds };
+  Kind kind = Kind::kRoot;
+  std::uint64_t trace_id = 0;
+  std::uint64_t parent_span_id = 0;
+  std::uint64_t span_id = 0;
+
+  /// The first span of a trace of its own.
+  static SpanParent root() { return {}; }
+  /// Child of the span open on this thread; no span when there is none.
+  static SpanParent inherit() { return {Kind::kInherit}; }
+  /// Explicit ids, as carried on the wire or allocated when the work began;
+  /// `span_id` 0 draws a fresh one. No span when `trace_id` is 0.
+  static SpanParent ids(std::uint64_t trace_id, std::uint64_t parent_span_id,
+                        std::uint64_t span_id = 0) {
+    return {Kind::kIds, trace_id, parent_span_id, span_id};
+  }
+};
+
+/// One attribute of a recorded span: an unsigned number or a string.
+struct SpanAttr {
+  SpanAttr(const char* k, std::uint64_t v) : key(k), num(v) {}
+  SpanAttr(const char* k, const char* v) : key(k), str(v) {}
+  const char* key;
+  std::uint64_t num = 0;
+  const char* str = nullptr;  // set for a string attribute
+};
+
+/// A span name in up to two pieces (say "request." and a procedure), joined
+/// only when the span is recorded.
+struct SpanName {
+  SpanName(const char* n) : head(n) {}  // implicit: a plain name converts
+  SpanName(const char* h, const char* t) : head(h), tail(t) {}
+  const char* head;
+  const char* tail = "";
+};
+
+class Fabric;
+
+/// The one call that records a span built by hand, for work whose ends are
+/// separate calls or that closes under another request: `name` in `layer`,
+/// from `t_start` to `t_end`, under `parent`, with `attrs`. It records
+/// `t_end - t_start` into the histogram `hist` (none when empty) every time,
+/// and the span only when tracing is on and `parent` resolves to a trace, so
+/// the two cannot disagree. With tracing off nothing is formatted: the name
+/// and the attributes are rendered only for a span that is recorded.
+void record_span(Fabric& fabric, const char* layer, SpanName name,
+                 Time t_start, Time t_end, SpanParent parent,
+                 std::initializer_list<SpanAttr> attrs = {},
+                 std::string_view hist = {});
 
 /// RAII span: opens on construction (child of the thread's current span, or
 /// an explicit wire parent), pushes itself as the thread's current context,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <cstring>
 #include <iterator>
 #include <type_traits>
@@ -506,30 +505,17 @@ Status Vi::post_send(Descriptor& d) {
       break;
   }
   if (lat_key != nullptr) {
-    fabric.histograms().record(lat_key, since(d.posted_at, d.done_at));
-    fabric.histograms().record(size_key, total);
     // Doorbell->completion span, child of whatever request span is open on
     // this thread (the DAFS client request or the server's service span).
-    if (sim::Tracer& tracer = fabric.trace(); tracer.enabled()) {
-      if (const sim::SpanContext ctx = sim::Tracer::current(); ctx.active()) {
-        sim::Span s;
-        s.trace_id = ctx.trace_id;
-        s.span_id = tracer.new_id();
-        s.parent_span_id = ctx.span_id;
-        s.t_start = d.posted_at;
-        s.t_end = d.done_at;
-        s.layer = "via";
-        s.name = d.op == Opcode::kSend ? "send"
-                 : d.op == Opcode::kRdmaWrite ? "rdma_write"
-                                              : "rdma_read";
-        char attrs[64];
-        std::snprintf(attrs, sizeof(attrs), "\"bytes\":%llu,\"status\":%d",
-                      static_cast<unsigned long long>(total),
-                      static_cast<int>(d.status));
-        s.attrs = attrs;
-        tracer.record(std::move(s));
-      }
-    }
+    sim::record_span(fabric, "via",
+                     d.op == Opcode::kSend        ? "send"
+                     : d.op == Opcode::kRdmaWrite ? "rdma_write"
+                                                  : "rdma_read",
+                     d.posted_at, d.done_at, sim::SpanParent::inherit(),
+                     {{"bytes", total},
+                      {"status", static_cast<std::uint64_t>(d.status)}},
+                     lat_key);
+    fabric.histograms().record(size_key, total);
   }
 
   // Scheduled break: the Nth completion on a named connection succeeds, then

@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -172,6 +174,76 @@ TEST(Quorum, FollowerOnlyMountDemotesAndGivesUp) {
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.error(), PStatus::kNotLeader);
   EXPECT_GT(fabric.stats().get("dafs.endpoint_demotions"), demoted_before);
+}
+
+// ---------------------------------------------------------------------------
+// Hostile wire: the replication channel's one frame check
+// ---------------------------------------------------------------------------
+
+TEST(ReplFrame, RefusesEveryMalformedFrameOfEveryOp) {
+  using dafs::ReplOp;
+  // Every op of the channel; for kAppend and kBlockData `len` counts the
+  // payload that must follow the header, for the rest it is payload-free
+  // (a kBlockFetch names the bytes it wants).
+  struct OpCase {
+    ReplOp op;
+    bool payload;
+  };
+  constexpr OpCase kOps[] = {
+      {ReplOp::kVoteReq, false},    {ReplOp::kVoteResp, false},
+      {ReplOp::kAppend, true},      {ReplOp::kAppendResp, false},
+      {ReplOp::kBlockFetch, false}, {ReplOp::kBlockData, true},
+  };
+  constexpr std::uint32_t kLen = 24;
+  constexpr std::size_t kHdr = sizeof(dafs::ReplHeader);
+  // A mutation of a well-formed frame and whether the check must accept it.
+  struct Case {
+    const char* what;
+    std::function<void(std::vector<std::byte>&)> mutate;
+    bool payload_only;  // applies to kAppend and kBlockData only
+    bool accept;
+  };
+  const auto set_op = [](std::vector<std::byte>& f, std::uint8_t op) {
+    std::memcpy(f.data() + offsetof(dafs::ReplHeader, op), &op, 1);
+  };
+  const std::vector<Case> cases = {
+      {"well formed", [](auto&) {}, false, true},
+      {"empty", [](auto& f) { f.clear(); }, false, false},
+      {"one byte short of a header",
+       [](auto& f) { f.resize(kHdr - 1); }, false, false},
+      {"wrong magic",
+       [](auto& f) { f[0] ^= std::byte{1}; }, false, false},
+      {"unknown op 0", [&](auto& f) { set_op(f, 0); }, false, false},
+      {"unknown op 7", [&](auto& f) { set_op(f, 7); }, false, false},
+      {"unknown op 255", [&](auto& f) { set_op(f, 255); }, false,
+       false},
+      {"payload one byte short", [](auto& f) { f.pop_back(); }, true,
+       false},
+      {"payload one byte long",
+       [](auto& f) { f.push_back(std::byte{0}); }, true, false},
+  };
+  for (const OpCase& oc : kOps) {
+    for (const Case& c : cases) {
+      if (c.payload_only && !oc.payload) continue;
+      SCOPED_TRACE(::testing::Message()
+                   << "op " << static_cast<int>(oc.op) << ": " << c.what);
+      dafs::ReplHeader h;
+      h.op = oc.op;
+      h.epoch = 7;
+      h.len = kLen;
+      std::vector<std::byte> frame(kHdr + (oc.payload ? kLen : 0));
+      std::memcpy(frame.data(), &h, kHdr);
+      c.mutate(frame);
+      dafs::ReplHeader out;
+      out.epoch = 0;
+      ASSERT_EQ(dafs::parse_repl_frame(frame, out), c.accept);
+      if (c.accept) {
+        EXPECT_EQ(out.op, oc.op);
+        EXPECT_EQ(out.epoch, 7u);
+        EXPECT_EQ(out.len, kLen);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

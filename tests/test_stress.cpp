@@ -152,30 +152,87 @@ TEST(DafsRobustness, GarbageRequestsGetErrorsNotHangs) {
   ASSERT_EQ(st, via::Status::kSuccess);
   ASSERT_EQ(vi.post_recv(recv), via::Status::kSuccess);
 
-  // A header full of nonsense: unknown proc, absurd lengths, bad session.
   std::vector<std::byte> sbuf(dafs::kMsgBufSize);
   const auto sh = nic.register_memory(sbuf.data(), sbuf.size(), tag, {});
   dafs::MsgView msg(sbuf.data(), sbuf.size());
-  msg.header() = dafs::MsgHeader{};
-  msg.header().proc = static_cast<dafs::Proc>(250);
-  msg.header().session_id = 0xdeadbeef;
-  msg.header().name_len = 0;
-  msg.header().data_len = 0;
   via::Descriptor send;
-  send.segs = {via::DataSegment{
-      sbuf.data(), sh, static_cast<std::uint32_t>(msg.wire_size())}};
-  ASSERT_EQ(vi.post_send(send), via::Status::kSuccess);
-  via::Descriptor* sd = nullptr;
-  ASSERT_EQ(vi.send_wait(sd, 5000ms), via::Status::kSuccess);
+  // Send the first `wire` bytes of sbuf, whatever its header claims.
+  const auto transmit = [&](std::size_t wire) {
+    send = via::Descriptor{};
+    send.segs = {via::DataSegment{sbuf.data(), sh,
+                                  static_cast<std::uint32_t>(wire)}};
+    ASSERT_EQ(vi.post_send(send), via::Status::kSuccess);
+    via::Descriptor* sd = nullptr;
+    ASSERT_EQ(vi.send_wait(sd, 5000ms), via::Status::kSuccess);
+  };
+  // The server must answer, not wedge: the response header, with the
+  // receive posted again for the next exchange.
+  const auto exchange = [&](std::size_t wire) {
+    dafs::MsgHeader h;
+    transmit(wire);
+    via::Descriptor* rd = nullptr;
+    EXPECT_EQ(vi.recv_wait(rd, 5000ms), via::Status::kSuccess);
+    std::memcpy(&h, rbuf.data(), sizeof(h));
+    recv.segs = {via::DataSegment{rbuf.data(), rh,
+                                  static_cast<std::uint32_t>(rbuf.size())}};
+    EXPECT_EQ(vi.post_recv(recv), via::Status::kSuccess);
+    return h;
+  };
+  const auto request = [&](dafs::Proc proc, std::uint64_t session) {
+    msg.header() = dafs::MsgHeader{};
+    msg.header().proc = proc;
+    msg.header().session_id = session;
+    return &msg.header();
+  };
 
-  // The server must answer with an error status, not wedge.
+  // A header full of nonsense: unknown proc and bad session.
+  request(static_cast<dafs::Proc>(250), 0xdeadbeef);
+  EXPECT_NE(exchange(msg.wire_size()).status, dafs::PStatus::kOk);
+
+  // A proper session and file, then headers whose lengths claim bytes that
+  // never arrived: each is refused before any handler reads past the message.
+  request(dafs::Proc::kConnect, 0);
+  const dafs::MsgHeader conn = exchange(msg.wire_size());
+  ASSERT_EQ(conn.status, dafs::PStatus::kOk);
+  const std::uint64_t sid = conn.session_id;
+  request(dafs::Proc::kOpen, sid)->flags = dafs::kOpenCreate;
+  msg.set_name("/victim");
+  const dafs::MsgHeader opened = exchange(msg.wire_size());
+  ASSERT_EQ(opened.status, dafs::PStatus::kOk);
+  const std::uint64_t refused0 = fabric.stats().get("dafs.malformed_requests");
+
+  request(dafs::Proc::kOpen, sid)->name_len = 60'000;
+  EXPECT_EQ(exchange(sizeof(dafs::MsgHeader)).status, dafs::PStatus::kInval);
+  for (const std::uint32_t claimed : {60'000u, 1'000u}) {
+    dafs::MsgHeader* h = request(dafs::Proc::kWriteInline, sid);
+    h->ino = opened.ino;
+    h->data_len = claimed;
+    h->len = claimed;
+    EXPECT_EQ(exchange(sizeof(dafs::MsgHeader)).status, dafs::PStatus::kInval)
+        << claimed << " bytes claimed";
+  }
+  // A direct write whose segment list overruns the data it carries.
+  dafs::MsgHeader* h = request(dafs::Proc::kWriteDirect, sid);
+  h->ino = opened.ino;
+  h->nseg = 4;
+  h->data_len = sizeof(dafs::DirectSeg);
+  EXPECT_EQ(exchange(msg.wire_size()).status, dafs::PStatus::kInval);
+  EXPECT_EQ(fabric.stats().get("dafs.malformed_requests"), refused0 + 4);
+
+  // Less than a header: its fields would be an earlier message's leftovers,
+  // so the filer drops the VI instead of answering.
+  transmit(sizeof(dafs::MsgHeader) / 2);
   via::Descriptor* rd = nullptr;
-  ASSERT_EQ(vi.recv_wait(rd, 5000ms), via::Status::kSuccess);
-  dafs::MsgView resp(rbuf.data(), rbuf.size());
-  EXPECT_NE(resp.header().status, dafs::PStatus::kOk);
+  const via::Status dropped = vi.recv_wait(rd, 5000ms);
+  EXPECT_TRUE(dropped != via::Status::kSuccess ||
+              rd->status != via::DescStatus::kSuccess);
+  EXPECT_EQ(fabric.stats().get("dafs.malformed_requests"), refused0 + 5);
 
-  // And a well-behaved session still works afterwards.
+  // No refused write landed a byte, and a well-behaved session still works.
   auto s = std::move(dafs::Session::connect(nic).value());
+  const auto victim = s->open("/victim");
+  ASSERT_TRUE(victim.ok());
+  EXPECT_EQ(s->getattr(victim.value()).value().size, 0u);
   EXPECT_TRUE(s->open("/ok", dafs::kOpenCreate).ok());
   s.reset();
   vi.disconnect();

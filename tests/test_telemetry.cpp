@@ -341,6 +341,9 @@ TEST_F(TelemetryTest, SnapshotMatchesPerSessionGroundTruth) {
     ASSERT_TRUE(sb->pread(fh.value(), 0, back).ok());
   }
 
+  // Both clients are idle now, so the table the query snapshots is the one
+  // the server holds just before it (the query is attributed afterwards).
+  const auto before = server_.client_stats();
   StatsSnapshot snap;
   {
     ActorScope scope(actor_a_);
@@ -394,6 +397,27 @@ TEST_F(TelemetryTest, SnapshotMatchesPerSessionGroundTruth) {
   // kv section carries the aggregate counters the header summarizes.
   EXPECT_EQ(snap.value("dafs.requests"), snap.header.requests_total);
   EXPECT_GE(snap.value("dafs.sessions_live"), 2u);
+
+  // The per-client table is exported once, as the session table: no
+  // dafs.session.<client_id>.* key repeats it in the kv section, and every
+  // row equals client_stats().
+  for (const auto& [key, value] : snap.kv) {
+    EXPECT_NE(key.rfind("dafs.session.", 0), 0u) << key;
+  }
+  ASSERT_EQ(snap.sessions.size(), before.size());
+  for (const dafs::WireSessionStats& w : snap.sessions) {
+    ASSERT_EQ(before.count(w.client_id), 1u) << w.client_id;
+    const auto& t = before.at(w.client_id);
+    EXPECT_EQ(w.bytes_in, t.bytes_in);
+    EXPECT_EQ(w.bytes_out, t.bytes_out);
+    EXPECT_EQ(w.ops_read, t.ops_read);
+    EXPECT_EQ(w.ops_write, t.ops_write);
+    EXPECT_EQ(w.ops_meta, t.ops_meta);
+    EXPECT_EQ(w.queue_wait_ns, t.queue_wait_ns);
+    EXPECT_EQ(w.service_ns, t.service_ns);
+    EXPECT_EQ(w.retransmits, t.retransmits);
+    EXPECT_EQ(w.sheds, t.sheds);
+  }
 
   ActorScope sb_scope(actor_b_);
   sb.reset();
