@@ -1,8 +1,8 @@
 // Google-benchmark microbenchmarks of the emulation substrate itself (real
 // host time, not modeled time): datatype flattening, resource arithmetic,
-// the fabric transfer computation, completion-queue reaping and the CRC
-// codecs. These guard against the cost engine itself becoming the
-// bottleneck of large experiments.
+// the fabric transfer computation, completion-queue reaping, the CRC
+// codecs and the file store's inline overwrite. These guard against the
+// cost engine itself becoming the bottleneck of large experiments.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "fstore/file_store.hpp"
 #include "fstore/journal.hpp"
 #include "mpi/datatype.hpp"
 #include "sim/actor.hpp"
@@ -159,8 +160,9 @@ void BM_CqReap(benchmark::State& state) {
 BENCHMARK(BM_CqReap)->Arg(1)->Arg(16)->Arg(256)->UseManualTime();
 
 // The journal's CRC-32 and the integrity layer's CRC-32C over one 4 KiB
-// page, one 64 KiB chunk (what the filer re-hashes for every chunk a write
-// touches) and 1 MiB. These are the simulator's largest per-byte host cost.
+// page (a checksum sector, what the filer re-hashes for every sector a
+// write touches), one 64 KiB chunk (what verification hashes per chunk)
+// and 1 MiB. These are the simulator's largest per-byte host cost.
 template <typename Crc>
 void crc_bench(benchmark::State& state, Crc crc) {
   std::vector<std::byte> buf(static_cast<std::size_t>(state.range(0)));
@@ -185,6 +187,32 @@ void BM_Crc32c(benchmark::State& state) {
             [](std::span<const std::byte> b) { return fstore::crc32c(b); });
 }
 BENCHMARK(BM_Crc32c)->Arg(4096)->Arg(64 << 10)->Arg(1 << 20);
+
+// One FileStore::pwrite of 2 KiB, 16 KiB or 64 KiB at aligned offsets of an
+// already-written 16 MiB file (64 KiB chunks, journal off): the filer's
+// inline write path with its checksum upkeep. 2 KiB and 16 KiB are
+// small_rw's request sizes; 64 KiB covers whole chunks, as ior_stream's
+// writes do.
+void BM_FStoreOverwrite(benchmark::State& state) {
+  constexpr std::size_t kFile = 16 << 20;
+  fstore::FileStore fs;
+  const fstore::Ino f = fs.create(fstore::kRootIno, "f", true).value();
+  std::vector<std::byte> buf(kFile);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<std::byte>(i * 131 + 7);
+  }
+  if (!fs.pwrite(f, 0, buf).ok()) state.SkipWithError("preload failed");
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto piece = std::span<const std::byte>(buf).first(n);
+  std::uint64_t off = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fs.pwrite(f, off, piece));
+    off = (off + n) % kFile;
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_FStoreOverwrite)->Arg(2048)->Arg(16384)->Arg(65536);
 
 }  // namespace
 

@@ -18,7 +18,13 @@
 # NFS gathers from caller memory) and the end-to-end integration and stress
 # suites (ctest -L 'integration|stress'; async completion groups, a filer
 # stopped under a live session, garbage requests), which stress the paths
-# where lifetime bugs would hide. A final
+# where lifetime bugs would hide. A ThreadSanitizer build then runs the
+# store and journal suite and the live-telemetry slice (ctest -L
+# 'fstore|telemetry'; counter ops racing a crash replay, workers and the
+# stats plane sharing the filer's tables): TSan reports data races and
+# lock-order inversions whatever the timing, and any report fails the test.
+# (The quorum suite is left out: its seeded sweeps run far too long under
+# TSan.) A final
 # leg runs traced end-to-end
 # benchmarks and validates the emitted Perfetto JSON (ids resolve, spans
 # nest, no negative durations) with scripts/check_trace.py — including the
@@ -51,12 +57,13 @@
 #
 # Each leg prints its wall time when it ends.
 #
-# Usage: scripts/tier1.sh [build-dir] [asan-build-dir]
+# Usage: scripts/tier1.sh [build-dir] [asan-build-dir] [tsan-build-dir]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
 ASAN_BUILD="${2:-build-asan}"
+TSAN_BUILD="${3:-build-tsan}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 # Generous per-test watchdog (seconds); sanitizer runs are several times
 # slower than the standard build.
@@ -117,6 +124,15 @@ cmake --build "$ASAN_BUILD" -j "$JOBS" --target test_sim --target test_fstore \
 ctest --test-dir "$ASAN_BUILD" --output-on-failure -j "$JOBS" \
   --timeout "$TEST_TIMEOUT" \
   -L 'sim|fstore|via|fault|chaos|failover|trace|stripe|raft|integrity|telemetry|cache|mpi|dafs|nfs|integration|stress'
+
+leg "thread-sanitizer leg (TSan, fstore + telemetry labels)"
+cmake -B "$TSAN_BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS=-fsanitize=thread \
+  -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread >/dev/null
+cmake --build "$TSAN_BUILD" -j "$JOBS" --target test_fstore \
+  --target test_telemetry
+ctest --test-dir "$TSAN_BUILD" --output-on-failure -j "$JOBS" \
+  --timeout "$TEST_TIMEOUT" -L 'fstore|telemetry'
 
 leg "trace-validation leg (traced benches -> check_trace.py)"
 TRACE_OUT="$BUILD/tier1_trace.json"

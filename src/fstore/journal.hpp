@@ -18,7 +18,7 @@ namespace fstore {
 std::uint32_t crc32(std::span<const std::byte> data);
 
 /// CRC-32C (Castagnoli polynomial, reflected) — the block/wire checksum of
-/// the integrity layer (at-rest chunk checksums, DAFS payload checksums).
+/// the integrity layer (at-rest sector checksums, DAFS payload checksums).
 /// Kept distinct from the journal's CRC-32 so a framed journal record can
 /// never masquerade as a verified data block. `seed` chains incremental
 /// computations: pass the previous call's return value to extend a running

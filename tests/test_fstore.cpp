@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "fstore/file_store.hpp"
@@ -516,6 +520,42 @@ TEST(FStoreJournal, CountersAndDupFilterSurviveCrash) {
   EXPECT_EQ(fs.counter_fetch_add_once("c", 1, 7, 4), 15u);
 }
 
+TEST(FStoreJournal, CounterOpsRacingReplayDoNotDeadlock) {
+  // A filer worker applying a client's ack (a counter add, then dup_forget)
+  // races a leadership win or restart replaying the store (crash). Both
+  // sides must take the counter lock before the journal's, and every add
+  // is either replayed or applied after the replay, never lost in between.
+  // The replays start once a quarter of the acks are journalled, so each
+  // one runs long enough for acks to land inside it, and their count is
+  // bounded, so the run stays short under a sanitizer. The race runs in a
+  // child under an alarm, so a stall fails in seconds instead of at the
+  // ctest timeout.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        alarm(30);
+        constexpr std::uint32_t kAcks = 10'000;
+        constexpr int kReplays = 40;
+        FileStore fs(journal_opt());
+        std::atomic<std::uint32_t> acked{0};
+        std::thread acker([&] {
+          for (std::uint32_t seq = 1; seq <= kAcks; ++seq) {
+            fs.counter_fetch_add_once("ptr", 1, /*client_id=*/7, seq);
+            fs.dup_forget(7, seq);
+            acked = seq;
+          }
+        });
+        while (acked.load() < kAcks / 4) std::this_thread::yield();
+        for (int i = 0; i < kReplays && acked.load() < kAcks; ++i) {
+          fs.crash();
+        }
+        acker.join();
+        fs.crash();
+        std::exit(fs.counter_fetch_add("ptr", 0) == kAcks ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
 TEST(FStoreJournal, CorruptTailIsTruncatedOnReplay) {
   FileStore fs(journal_opt());
   auto f = fs.create(kRootIno, "f", true).value();
@@ -744,6 +784,29 @@ TEST(FStoreJournal, TruncateDurabilityFollowsSync) {
   std::vector<std::byte> back(512);
   ASSERT_EQ(fs.pread(f, 0, back).value(), 512u);
   EXPECT_EQ(std::memcmp(back.data(), data.data(), 512), 0);
+}
+
+TEST(FStoreJournal, TruncateThenRegrowBeforeSyncDoesNotResurrect) {
+  // An unsynced write, a shrink, then a write that grows the file past the
+  // dead bytes, then a sync: replay must not bring the dead bytes back,
+  // because the live file reads zeros there.
+  FileStore fs(journal_opt());
+  auto f = fs.create(kRootIno, "f", true).value();
+  const auto data = pattern(3 * 512, 31);
+  ASSERT_TRUE(fs.pwrite(f, 0, data).ok());
+  ASSERT_EQ(fs.set_size(f, 100), Errc::kOk);
+  const auto last = pattern(1, 32);
+  ASSERT_TRUE(fs.pwrite(f, data.size() - 1, last).ok());
+  ASSERT_EQ(fs.sync(f), Errc::kOk);
+  std::vector<std::byte> expect(data.size());
+  std::memcpy(expect.data(), data.data(), 100);
+  expect.back() = last[0];
+  for (const bool crashed : {false, true}) {
+    if (crashed) ASSERT_EQ(fs.crash(), Errc::kOk);
+    std::vector<std::byte> back(data.size());
+    ASSERT_EQ(fs.pread(f, 0, back).value(), data.size());
+    EXPECT_TRUE(back == expect) << (crashed ? "after replay" : "live");
+  }
 }
 
 }  // namespace
