@@ -18,7 +18,10 @@
 # NFS gathers from caller memory) and the end-to-end integration and stress
 # suites (ctest -L 'integration|stress'; async completion groups, a filer
 # stopped under a live session, garbage requests), which stress the paths
-# where lifetime bugs would hide. A ThreadSanitizer build then runs the
+# where lifetime bugs would hide. The sanitizer build compiles at -O1 -g
+# without -DNDEBUG (CMAKE_CXX_FLAGS_RELEASE="-O1 -g", no CMake option), so
+# the assert()s in src/ and the death tests run there; every other build
+# keeps NDEBUG. A ThreadSanitizer build then runs the
 # store and journal suite and the live-telemetry slice (ctest -L
 # 'fstore|telemetry'; counter ops racing a crash replay, workers and the
 # stats plane sharing the filer's tables): TSan reports data races and
@@ -113,7 +116,8 @@ leg "benchmark leg (benchmark/run.py, 1 s per workload)"
 CARGO_TARGET_DIR="$BUILD/bench_smoke" python3 benchmark/run.py --seconds 1
 
 leg "sanitizer leg (ASan+UBSan, sim + fstore + via + fault + chaos + failover + trace + stripe + raft + integrity + telemetry + cache + mpi + mpiio + dafs + nfs + integration + stress labels)"
-cmake -B "$ASAN_BUILD" -S . -DDAFS_SANITIZE=ON >/dev/null
+cmake -B "$ASAN_BUILD" -S . -DDAFS_SANITIZE=ON \
+  -DCMAKE_CXX_FLAGS_RELEASE="-O1 -g" >/dev/null
 cmake --build "$ASAN_BUILD" -j "$JOBS" --target test_sim --target test_fstore \
   --target test_via --target test_fault --target test_chaos \
   --target test_failover --target test_trace --target test_stripe \

@@ -12,14 +12,6 @@ namespace dafs {
 using sim::Actor;
 using sim::CostKind;
 
-namespace {
-/// Pieces per server per round of a striped batch. Each piece becomes at
-/// least one DirectSeg; the cap keeps every sub-request comfortably inside
-/// one message buffer's segment table (kMsgBufSize admits ~500 segs) with
-/// headroom for max_rdma_seg splitting of stripe-sized pieces.
-constexpr std::size_t kMaxPiecesPerRound = 256;
-}  // namespace
-
 Client::Client(std::uint64_t stripe_size) : stripe_size_(stripe_size) {}
 
 Client::~Client() {
@@ -126,7 +118,8 @@ PStatus Client::flush_dirty(OpenFile& of) {
   PStatus worst = PStatus::kOk;
   std::uint64_t flushed = 0;
   for (FileCache::Extent& x : of.cache->take_dirty()) {
-    auto r = meta().pwrite(of.meta, x.off, std::span<const std::byte>(x.data));
+    const IoVec v{x.off, x.data.data(), x.data.size()};
+    auto r = run(of, std::span(&v, 1), true);
     if (!r.ok()) {
       worst = r.error();
       continue;
@@ -454,11 +447,18 @@ PStatus Client::flush(Fh fh) {
   return st;
 }
 
-// ---- striped data path ----
+// ---- data: one engine for every read and write ----
 
 std::vector<std::vector<IoVec>> Client::split(
     std::span<const IoVec> iovs) const {
   std::vector<std::vector<IoVec>> per(sessions_.size());
+  if (sessions_.size() == 1) {
+    // One filer holds everything: no split, and the list keeps its order.
+    for (const IoVec& v : iovs) {
+      if (v.len > 0) per[0].push_back(v);
+    }
+    return per;
+  }
   for (const IoVec& v : iovs) {
     std::uint64_t off = v.file_off;
     std::byte* buf = v.buf;
@@ -484,111 +484,113 @@ std::vector<std::vector<IoVec>> Client::split(
   return per;
 }
 
-Result<std::uint64_t> Client::run_batch(Fh fh, std::span<const IoVec> iovs,
-                                        bool writing) {
-  OpenFile* of = lookup(fh);
-  if (of == nullptr) return PStatus::kInval;
-  if (sessions_.size() == 1) {
-    // One filer holds everything: no split or merge.
-    return writing ? meta().write_batch(of->meta, iovs)
-                   : meta().read_batch(of->meta, iovs);
+Result<Client::Pending> Client::start(OpenFile& of,
+                                      std::span<const IoVec> iovs,
+                                      bool writing) {
+  Pending p;
+  p.fh = of.meta;
+  p.writing = writing;
+  p.trace = sim::Tracer::current();
+  p.queue = split(iovs);
+  if (const PStatus st = issue(&of, p); st != PStatus::kOk) {
+    // Drain what went out: those requests reference the caller's buffers.
+    for (const SubOp& sub : p.subs) sessions_[sub.server]->wait(sub.op);
+    return st;
   }
-  auto per = split(iovs);
-  std::vector<std::size_t> cursor(per.size(), 0);
-  std::uint64_t total = 0;
-  PStatus worst = PStatus::kOk;
-  std::uint64_t known_size = 0;
-  bool have_size = false;
-  // Rounds of one in-flight sub-batch per involved server: every server's
-  // request is on the wire before the first wait, so the per-stripe RDMA
-  // transfers overlap across filers.
-  for (;;) {
-    struct Sub {
-      std::size_t server;
-      OpId op;
-      std::span<const IoVec> pieces;
-      std::uint64_t want;
-    };
-    std::vector<Sub> subs;
-    bool more = false;
-    PStatus submit_err = PStatus::kOk;
-    for (std::size_t i = 0; i < per.size(); ++i) {
-      const std::size_t s = (skew_ + i) % per.size();
-      const std::size_t left = per[s].size() - cursor[s];
-      if (left == 0) continue;
-      const std::size_t take = std::min(left, kMaxPiecesPerRound);
-      const std::span<const IoVec> chunk(per[s].data() + cursor[s], take);
-      std::uint64_t want = 0;
-      for (const IoVec& p : chunk) want += p.len;
-      auto id = writing
-                    ? sessions_[s]->submit_write_batch(of->data_fh[s], chunk)
-                    : sessions_[s]->submit_read_batch(of->data_fh[s], chunk);
-      if (!id.ok()) {
-        submit_err = id.error();
-        break;
-      }
-      subs.push_back(Sub{s, id.value(), chunk, want});
-      cursor[s] += take;
-      if (cursor[s] < per[s].size()) more = true;
-    }
-    // Collect everything submitted even after an error: an outstanding op
-    // references caller buffers and must not outlive this call.
-    for (const Sub& sub : subs) {
+  return p;
+}
+
+PStatus Client::issue(const OpenFile* of, Pending& p) {
+  for (std::size_t i = 0; i < p.queue.size(); ++i) {
+    const std::size_t s = (skew_ + i) % p.queue.size();
+    std::vector<IoVec>& q = p.queue[s];
+    if (q.empty()) continue;
+    if (of == nullptr) return PStatus::kInval;
+    auto req = sessions_[s]->submit_data(of->data_fh[s], q, p.writing,
+                                         p.trace);
+    if (!req.ok()) return req.error();
+    drop_front(q, req.value().bytes);
+    p.subs.push_back(SubOp{s, req.value().op, std::move(req.value().iovs)});
+  }
+  return PStatus::kOk;
+}
+
+PStatus Client::finish(Pending& p, std::uint64_t* bytes) {
+  OpenFile* of = lookup(p.fh);
+  PStatus worst = p.status;
+  bool more = true;
+  while (!p.subs.empty()) {
+    for (const SubOp& sub : p.subs) {
       std::uint64_t got = 0;
       const PStatus st = sessions_[sub.server]->wait(sub.op, &got);
       if (st != PStatus::kOk) {
         if (worst == PStatus::kOk) worst = st;
         continue;
       }
-      if (writing) {
-        total += got;
+      std::uint64_t want = 0;
+      for (const IoVec& v : sub.iovs) want += v.len;
+      if (got >= want) {
+        p.bytes += want;
         continue;
       }
-      if (got >= sub.want) {
-        total += sub.want;
+      if (p.writing || sessions_.size() == 1) {
+        // A one-filer request comes back short at EOF (or where the filer
+        // stopped accepting), and the op ends there: the pieces after it
+        // lie past that point.
+        p.bytes += got;
+        if (sessions_.size() == 1) more = false;
         continue;
       }
       // Short read: this subfile ends before the logical file does (later
       // stripes live on other servers). Bytes inside the logical size are
       // holes on this server — zeros by definition — so fill and count them;
       // bytes past the logical size stay short (EOF).
-      if (!have_size) {
-        auto sz = logical_size(*of);
+      if (!p.have_size) {
+        auto sz = of != nullptr ? logical_size(*of)
+                                : Result<std::uint64_t>(PStatus::kInval);
         if (!sz.ok()) {
           if (worst == PStatus::kOk) worst = sz.error();
           continue;
         }
-        known_size = sz.value();
-        have_size = true;
+        p.size = sz.value();
+        p.have_size = true;
       }
       std::uint64_t rem = got;
-      for (const IoVec& p : sub.pieces) {
-        const std::uint64_t take = std::min<std::uint64_t>(p.len, rem);
+      for (const IoVec& v : sub.iovs) {
+        const std::uint64_t take = std::min(v.len, rem);
         rem -= take;
         const std::uint64_t expected =
-            known_size > p.file_off
-                ? std::min<std::uint64_t>(p.len, known_size - p.file_off)
-                : 0;
-        if (expected > take) {
-          std::memset(p.buf + take, 0, expected - take);
-        }
-        total += std::max(expected, take);
+            p.size > v.file_off ? std::min(v.len, p.size - v.file_off) : 0;
+        if (expected > take) std::memset(v.buf + take, 0, expected - take);
+        p.bytes += std::max(expected, take);
       }
     }
-    if (submit_err != PStatus::kOk) {
-      if (worst == PStatus::kOk) worst = submit_err;
-      break;
-    }
-    if (!more) break;
+    p.subs.clear();
+    if (worst != PStatus::kOk || !more) break;
+    // A failed issue leaves what it did send in p.subs, for the next pass
+    // to collect.
+    if (const PStatus st = issue(of, p); st != PStatus::kOk) worst = st;
   }
-  if (worst != PStatus::kOk) return worst;
-  return total;
+  if (bytes != nullptr) *bytes = p.bytes;
+  return worst;
+}
+
+Result<std::uint64_t> Client::run(OpenFile& of, std::span<const IoVec> iovs,
+                                  bool writing) {
+  auto p = start(of, iovs, writing);
+  if (!p.ok()) return p.error();
+  std::uint64_t bytes = 0;
+  if (const PStatus st = finish(p.value(), &bytes); st != PStatus::kOk) {
+    return st;
+  }
+  return bytes;
 }
 
 Result<std::uint64_t> Client::pread(Fh fh, std::uint64_t off,
                                     std::span<std::byte> out) {
   OpenFile* of = lookup(fh);
   if (of == nullptr) return PStatus::kInval;
+  const IoVec v{off, out.data(), out.size()};
   if (of->cache != nullptr && cache_live(*of)) {
     if (!out.empty() && of->cache->read(off, out)) {
       // A hit is local but not free: the copy out of the cache is charged
@@ -602,7 +604,7 @@ Result<std::uint64_t> Client::pread(Fh fh, std::uint64_t off,
       return out.size();
     }
     if (fabric_ != nullptr) fabric_->stats().add("dafs.cache.misses");
-    auto r = meta().pread(of->meta, off, out);
+    auto r = run(*of, std::span(&v, 1), false);
     if (!r.ok()) return r;
     renew_local(*of);
     check_recall(*of);
@@ -623,35 +625,14 @@ Result<std::uint64_t> Client::pread(Fh fh, std::uint64_t off,
             : r.value();
     return n;
   }
-  if (sessions_.size() == 1) return meta().pread(of->meta, off, out);
-  if (one_stripe(off, out.size())) {
-    // Entirely within one stripe: route through the owning session's pread so
-    // small transfers keep the inline/direct crossover.
-    const std::size_t s = server_of(off);
-    auto r = sessions_[s]->pread(of->data_fh[s], off, out);
-    if (!r.ok()) return r;
-    if (r.value() < out.size()) {
-      auto size = logical_size(*of);
-      if (!size.ok()) return size.error();
-      const std::uint64_t expected =
-          size.value() > off
-              ? std::min<std::uint64_t>(out.size(), size.value() - off)
-              : 0;
-      if (expected > r.value()) {
-        std::memset(out.data() + r.value(), 0, expected - r.value());
-      }
-      return std::max(expected, r.value());
-    }
-    return r;
-  }
-  IoVec v{off, out.data(), out.size()};
-  return run_batch(fh, std::span(&v, 1), false);
+  return run(*of, std::span(&v, 1), false);
 }
 
 Result<std::uint64_t> Client::pwrite(Fh fh, std::uint64_t off,
                                      std::span<const std::byte> in) {
   OpenFile* of = lookup(fh);
   if (of == nullptr) return PStatus::kInval;
+  const IoVec v{off, const_cast<std::byte*>(in.data()), in.size()};
   if (of->cache != nullptr && cache_live(*of) && of->deleg_write) {
     if (of->opts.consistency != Consistency::kAfterWrite) {
       // Write-back: buffer dirty, no server round trip — but the marshalling
@@ -674,7 +655,7 @@ Result<std::uint64_t> Client::pwrite(Fh fh, std::uint64_t off,
       return in.size();
     }
     // after_write: write-through, but keep the cache coherent for reads.
-    auto r = meta().pwrite(of->meta, off, in);
+    auto r = run(*of, std::span(&v, 1), true);
     if (!r.ok()) return r;
     renew_local(*of);
     check_recall(*of);
@@ -686,34 +667,32 @@ Result<std::uint64_t> Client::pwrite(Fh fh, std::uint64_t off,
     }
     return r;
   }
-  if (sessions_.size() == 1) return meta().pwrite(of->meta, off, in);
-  if (one_stripe(off, in.size())) {
-    const std::size_t s = server_of(off);
-    return sessions_[s]->pwrite(of->data_fh[s], off, in);
-  }
-  IoVec v{off, const_cast<std::byte*>(in.data()), in.size()};
-  return run_batch(fh, std::span(&v, 1), true);
+  return run(*of, std::span(&v, 1), true);
 }
 
 Result<std::uint64_t> Client::read_batch(Fh fh, std::span<const IoVec> iovs) {
-  return run_batch(fh, iovs, false);
+  OpenFile* of = lookup(fh);
+  if (of == nullptr) return PStatus::kInval;
+  return run(*of, iovs, false);
 }
 
 Result<std::uint64_t> Client::write_batch(Fh fh, std::span<const IoVec> iovs) {
-  return run_batch(fh, iovs, true);
+  OpenFile* of = lookup(fh);
+  if (of == nullptr) return PStatus::kInval;
+  return run(*of, iovs, true);
 }
 
-// ---- asynchronous striped I/O ----
+// ---- asynchronous I/O ----
 
 Result<OpId> Client::submit(Fh fh, IoVec v, bool writing) {
   OpenFile* of = lookup(fh);
   if (of == nullptr) return PStatus::kInval;
   Pending p;
-  p.fh = fh;
-  p.writing = writing;
   if (of->cache != nullptr) {
     // A cached open completes at submit through the cache, exactly as
     // pread/pwrite do, so async I/O never bypasses buffered or cached bytes.
+    p.fh = fh;
+    p.writing = writing;
     auto r = writing ? pwrite(fh, v.file_off, {v.buf, v.len})
                      : pread(fh, v.file_off, {v.buf, v.len});
     if (r.ok()) {
@@ -721,36 +700,10 @@ Result<OpId> Client::submit(Fh fh, IoVec v, bool writing) {
     } else {
       p.status = r.error();
     }
-  } else if (sessions_.size() == 1 || one_stripe(v.file_off, v.len)) {
-    // Inside one stripe: the owning session's submit keeps the inline/direct
-    // crossover, as pread/pwrite do.
-    const std::size_t s = server_of(v.file_off);
-    auto id = writing ? sessions_[s]->submit_pwrite(
-                            of->data_fh[s], v.file_off, {v.buf, v.len})
-                      : sessions_[s]->submit_pread(of->data_fh[s], v.file_off,
-                                                   {v.buf, v.len});
-    if (!id.ok()) return id.error();
-    p.subs.push_back(SubOp{s, id.value(), {v}});
   } else {
-    auto per = split(std::span(&v, 1));
-    PStatus err = PStatus::kOk;
-    for (std::size_t i = 0; i < per.size(); ++i) {
-      const std::size_t s = (skew_ + i) % per.size();
-      if (per[s].empty()) continue;
-      auto id = writing
-                    ? sessions_[s]->submit_write_batch(of->data_fh[s], per[s])
-                    : sessions_[s]->submit_read_batch(of->data_fh[s], per[s]);
-      if (!id.ok()) {
-        err = id.error();
-        break;
-      }
-      p.subs.push_back(SubOp{s, id.value(), std::move(per[s])});
-    }
-    if (err != PStatus::kOk) {
-      // Drain what went out: those ops reference the caller's buffers.
-      for (SubOp& sub : p.subs) sessions_[sub.server]->wait(sub.op, nullptr);
-      return err;
-    }
+    auto s = start(*of, std::span(&v, 1), writing);
+    if (!s.ok()) return s.error();
+    p = std::move(s.value());
   }
   p.in_flight = true;
   OpId id;
@@ -774,60 +727,6 @@ Result<OpId> Client::submit_pwrite(Fh fh, std::uint64_t off,
                                    std::span<const std::byte> in) {
   return submit(fh, IoVec{off, const_cast<std::byte*>(in.data()), in.size()},
                 true);
-}
-
-PStatus Client::finish(Pending& p, std::uint64_t* bytes) {
-  OpenFile* of = lookup(p.fh);
-  PStatus worst = p.status;
-  std::uint64_t total = p.bytes;
-  std::uint64_t known_size = 0;
-  bool have_size = false;
-  for (SubOp& sub : p.subs) {
-    std::uint64_t got = 0;
-    const PStatus st = sessions_[sub.server]->wait(sub.op, &got);
-    if (st != PStatus::kOk) {
-      if (worst == PStatus::kOk) worst = st;
-      continue;
-    }
-    // A write's count, and a one-filer read's (its one subfile is the file),
-    // need no merge.
-    if (p.writing || sessions_.size() == 1) {
-      total += got;
-      continue;
-    }
-    std::uint64_t want = 0;
-    for (const IoVec& v : sub.iovs) want += v.len;
-    if (got >= want) {
-      total += want;
-      continue;
-    }
-    if (!have_size) {
-      if (of == nullptr) {
-        if (worst == PStatus::kOk) worst = PStatus::kInval;
-        continue;
-      }
-      auto sz = logical_size(*of);
-      if (!sz.ok()) {
-        if (worst == PStatus::kOk) worst = sz.error();
-        continue;
-      }
-      known_size = sz.value();
-      have_size = true;
-    }
-    std::uint64_t rem = got;
-    for (const IoVec& v : sub.iovs) {
-      const std::uint64_t take = std::min<std::uint64_t>(v.len, rem);
-      rem -= take;
-      const std::uint64_t expected =
-          known_size > v.file_off
-              ? std::min<std::uint64_t>(v.len, known_size - v.file_off)
-              : 0;
-      if (expected > take) std::memset(v.buf + take, 0, expected - take);
-      total += std::max(expected, take);
-    }
-  }
-  if (bytes != nullptr) *bytes = total;
-  return worst;
 }
 
 PStatus Client::wait(OpId op, std::uint64_t* bytes) {

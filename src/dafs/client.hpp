@@ -13,6 +13,7 @@
 #include "fstore/types.hpp"
 #include "sim/expected.hpp"
 #include "sim/metrics.hpp"
+#include "sim/trace.hpp"
 #include "via/nic.hpp"
 
 namespace dafs {
@@ -75,9 +76,16 @@ class Session;
 /// namespace, attr, lock, lease, counter and delegation request and is also
 /// data server 0. MountSpec::data_endpoints, when non-empty, stripes file
 /// data over filer 0 and the filers after it, each bound by its own
-/// single-endpoint session. Data requests are split at stripe boundaries,
-/// the per-server sub-batches issued in parallel over each filer's VI, and
-/// the partial statuses/short counts merged back into one result.
+/// single-endpoint session.
+///
+/// Every read and write — one range or a list, sync or async — runs through
+/// one engine: the transfer is split at stripe boundaries into one queue of
+/// pieces per filer, and each round puts at most one request per filer on
+/// the wire, the filers' requests overlapping over their own VIs. What one
+/// request carries, and whether inline or direct, is the session's request
+/// builder's call. The rounds are collected in submission order, the next
+/// issued after each, and the partial statuses and short counts merged into
+/// one result. A sync call is a submit followed by its wait.
 ///
 /// Data placement is Lustre-style round-robin: data server `s` owns stripe
 /// `k` iff `k % nservers == s`. Each data server stores its stripes in a
@@ -142,8 +150,7 @@ class Client {
   Result<std::uint64_t> write_batch(Fh fh, std::span<const IoVec> iovs);
 
   // ---- asynchronous I/O -----------------------------------------------------
-  /// A request inside one stripe rides its session's own submit (inline or
-  /// direct by size); a wider one goes out as one list request per server.
+  /// Submit puts the first round on the wire; wait issues any later rounds.
   /// On a cached open the call completes at submit through the cache, as
   /// pread/pwrite do, and wait only collects the result.
   Result<OpId> submit_pread(Fh fh, std::uint64_t off, std::span<std::byte> out);
@@ -205,19 +212,30 @@ class Client {
   struct SubOp {
     std::size_t server = 0;    // index into sessions_
     OpId op = 0;               // that session's op id
-    /// Pieces of the split batch this sub-op carries, in submission order
-    /// (read merge distributes the server's short count over them).
+    /// Pieces of the split transfer this request carries, in order (read
+    /// merge distributes the server's short count over them).
     std::vector<IoVec> iovs;
   };
+  /// One read or write in the engine.
   struct Pending {
     Fh fh;  // the Client-level handle (size fixup on short reads)
-    std::vector<SubOp> subs;
     bool writing = false;
     bool in_flight = false;  // submitted and not yet collected by wait
+    /// Per filer (parallel to sessions_): the pieces no request has carried
+    /// yet.
+    std::vector<std::vector<IoVec>> queue;
+    /// The round on the wire, at most one request per filer, in submission
+    /// order.
+    std::vector<SubOp> subs;
+    /// The span open at submit: rounds issued from wait join it too.
+    sim::SpanContext trace;
     /// An op completed at submit (cached open) carries its result here;
-    /// wait adds whatever its sub-ops return.
+    /// wait adds whatever its requests return.
     PStatus status = PStatus::kOk;
     std::uint64_t bytes = 0;
+    /// Logical size, fetched at the op's first short striped read.
+    std::uint64_t size = 0;
+    bool have_size = false;
   };
 
   Client(std::uint64_t stripe_size);
@@ -244,18 +262,27 @@ class Client {
   std::size_t server_of(std::uint64_t off) const {
     return static_cast<std::size_t>((off / stripe_size_) % sessions_.size());
   }
-  /// Whether [off, off + len) lies inside one stripe (one server's share).
-  bool one_stripe(std::uint64_t off, std::uint64_t len) const {
-    return len == 0 || off / stripe_size_ == (off + len - 1) / stripe_size_;
-  }
-  /// Split `iovs` at stripe boundaries into per-server piece lists.
+  /// Split `iovs` at stripe boundaries into per-server piece lists, sorted
+  /// by offset; a one-filer mount keeps the list as given. Pieces of no
+  /// bytes carry nothing and are dropped.
   std::vector<std::vector<IoVec>> split(std::span<const IoVec> iovs) const;
   /// Striped logical size: max over the data subfile sizes.
   Result<std::uint64_t> logical_size(OpenFile& of);
-  Result<std::uint64_t> run_batch(Fh fh, std::span<const IoVec> iovs,
-                                  bool writing);
-  Result<OpId> submit(Fh fh, IoVec v, bool writing);
+
+  // ---- the engine ----------------------------------------------------------
+  /// Split the transfer and put its first round on the wire.
+  Result<Pending> start(OpenFile& of, std::span<const IoVec> iovs,
+                        bool writing);
+  /// One round: the next request of every filer with pieces left, in
+  /// skew_ order. kInval when `of` is gone (closed with rounds left).
+  PStatus issue(const OpenFile* of, Pending& p);
+  /// Collect the rounds in submission order, issuing the next after each,
+  /// and merge the counts. A one-filer op stops at its first short request.
   PStatus finish(Pending& p, std::uint64_t* bytes);
+  /// A sync call: start, then finish.
+  Result<std::uint64_t> run(OpenFile& of, std::span<const IoVec> iovs,
+                            bool writing);
+  Result<OpId> submit(Fh fh, IoVec v, bool writing);
 
   std::uint64_t stripe_size_ = kDefaultStripeSize;
   /// Per-client rotation of the sub-batch fan-out order. Without it every

@@ -223,7 +223,7 @@ Session::~Session() {
 // Slot management & transport
 // ---------------------------------------------------------------------------
 
-Result<OpId> Session::alloc_slot() {
+Result<OpId> Session::alloc_slot(sim::SpanContext trace) {
   if (dead_) return PStatus::kConnLost;
   if (free_slots_.empty()) return PStatus::kInval;  // credit limit exceeded
   const OpId id = free_slots_.back();
@@ -234,9 +234,18 @@ Result<OpId> Session::alloc_slot() {
   sl.t_submit = 0;
   sl.busy_retries = 0;
   sl.reclaim_retries = 0;
+  // Trace identity, captured once per request. Busy retries and recovery's
+  // retransmissions carry these ids, so every retry of this request links
+  // back to the original root.
   sl.trace_id = 0;
   sl.span_id = 0;
   sl.parent_span = 0;
+  if (sim::Tracer& tracer = nic_.fabric().trace();
+      tracer.enabled() && trace.active()) {
+    sl.trace_id = trace.trace_id;
+    sl.parent_span = trace.span_id;
+    sl.span_id = tracer.new_id();
+  }
   sl.user_buf = nullptr;
   sl.user_cap = 0;
   sl.verify_buf = nullptr;
@@ -279,19 +288,6 @@ PStatus Session::transmit(OpId id) {
     }
   }
   msg.header().ack_seq = ack;
-  // Trace identity, captured once per request from the span open on the
-  // submitting thread (the MPI-IO op's root). Busy retries re-run this code
-  // with the ids already set, and recovery retransmits the buffer verbatim,
-  // so every retry of this request links back to the original root.
-  if (sl.trace_id == 0) {
-    sim::Tracer& tracer = nic_.fabric().trace();
-    if (const sim::SpanContext ctx = sim::Tracer::current();
-        tracer.enabled() && ctx.active()) {
-      sl.trace_id = ctx.trace_id;
-      sl.parent_span = ctx.span_id;
-      sl.span_id = tracer.new_id();
-    }
-  }
   msg.header().trace_id = sl.trace_id;
   msg.header().parent_span_id = sl.span_id;
   sl.proc = msg.header().proc;
@@ -947,85 +943,190 @@ Result<OpId> Session::submit_simple(Proc proc, std::string_view name, Fh fh,
   return id;
 }
 
-Result<OpId> Session::submit_io(Proc proc, Fh fh, std::span<const IoVec> iovs,
-                                bool writing) {
+Session::Fit Session::fit(std::span<const IoVec> iovs) const {
+  Fit f;
+  for (const IoVec& v : iovs) f.total += v.len;
+  // The sync crossover. An empty list goes out as a direct request without
+  // segments, as list I/O always has.
+  f.direct = f.total >= cfg_.direct_threshold || iovs.empty();
+  if (!f.direct) {
+    // Inline: one file range, as much of it as one message holds.
+    f.bytes = std::min<std::uint64_t>(
+        iovs[0].len, MsgView(nullptr, cfg_.msg_buf_size).inline_capacity(0));
+    return f;
+  }
+  // Direct: the segment table fills the message after its header, and a
+  // piece takes one segment per max_rdma_seg bytes.
+  std::uint64_t room =
+      (cfg_.msg_buf_size - sizeof(MsgHeader)) / sizeof(DirectSeg);
+  for (const IoVec& v : iovs) {
+    const std::uint64_t segs =
+        (v.len + cfg_.max_rdma_seg - 1) / cfg_.max_rdma_seg;
+    if (segs > room) {
+      f.bytes += room * cfg_.max_rdma_seg;
+      break;
+    }
+    room -= segs;
+    f.bytes += v.len;
+  }
+  return f;
+}
+
+Result<Session::DataReq> Session::submit_data(Fh fh,
+                                              std::span<const IoVec> iovs,
+                                              bool writing,
+                                              sim::SpanContext trace) {
   if (fh.valid() && stale_.count(fh.ino) != 0) return PStatus::kStale;
-  auto id = alloc_slot();
-  if (!id.ok()) return id;
-  Slot& sl = slots_[id.value()];
+  const Fit f = fit(iovs);
+  if (f.bytes == 0 && f.total > 0) return PStatus::kInval;  // no room
+  DataReq req;
+  req.bytes = f.bytes;
+  std::uint64_t left = f.bytes;
+  for (const IoVec& v : iovs) {
+    if (left == 0) break;
+    const std::uint64_t n = std::min(v.len, left);
+    req.iovs.push_back(IoVec{v.file_off, v.buf, n});
+    left -= n;
+  }
+  auto id = alloc_slot(trace);
+  if (!id.ok()) return id.error();
+  req.op = id.value();
+  Slot& sl = slots_[req.op];
   sl.ino = fh.ino;
   MsgView msg(sl.send_buf.data(), sl.send_buf.size());
   msg.header() = MsgHeader{};
-  msg.header().proc = proc;
   msg.header().ino = fh.ino;
   msg.header().deleg = deleg_of(fh.ino);
   const std::uint16_t integ = integrity_flags();
-  if ((integ & kFlagPayloadCrc) != 0) {
-    msg.header().flags |= writing ? kFlagPayloadCrc : integ;
+  Actor* actor = Actor::current();
+  if (!f.direct) {
+    msg.header().offset = iovs[0].file_off;
+    msg.header().len = f.bytes;
     if (writing) {
-      // Direct write: CRC over the outgoing bytes in segment order (the
-      // order the server pulls and verifies them in).
-      std::uint32_t crc = 0;
-      std::uint64_t covered = 0;
-      for (const IoVec& v : iovs) {
-        crc = fstore::crc32c({v.buf, v.len}, crc);
-        covered += v.len;
+      msg.header().proc = Proc::kWriteInline;
+      // Marshalling copy into the message buffer — the cost inline writes
+      // pay.
+      if (f.bytes > 0) {
+        std::memcpy(msg.data_payload(), iovs[0].buf, f.bytes);
+        actor->charge(CostKind::kCopy, nic_.cost().copy_time(f.bytes));
       }
-      msg.header().payload_crc = crc;
-      Actor::current()->charge(CostKind::kChecksum,
-                               nic_.cost().copy_time(covered));
-      nic_.fabric().stats().add("dafs.integrity_crc_bytes", covered);
+      nic_.fabric().stats().add("dafs.client_copy_bytes", f.bytes);
+      msg.header().data_len = static_cast<std::uint32_t>(f.bytes);
+      if ((integ & kFlagPayloadCrc) != 0 && f.bytes > 0) {
+        msg.header().flags |= kFlagPayloadCrc;
+        msg.header().payload_crc =
+            fstore::crc32c({msg.data_payload(), f.bytes});
+        actor->charge(CostKind::kChecksum, nic_.cost().copy_time(f.bytes));
+        nic_.fabric().stats().add("dafs.integrity_crc_bytes", f.bytes);
+      }
     } else {
-      // Direct read: the server's response CRC covers the moved bytes in
-      // segment order. Only a contiguous ascending batch (memory and file)
-      // makes those bytes a prefix of one flat buffer we can re-hash —
-      // EOF clamps a contiguous range to a prefix, never a gap.
-      bool contig = !iovs.empty();
-      for (std::size_t i = 1; i < iovs.size() && contig; ++i) {
-        contig = iovs[i - 1].buf + iovs[i - 1].len == iovs[i].buf &&
-                 iovs[i - 1].file_off + iovs[i - 1].len == iovs[i].file_off;
+      msg.header().proc = Proc::kReadInline;
+      msg.header().flags = integ;
+      sl.user_buf = iovs[0].buf;
+      sl.user_cap = f.bytes;
+    }
+  } else {
+    msg.header().proc = writing ? Proc::kWriteDirect : Proc::kReadDirect;
+    if ((integ & kFlagPayloadCrc) != 0) {
+      msg.header().flags |= writing ? kFlagPayloadCrc : integ;
+      if (writing) {
+        // Direct write: CRC over the outgoing bytes in segment order (the
+        // order the server pulls and verifies them in).
+        std::uint32_t crc = 0;
+        for (const IoVec& v : req.iovs) {
+          crc = fstore::crc32c({v.buf, v.len}, crc);
+        }
+        msg.header().payload_crc = crc;
+        actor->charge(CostKind::kChecksum, nic_.cost().copy_time(f.bytes));
+        nic_.fabric().stats().add("dafs.integrity_crc_bytes", f.bytes);
+      } else {
+        // Direct read: the server's response CRC covers the moved bytes in
+        // segment order. Only a contiguous ascending batch (memory and file)
+        // makes those bytes a prefix of one flat buffer we can re-hash —
+        // EOF clamps a contiguous range to a prefix, never a gap.
+        const std::vector<IoVec>& v = req.iovs;
+        bool contig = !v.empty();
+        for (std::size_t i = 1; i < v.size() && contig; ++i) {
+          contig = v[i - 1].buf + v[i - 1].len == v[i].buf &&
+                   v[i - 1].file_off + v[i - 1].len == v[i].file_off;
+        }
+        if (contig) sl.verify_buf = v[0].buf;
       }
-      if (contig) sl.verify_buf = iovs[0].buf;
     }
-  }
-
-  auto handles = register_segments(iovs, id.value());
-  if (!handles.ok()) {
-    free_slot(id.value());
-    return handles.error();
-  }
-
-  // Build the direct-segment list, splitting at max_rdma_seg.
-  std::vector<DirectSeg> segs;
-  for (std::size_t i = 0; i < iovs.size(); ++i) {
-    const IoVec& v = iovs[i];
-    const via::MemHandle h = handles.value()[i];
-    std::uint64_t off = 0;
-    while (off < v.len) {
-      const std::uint64_t n = std::min<std::uint64_t>(
-          v.len - off, cfg_.max_rdma_seg);
-      DirectSeg s;
-      s.file_off = v.file_off + off;
-      s.addr = reinterpret_cast<std::uint64_t>(v.buf + off);
-      s.mem = h;
-      s.len = static_cast<std::uint32_t>(n);
-      segs.push_back(s);
-      off += n;
+    auto handles = register_segments(req.iovs, req.op);
+    if (!handles.ok()) {
+      free_slot(req.op);
+      return handles.error();
     }
+    // The segment list, split at max_rdma_seg.
+    std::vector<DirectSeg> segs;
+    for (std::size_t i = 0; i < req.iovs.size(); ++i) {
+      const IoVec& v = req.iovs[i];
+      const via::MemHandle h = handles.value()[i];
+      std::uint64_t off = 0;
+      while (off < v.len) {
+        const std::uint64_t n = std::min<std::uint64_t>(
+            v.len - off, cfg_.max_rdma_seg);
+        DirectSeg s;
+        s.file_off = v.file_off + off;
+        s.addr = reinterpret_cast<std::uint64_t>(v.buf + off);
+        s.mem = h;
+        s.len = static_cast<std::uint32_t>(n);
+        segs.push_back(s);
+        off += n;
+      }
+    }
+    assert(sizeof(MsgHeader) + segs.size() * sizeof(DirectSeg) <=
+           sl.send_buf.size());
+    msg.set_segs(segs);
+    nic_.fabric().stats().add(writing ? "dafs.direct_write_reqs"
+                                      : "dafs.direct_read_reqs");
   }
-  if (sizeof(MsgHeader) + segs.size() * sizeof(DirectSeg) >
-      sl.send_buf.size()) {
-    free_slot(id.value());
-    return PStatus::kInval;  // too many segments for one request
-  }
-  msg.set_segs(segs);
-  nic_.fabric().stats().add(writing ? "dafs.direct_write_reqs"
-                                    : "dafs.direct_read_reqs");
-  if (const PStatus st = transmit(id.value()); st != PStatus::kOk) {
-    free_slot(id.value());
+  if (const PStatus st = transmit(req.op); st != PStatus::kOk) {
+    free_slot(req.op);
     return st;
   }
-  return id;
+  return req;
+}
+
+Result<std::uint64_t> Session::run_data(Fh fh, std::span<const IoVec> iovs,
+                                        bool writing) {
+  // A piece of no bytes carries nothing, so a transfer of none sends nothing.
+  std::vector<IoVec> rest;
+  for (const IoVec& v : iovs) {
+    if (v.len > 0) rest.push_back(v);
+  }
+  std::uint64_t done = 0;
+  while (!rest.empty()) {
+    auto req = submit_data(fh, rest, writing);
+    if (!req.ok()) return req.error();
+    auto r = run_sync(req.value().op);
+    if (!r.ok()) return r;
+    done += r.value();
+    if (r.value() < req.value().bytes) break;  // EOF
+    drop_front(rest, req.value().bytes);
+  }
+  return done;
+}
+
+Result<OpId> Session::submit_one(Fh fh, std::span<const IoVec> iovs,
+                                 bool writing) {
+  if (const Fit f = fit(iovs); f.bytes < f.total) return PStatus::kInval;
+  auto req = submit_data(fh, iovs, writing);
+  if (!req.ok()) return req.error();
+  return req.value().op;
+}
+
+void drop_front(std::vector<IoVec>& iovs, std::uint64_t bytes) {
+  std::size_t n = 0;
+  while (n < iovs.size() && bytes >= iovs[n].len) bytes -= iovs[n++].len;
+  iovs.erase(iovs.begin(), iovs.begin() + static_cast<std::ptrdiff_t>(n));
+  if (bytes > 0) {
+    IoVec& v = iovs.front();
+    v.file_off += bytes;
+    v.buf += bytes;
+    v.len -= bytes;
+  }
 }
 
 Result<std::uint64_t> Session::run_sync(OpId id) {
@@ -1250,108 +1351,22 @@ PStatus Session::sync(Fh fh) {
 
 Result<std::uint64_t> Session::pread(Fh fh, std::uint64_t off,
                                      std::span<std::byte> out) {
-  if (out.size() >= cfg_.direct_threshold) {
-    IoVec v{off, out.data(), out.size()};
-    auto id = submit_io(Proc::kReadDirect, fh, std::span(&v, 1), false);
-    if (!id.ok()) return id.error();
-    return run_sync(id.value());
-  }
-  // Inline: may take several round trips if larger than a message.
-  std::uint64_t done = 0;
-  while (done < out.size()) {
-    const std::size_t cap =
-        MsgView(nullptr, cfg_.msg_buf_size).inline_capacity(0);
-    const std::uint64_t want =
-        std::min<std::uint64_t>(out.size() - done, cap);
-    auto id = submit_simple(Proc::kReadInline, {}, fh, off + done, want, 0,
-                            integrity_flags());
-    if (!id.ok()) return id.error();
-    slots_[id.value()].user_buf = out.data() + done;
-    slots_[id.value()].user_cap = want;
-    auto r = run_sync(id.value());
-    if (!r.ok()) return r;
-    done += r.value();
-    if (r.value() < want) break;  // EOF
-  }
-  return done;
+  const IoVec v{off, out.data(), out.size()};
+  return run_data(fh, std::span(&v, 1), false);
 }
 
 Result<std::uint64_t> Session::pwrite(Fh fh, std::uint64_t off,
                                       std::span<const std::byte> in) {
-  if (in.size() >= cfg_.direct_threshold) {
-    IoVec v{off, const_cast<std::byte*>(in.data()), in.size()};
-    auto id = submit_io(Proc::kWriteDirect, fh, std::span(&v, 1), true);
-    if (!id.ok()) return id.error();
-    return run_sync(id.value());
-  }
-  // Inline: one round trip per message's worth (an empty write still sends
-  // one request).
-  const std::size_t cap =
-      MsgView(nullptr, cfg_.msg_buf_size).inline_capacity(0);
-  std::uint64_t done = 0;
-  do {
-    const std::uint64_t want = std::min<std::uint64_t>(in.size() - done, cap);
-    auto id = submit_write_inline(fh, off + done, in.subspan(done, want));
-    if (!id.ok()) return id.error();
-    auto r = run_sync(id.value());
-    if (!r.ok()) return r;
-    done += r.value();
-  } while (done < in.size());
-  return done;
-}
-
-Result<OpId> Session::submit_write_inline(Fh fh, std::uint64_t off,
-                                          std::span<const std::byte> in) {
-  auto id = alloc_slot();
-  if (!id.ok()) return id;
-  Slot& sl = slots_[id.value()];
-  sl.ino = fh.ino;
-  MsgView msg(sl.send_buf.data(), sl.send_buf.size());
-  msg.header() = MsgHeader{};
-  msg.header().proc = Proc::kWriteInline;
-  msg.header().ino = fh.ino;
-  msg.header().deleg = deleg_of(fh.ino);
-  msg.header().offset = off;
-  // Marshalling copy into the message buffer — the cost inline writes pay.
-  Actor* actor = Actor::current();
-  if (!in.empty()) {
-    std::memcpy(msg.data_payload(), in.data(), in.size());
-    actor->charge(CostKind::kCopy, nic_.cost().copy_time(in.size()));
-  }
-  nic_.fabric().stats().add("dafs.client_copy_bytes", in.size());
-  msg.header().data_len = static_cast<std::uint32_t>(in.size());
-  msg.header().len = in.size();
-  if ((integrity_flags() & kFlagPayloadCrc) != 0 && !in.empty()) {
-    msg.header().flags |= kFlagPayloadCrc;
-    msg.header().payload_crc = fstore::crc32c({msg.data_payload(), in.size()});
-    actor->charge(CostKind::kChecksum, nic_.cost().copy_time(in.size()));
-    nic_.fabric().stats().add("dafs.integrity_crc_bytes", in.size());
-  }
-  if (const PStatus st = transmit(id.value()); st != PStatus::kOk) {
-    free_slot(id.value());
-    return st;
-  }
-  return id;
+  const IoVec v{off, const_cast<std::byte*>(in.data()), in.size()};
+  return run_data(fh, std::span(&v, 1), true);
 }
 
 Result<std::uint64_t> Session::read_batch(Fh fh, std::span<const IoVec> iovs) {
-  auto id = submit_io(Proc::kReadDirect, fh, iovs, false);
-  if (!id.ok()) return id.error();
-  return run_sync(id.value());
+  return run_data(fh, iovs, false);
 }
 
 Result<std::uint64_t> Session::write_batch(Fh fh, std::span<const IoVec> iovs) {
-  auto id = submit_io(Proc::kWriteDirect, fh, iovs, true);
-  if (!id.ok()) return id.error();
-  return run_sync(id.value());
-}
-
-Result<OpId> Session::submit_read_batch(Fh fh, std::span<const IoVec> iovs) {
-  return submit_io(Proc::kReadDirect, fh, iovs, false);
-}
-
-Result<OpId> Session::submit_write_batch(Fh fh, std::span<const IoVec> iovs) {
-  return submit_io(Proc::kWriteDirect, fh, iovs, true);
+  return run_data(fh, iovs, true);
 }
 
 // ---------------------------------------------------------------------------
@@ -1360,28 +1375,14 @@ Result<OpId> Session::submit_write_batch(Fh fh, std::span<const IoVec> iovs) {
 
 Result<OpId> Session::submit_pread(Fh fh, std::uint64_t off,
                                    std::span<std::byte> out) {
-  if (out.size() >= cfg_.direct_threshold ||
-      out.size() > MsgView(nullptr, cfg_.msg_buf_size).inline_capacity(0)) {
-    IoVec v{off, out.data(), out.size()};
-    return submit_io(Proc::kReadDirect, fh, std::span(&v, 1), false);
-  }
-  auto id = submit_simple(Proc::kReadInline, {}, fh, off, out.size(), 0,
-                          integrity_flags());
-  if (id.ok()) {
-    slots_[id.value()].user_buf = out.data();
-    slots_[id.value()].user_cap = out.size();
-  }
-  return id;
+  const IoVec v{off, out.data(), out.size()};
+  return submit_one(fh, std::span(&v, 1), false);
 }
 
 Result<OpId> Session::submit_pwrite(Fh fh, std::uint64_t off,
                                     std::span<const std::byte> in) {
-  if (in.size() >= cfg_.direct_threshold ||
-      in.size() > MsgView(nullptr, cfg_.msg_buf_size).inline_capacity(0)) {
-    IoVec v{off, const_cast<std::byte*>(in.data()), in.size()};
-    return submit_io(Proc::kWriteDirect, fh, std::span(&v, 1), true);
-  }
-  return submit_write_inline(fh, off, in);
+  const IoVec v{off, const_cast<std::byte*>(in.data()), in.size()};
+  return submit_one(fh, std::span(&v, 1), true);
 }
 
 PStatus Session::wait(OpId op, std::uint64_t* bytes) {

@@ -15,6 +15,7 @@
 #include "dafs/proto.hpp"
 #include "fstore/types.hpp"
 #include "sim/rng.hpp"
+#include "sim/trace.hpp"
 #include "via/reg_cache.hpp"
 #include "via/vi.hpp"
 
@@ -92,21 +93,37 @@ class Session {
   std::uint64_t recovery_epoch() const { return recovery_epoch_; }
 
   // ---- data -----------------------------------------------------------------
+  /// One data request on the wire: its op id and the front of the transfer
+  /// it carries.
+  struct DataReq {
+    OpId op = 0;
+    /// The pieces it carries, in transfer order; the last may be cut short.
+    std::vector<IoVec> iovs;
+    std::uint64_t bytes = 0;  // their total
+  };
+  /// The one data-request builder: transmit one request carrying the
+  /// longest prefix of `iovs` that fits. The transfer rides inline when it
+  /// is below direct_threshold (one range, at most a message's inline
+  /// capacity) and direct otherwise (as many segments as one message holds
+  /// after the max_rdma_seg split). The request joins the trace of `trace`.
+  /// wait() collects it like any other op.
+  Result<DataReq> submit_data(Fh fh, std::span<const IoVec> iovs,
+                              bool writing,
+                              sim::SpanContext trace = sim::Tracer::current());
+
+  /// Synchronous I/O: as many requests as the transfer needs, one at a time;
+  /// a read stops at its first short request (EOF). Each IoVec of a list
+  /// names its own file offset.
   Result<std::uint64_t> pread(Fh fh, std::uint64_t off,
                               std::span<std::byte> out);
   Result<std::uint64_t> pwrite(Fh fh, std::uint64_t off,
                                std::span<const std::byte> in);
-  /// Scatter/gather list I/O: each IoVec names its own file offset. Uses one
-  /// direct request when possible, minimizing round trips.
   Result<std::uint64_t> read_batch(Fh fh, std::span<const IoVec> iovs);
   Result<std::uint64_t> write_batch(Fh fh, std::span<const IoVec> iovs);
-  /// Asynchronous list I/O: submit the batch and return the op id without
-  /// waiting. The striped Client uses these to drive one in-flight batch per
-  /// data server; wait()/test()/wait_all() complete them like any other op.
-  Result<OpId> submit_read_batch(Fh fh, std::span<const IoVec> iovs);
-  Result<OpId> submit_write_batch(Fh fh, std::span<const IoVec> iovs);
 
   // ---- asynchronous I/O ------------------------------------------------------
+  /// One request each: kInval when the transfer does not fit in one
+  /// (dafs::Client runs a longer one as rounds of submit_data).
   Result<OpId> submit_pread(Fh fh, std::uint64_t off, std::span<std::byte> out);
   Result<OpId> submit_pwrite(Fh fh, std::uint64_t off,
                              std::span<const std::byte> in);
@@ -217,9 +234,9 @@ class Session {
   /// false when the hint is empty, unknown, or names the bound endpoint.
   bool follow_leader_hint(std::uint64_t aux);
 
-  /// Allocate a free request slot; kProtoError if the session is dead,
-  /// kInval if the caller exceeded the credit limit.
-  Result<OpId> alloc_slot();
+  /// Allocate a free request slot joining the trace of `trace`; kConnLost
+  /// if the session is dead, kInval if the caller exceeded the credit limit.
+  Result<OpId> alloc_slot(sim::SpanContext trace = sim::Tracer::current());
   void free_slot(OpId id);
   /// Build+transmit the request in slot `id`. MsgView over the slot's send
   /// buffer must already be finalized.
@@ -299,12 +316,19 @@ class Session {
   Result<std::vector<via::MemHandle>> register_segments(
       std::span<const IoVec> iovs, OpId slot);
 
-  Result<OpId> submit_io(Proc proc, Fh fh, std::span<const IoVec> iovs,
-                         bool writing);
-  /// Marshal `in` (at most one message's inline capacity) into an inline
-  /// write request stamped with the ino's delegation, and transmit it.
-  Result<OpId> submit_write_inline(Fh fh, std::uint64_t off,
-                                   std::span<const std::byte> in);
+  /// The one fit rule: how one request carries the front of `iovs`.
+  struct Fit {
+    bool direct = false;
+    std::uint64_t bytes = 0;  // of the transfer's prefix the request carries
+    std::uint64_t total = 0;  // of the whole transfer
+  };
+  Fit fit(std::span<const IoVec> iovs) const;
+  /// submit_data, then wait, until the transfer is done or a request
+  /// comes back short.
+  Result<std::uint64_t> run_data(Fh fh, std::span<const IoVec> iovs,
+                                 bool writing);
+  /// submit_data for a transfer that must fit in one request.
+  Result<OpId> submit_one(Fh fh, std::span<const IoVec> iovs, bool writing);
   Result<std::uint64_t> run_sync(OpId id);
   Result<OpId> submit_simple(Proc proc, std::string_view name, Fh fh,
                              std::uint64_t offset, std::uint64_t len,
@@ -390,5 +414,9 @@ class Session {
 
   via::RegCache reg_cache_;
 };
+
+/// Drop the first `bytes` of a transfer, the part one request carried:
+/// whole pieces leave `iovs`, and a piece the request cut keeps its tail.
+void drop_front(std::vector<IoVec>& iovs, std::uint64_t bytes);
 
 }  // namespace dafs

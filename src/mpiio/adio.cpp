@@ -74,26 +74,31 @@ Result<std::uint64_t> AdioDriver::write_list(std::span<const IoSeg> segs) {
 
 Result<AioHandle> AdioDriver::submit_pread(std::uint64_t off,
                                            std::span<std::byte> out) {
-  auto r = pread(off, out);
-  SyncAio a;
-  a.status = r.ok() ? Err::kOk : r.error();
-  a.bytes = r.ok() ? r.value() : 0;
-  sync_aio_.push_back(a);
-  return static_cast<AioHandle>(sync_aio_.size() - 1);
+  return complete_at_submit(pread(off, out));
 }
 
 Result<AioHandle> AdioDriver::submit_pwrite(std::uint64_t off,
                                             std::span<const std::byte> in) {
-  auto r = pwrite(off, in);
-  SyncAio a;
-  a.status = r.ok() ? Err::kOk : r.error();
-  a.bytes = r.ok() ? r.value() : 0;
+  return complete_at_submit(pwrite(off, in));
+}
+
+AioHandle AdioDriver::complete_at_submit(const Result<std::uint64_t>& r) {
+  const SyncAio a{r.ok() ? Err::kOk : r.error(), r.ok() ? r.value() : 0,
+                  true};
+  if (!free_aio_.empty()) {
+    const AioHandle h = free_aio_.back();
+    free_aio_.pop_back();
+    sync_aio_[h] = a;
+    return h;
+  }
   sync_aio_.push_back(a);
   return static_cast<AioHandle>(sync_aio_.size() - 1);
 }
 
 Err AdioDriver::aio_wait(AioHandle h, std::uint64_t* bytes) {
-  if (h >= sync_aio_.size()) return Err::kInval;
+  if (h >= sync_aio_.size() || !sync_aio_[h].in_use) return Err::kInval;
+  sync_aio_[h].in_use = false;
+  free_aio_.push_back(h);
   if (bytes != nullptr) *bytes = sync_aio_[h].bytes;
   return sync_aio_[h].status;
 }

@@ -116,8 +116,8 @@ class AdioDriver {
   virtual Result<std::uint64_t> write_list(std::span<const IoSeg> segs);
 
   /// Asynchronous contiguous I/O. Default: synchronous execution at submit
-  /// (completion at wait is immediate); the DAFS driver overrides with real
-  /// overlapped operations.
+  /// (completion at wait is immediate; a handle is good for one wait, then
+  /// kInval); the DAFS driver overrides with real overlapped operations.
   virtual Result<AioHandle> submit_pread(std::uint64_t off,
                                          std::span<std::byte> out);
   virtual Result<AioHandle> submit_pwrite(std::uint64_t off,
@@ -162,12 +162,16 @@ class AdioDriver {
   virtual const char* name() const = 0;
 
  protected:
-  /// Bookkeeping for the default (synchronous) async implementation.
+  /// Bookkeeping for the default (synchronous) async implementation: one
+  /// slot per op not yet collected, recycled at aio_wait.
   struct SyncAio {
     Err status = Err::kOk;
     std::uint64_t bytes = 0;
+    bool in_use = false;  // completed and not yet collected
   };
+  AioHandle complete_at_submit(const Result<std::uint64_t>& r);
   std::vector<SyncAio> sync_aio_;
+  std::vector<AioHandle> free_aio_;
 };
 
 /// Factory helpers (definitions in ad_dafs.cpp / ad_nfs.cpp).

@@ -1026,7 +1026,7 @@ Result<Request> File::iread_at(std::uint64_t offset, void* buf,
   auto segs = build_segs(offset, static_cast<std::byte*>(buf), count, type,
                          &total);
   Request req;
-  if (segs.size() == 1) {
+  if (segs.size() == 1 && !atomic_) {
     auto h = driver_->submit_pread(segs[0].file_off,
                                    std::span(segs[0].mem, segs[0].len));
     if (!h.ok()) return h.error();
@@ -1034,7 +1034,9 @@ Result<Request> File::iread_at(std::uint64_t offset, void* buf,
     req.handle = h.value();
     return req;
   }
-  // Noncontiguous: perform eagerly; the request is born complete.
+  // Noncontiguous, or atomic mode (the byte-range lock must cover the whole
+  // transfer, as ROMIO does it): perform eagerly; the request is born
+  // complete.
   auto r = independent_io(false, offset, buf, count, type);
   req.kind = Request::Kind::kDone;
   req.status = r.ok() ? Err::kOk : r.error();
@@ -1049,7 +1051,7 @@ Result<Request> File::iwrite_at(std::uint64_t offset, const void* buf,
   auto segs = build_segs(offset, static_cast<std::byte*>(const_cast<void*>(buf)),
                          count, type, &total);
   Request req;
-  if (segs.size() == 1) {
+  if (segs.size() == 1 && !atomic_) {
     auto h = driver_->submit_pwrite(
         segs[0].file_off, std::span<const std::byte>(segs[0].mem, segs[0].len));
     if (!h.ok()) return h.error();

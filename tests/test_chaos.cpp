@@ -381,6 +381,61 @@ TEST(Chaos, StaleHandleAfterFileReplacedUnderRestart) {
   b.reset();
 }
 
+TEST(Chaos, StaleHandleRefusesInlineWriteToTheRenamedFile) {
+  // During the restart client B renames /doomed.dat away and creates a new
+  // file at its path. A's reclaim marks its handle stale, and every data
+  // request on it answers kStale: the renamed file never sees A's bytes,
+  // whichever transfer mode the request would have used.
+  sim::Fabric fabric;
+  FlightDumpOnFailure flight(fabric);
+  dafs::ServerConfig scfg;
+  scfg.grace_period_ms = 5;
+  dafs::Server server(fabric, fabric.add_node("filer"), scfg);
+  server.start();
+  const auto node = fabric.add_node("client");
+  Actor actor("client", &fabric.node(node));
+  ActorScope scope(actor);
+  via::Nic nic(fabric, node, "nic");
+
+  auto a = std::move(dafs::Session::connect(nic, chaos_cfg(6, 0)).value());
+  auto keep = a->open("/keep.dat", dafs::kOpenCreate).value();
+  auto doomed = a->open("/doomed.dat", dafs::kOpenCreate).value();
+  const auto data = pattern(1024, 82);
+  ASSERT_TRUE(a->pwrite(keep, 0, data).ok());
+  ASSERT_EQ(a->sync(keep), PStatus::kOk);
+
+  server.inject_crash(5);
+  wait_restart(server);
+
+  auto b = std::move(dafs::Session::connect(nic, chaos_cfg(6, 1)).value());
+  ASSERT_EQ(b->rename("/doomed.dat", "/moved.dat"), PStatus::kOk);
+  ASSERT_TRUE(b->open("/doomed.dat", dafs::kOpenCreate).ok());
+
+  // A's next op recovers the session and reclaims its leases.
+  std::vector<std::byte> back(data.size());
+  ASSERT_TRUE(a->pread(keep, 0, back).ok());
+  ASSERT_TRUE(a->is_stale(doomed));
+
+  auto expect_stale = [](const auto& r, const char* what) {
+    ASSERT_FALSE(r.ok()) << what;
+    EXPECT_EQ(r.error(), PStatus::kStale) << what;
+  };
+  expect_stale(a->pread(doomed, 0, back), "inline read");
+  const auto big = pattern(8192, 83);
+  expect_stale(a->pwrite(doomed, 0, big), "direct write");
+  const auto small = pattern(1024, 84);
+  expect_stale(a->pwrite(doomed, 0, small), "inline write");
+  expect_stale(a->submit_pwrite(doomed, 0, small), "async inline write");
+
+  auto moved = b->open("/moved.dat");
+  ASSERT_TRUE(moved.ok());
+  auto attrs = b->getattr(moved.value());
+  ASSERT_TRUE(attrs.ok());
+  EXPECT_EQ(attrs.value().size, 0u) << "A's bytes reached the renamed file";
+  a.reset();
+  b.reset();
+}
+
 // ---------------------------------------------------------------------------
 // Overload: admission queue saturation => kBusy + backoff, bounded memory
 // ---------------------------------------------------------------------------

@@ -1133,9 +1133,10 @@ TEST_F(MpiioTest, ReadPastEofIsShort) {
 
 
 TEST_F(MpiioTest, ListReadStopsAtFirstShortBatch) {
-  // A strided read past EOF that spans more than one DAFS batch (400 segs
-  // per request): the first batch comes back short, and the driver must not
-  // issue the second, all-past-EOF batch.
+  // A strided read past EOF whose list is longer than one DAFS request
+  // holds (the header leaves room for 508 segments in a 16 KiB message): the
+  // first request comes back short, and the client must not issue the
+  // second, all-past-EOF one.
   world_->run([this](Comm& c) {
     Comm self = c.split(c.rank() == 0 ? 0 : 1, 0);  // split is collective
     if (c.rank() != 0) return;
@@ -1145,22 +1146,27 @@ TEST_F(MpiioTest, ListReadStopsAtFirstShortBatch) {
     auto data = pattern(1000, 17);
     ASSERT_TRUE(
         f->write_at(0, data.data(), data.size(), Datatype::byte()).ok());
-    // 16 B of every 32 B -> 500 segments, split 400 + 100; EOF at 1000
-    // falls inside the first batch.
+    // 16 B of every 32 B -> 600 segments, split 508 + 92; EOF at 1000
+    // falls inside the first request.
+    constexpr std::uint64_t kSegs = 600;
     auto ft = Datatype::resized(
         Datatype::hvector(1, 16, 32, Datatype::byte()), 0, 32);
     ASSERT_EQ(f->set_view(0, Datatype::byte(), ft), Err::kOk);
-    const std::uint64_t reqs_before =
+    const std::uint64_t direct_before =
         fabric_->stats().get("dafs.direct_read_reqs");
-    std::vector<std::byte> out(500 * 16, std::byte{0});
+    const std::uint64_t reqs_before = fabric_->stats().get("dafs.requests");
+    std::vector<std::byte> out(kSegs * 16, std::byte{0});
     auto r = f->read_at(0, out.data(), out.size(), Datatype::byte());
     ASSERT_TRUE(r.ok());
     std::uint64_t expect = 0;  // stride bytes that lie before EOF
-    for (std::uint64_t k = 0; k < 500 && k * 32 < 1000; ++k) {
+    for (std::uint64_t k = 0; k < kSegs && k * 32 < 1000; ++k) {
       expect += std::min<std::uint64_t>(16, 1000 - k * 32);
     }
     EXPECT_EQ(r.value(), expect);
-    EXPECT_EQ(fabric_->stats().get("dafs.direct_read_reqs") - reqs_before, 1u);
+    EXPECT_EQ(fabric_->stats().get("dafs.direct_read_reqs") - direct_before,
+              1u);
+    EXPECT_EQ(fabric_->stats().get("dafs.requests") - reqs_before, 1u)
+        << "nothing issued past the short request";
     // The bytes that do exist arrive intact.
     EXPECT_EQ(std::memcmp(out.data(), data.data(), 16), 0);
     EXPECT_EQ(std::memcmp(out.data() + 16, data.data() + 32, 16), 0);

@@ -499,6 +499,28 @@ TEST(AdioDefaults, SyncAioCompletesAtSubmit) {
   EXPECT_EQ(drv.aio_wait(AioHandle{999}, &bytes), Err::kInval);
 }
 
+TEST(AdioDefaults, SyncAioSlotIsRecycledAtWait) {
+  // One slot per op not yet collected: a wait frees it for the next submit,
+  // and a second wait on the collected handle is refused.
+  FakeDriver drv;
+  drv.open("/x", 0);
+  auto data = pattern(64, 4);
+  auto first = drv.submit_pwrite(0, data);
+  ASSERT_TRUE(first.ok());
+  std::uint64_t bytes = 0;
+  EXPECT_EQ(drv.aio_wait(first.value(), &bytes), Err::kOk);
+  EXPECT_EQ(drv.aio_wait(first.value(), &bytes), Err::kInval);
+  for (int i = 0; i < 3; ++i) {
+    std::vector<std::byte> out(data.size());
+    auto h = drv.submit_pread(0, out);
+    ASSERT_TRUE(h.ok());
+    EXPECT_EQ(h.value(), first.value()) << "op " << i;
+    EXPECT_EQ(drv.aio_wait(h.value(), &bytes), Err::kOk);
+    EXPECT_EQ(bytes, data.size());
+    EXPECT_EQ(out, data);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Sieving behaviour, observed through device op counts
 // ---------------------------------------------------------------------------
@@ -739,6 +761,38 @@ TEST(PortableLayer, AppendModePositionsAtEof) {
     ASSERT_TRUE(f->write(&b, 1, Datatype::byte()).ok());
     EXPECT_EQ(f->get_size().value(), 501u);
     f->close();
+  });
+}
+
+TEST(PortableLayer, AtomicModeLocksNonblockingIo) {
+  // Atomic mode serializes every access on a byte-range lock. A nonblocking
+  // request takes it too, completing at submit under the lock, instead of
+  // going to the driver's async I/O unlocked.
+  FakeDriver::Counters counters;
+  with_file(&counters, Info{}, [&](File& f, FakeDriver&) {
+    ASSERT_EQ(f.set_atomicity(true), Err::kOk);
+    const auto data = pattern(4096, 6);
+    counters = {};
+    ASSERT_TRUE(
+        f.write_at(0, data.data(), data.size(), Datatype::byte()).ok());
+    EXPECT_EQ(counters.locks, 1) << "write_at";
+    counters = {};
+    auto w = f.iwrite_at(4096, data.data(), data.size(), Datatype::byte());
+    ASSERT_TRUE(w.ok());
+    EXPECT_EQ(counters.locks, 1) << "iwrite_at";
+    EXPECT_EQ(counters.unlocks, 1) << "iwrite_at";
+    std::uint64_t bytes = 0;
+    EXPECT_EQ(f.wait(w.value(), &bytes), Err::kOk);
+    EXPECT_EQ(bytes, data.size());
+    counters = {};
+    std::vector<std::byte> back(data.size());
+    auto r = f.iread_at(4096, back.data(), back.size(), Datatype::byte());
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(counters.locks, 1) << "iread_at";
+    EXPECT_EQ(counters.unlocks, 1) << "iread_at";
+    EXPECT_EQ(f.wait(r.value(), &bytes), Err::kOk);
+    EXPECT_EQ(bytes, back.size());
+    EXPECT_EQ(back, data);
   });
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -317,6 +318,156 @@ TEST(Stripe, OneSessionPerFiler) {
   auto refused = dafs::Client::connect(nic, skewed);
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.error(), PStatus::kInval);
+}
+
+// ---------------------------------------------------------------------------
+// One engine: transfers longer than one request, sync or async
+// ---------------------------------------------------------------------------
+
+/// Direct segments one request message holds: what the header leaves of the
+/// default message buffer.
+constexpr std::size_t kSegsPerRequest =
+    (dafs::kMsgBufSize - sizeof(dafs::MsgHeader)) / sizeof(dafs::DirectSeg);
+
+TEST(Stripe, AsyncTransferLongerThanOneRequestPerFiler) {
+  // Two filers with 4 KiB stripes: 1,200 stripes put 600 pieces on each
+  // filer, more than one request holds. The async op carries them in
+  // rounds of one request per filer, as the sync call does.
+  constexpr std::uint64_t kStripe = 4 * 1024;
+  constexpr std::size_t kPerFiler = 600;
+  static_assert(kPerFiler > kSegsPerRequest &&
+                kPerFiler <= 2 * kSegsPerRequest);
+  constexpr std::uint64_t kLen = 2 * kPerFiler * kStripe;
+  sim::Fabric fabric;
+  StripedFilers filers(fabric, 2);
+  const auto node = fabric.add_node("client");
+  Actor actor("client", &fabric.node(node));
+  ActorScope scope(actor);
+  via::Nic nic(fabric, node, "nic");
+  auto stat = [&](const char* key) { return fabric.stats().get(key); };
+  auto c = std::move(
+      dafs::Client::connect(nic, striped_cfg(filers, kStripe, 5, 0)).value());
+  auto fh = c->open("/rounds.dat", dafs::kOpenCreate).value();
+
+  const auto data = pattern(kLen, 31);
+  const std::uint64_t writes = stat("dafs.direct_write_reqs");
+  auto w = c->submit_pwrite(fh, 0, data);
+  ASSERT_TRUE(w.ok()) << dafs::to_string(w.error());
+  std::uint64_t got = 0;
+  ASSERT_EQ(c->wait(w.value(), &got), PStatus::kOk);
+  EXPECT_EQ(got, kLen);
+  EXPECT_EQ(stat("dafs.direct_write_reqs") - writes, 4u)
+      << "two rounds of one request per filer";
+
+  std::vector<std::byte> back(kLen);
+  auto r = c->submit_pread(fh, 0, back);
+  ASSERT_TRUE(r.ok()) << dafs::to_string(r.error());
+  ASSERT_EQ(c->wait(r.value(), &got), PStatus::kOk);
+  EXPECT_EQ(got, kLen);
+  EXPECT_EQ(std::memcmp(back.data(), data.data(), kLen), 0);
+
+  std::fill(back.begin(), back.end(), std::byte{0});
+  auto sr = c->pread(fh, 0, back);
+  ASSERT_TRUE(sr.ok());
+  EXPECT_EQ(sr.value(), kLen);
+  EXPECT_EQ(std::memcmp(back.data(), data.data(), kLen), 0);
+  ASSERT_EQ(c->close(fh), PStatus::kOk);
+  c.reset();
+}
+
+TEST(Stripe, OneFilerListLongerThanOneRequest) {
+  // A list of more segments than one request holds goes out in as many
+  // requests as it needs on a one-filer mount too: 600 pieces, and 300
+  // pieces that the max_rdma_seg split turns into 600 segments.
+  sim::Fabric fabric;
+  StripedFilers filers(fabric, 1);
+  const auto node = fabric.add_node("client");
+  Actor actor("client", &fabric.node(node));
+  ActorScope scope(actor);
+  via::Nic nic(fabric, node, "nic");
+  auto stat = [&](const char* key) { return fabric.stats().get(key); };
+  struct Case {
+    const char* path;
+    std::size_t pieces;
+    std::uint64_t piece_len;
+    std::size_t max_rdma_seg;
+  };
+  for (const Case& k : {Case{"/list-a.dat", 600, 4096, 2u << 20},
+                        Case{"/list-b.dat", 300, 8192, 4096}}) {
+    SCOPED_TRACE(k.path);
+    dafs::ClientConfig cc;
+    cc.max_rdma_seg = k.max_rdma_seg;
+    auto c = std::move(
+        dafs::Client::connect(
+            nic, dafs::single_mount(filers.services[0], {}, cc))
+            .value());
+    auto fh = c->open(k.path, dafs::kOpenCreate).value();
+    // Every other piece-sized slot of the file, so no two pieces touch.
+    auto data = pattern(k.pieces * k.piece_len, 41);
+    std::vector<std::byte> back(data.size());
+    std::vector<dafs::IoVec> out;
+    std::vector<dafs::IoVec> in;
+    for (std::size_t i = 0; i < k.pieces; ++i) {
+      const std::uint64_t at = i * k.piece_len;
+      out.push_back(dafs::IoVec{2 * at, data.data() + at, k.piece_len});
+      in.push_back(dafs::IoVec{2 * at, back.data() + at, k.piece_len});
+    }
+    const std::uint64_t writes = stat("dafs.direct_write_reqs");
+    auto w = c->write_batch(fh, out);
+    ASSERT_TRUE(w.ok()) << dafs::to_string(w.error());
+    EXPECT_EQ(w.value(), data.size());
+    EXPECT_EQ(stat("dafs.direct_write_reqs") - writes, 2u);
+    auto r = c->read_batch(fh, in);
+    ASSERT_TRUE(r.ok()) << dafs::to_string(r.error());
+    EXPECT_EQ(r.value(), data.size());
+    EXPECT_EQ(std::memcmp(back.data(), data.data(), data.size()), 0);
+    ASSERT_EQ(c->close(fh), PStatus::kOk);
+    c.reset();
+  }
+}
+
+TEST(Stripe, ForcedInlineAsyncReadSendsInlineMessages) {
+  // direct_threshold = SIZE_MAX keeps every transfer inline. An async read
+  // longer than one message then goes out as inline messages, exactly as
+  // the sync read does, and never as a direct request.
+  constexpr std::uint64_t kLen = 64 * 1024;
+  sim::Fabric fabric;
+  StripedFilers filers(fabric, 1);
+  const auto node = fabric.add_node("client");
+  Actor actor("client", &fabric.node(node));
+  ActorScope scope(actor);
+  via::Nic nic(fabric, node, "nic");
+  auto stat = [&](const char* key) { return fabric.stats().get(key); };
+  dafs::ClientConfig cc;
+  cc.direct_threshold = SIZE_MAX;
+  auto c = std::move(
+      dafs::Client::connect(nic, dafs::single_mount(filers.services[0], {}, cc))
+          .value());
+  auto fh = c->open("/inline.dat", dafs::kOpenCreate).value();
+  const auto data = pattern(kLen, 51);
+  ASSERT_TRUE(c->pwrite(fh, 0, data).ok());
+
+  const std::uint64_t direct = stat("dafs.direct_read_reqs");
+  std::uint64_t reqs = stat("dafs.requests");
+  std::vector<std::byte> back(kLen);
+  auto op = c->submit_pread(fh, 0, back);
+  ASSERT_TRUE(op.ok());
+  std::uint64_t got = 0;
+  ASSERT_EQ(c->wait(op.value(), &got), PStatus::kOk);
+  EXPECT_EQ(got, kLen);
+  EXPECT_EQ(back, data);
+  const std::uint64_t async_reqs = stat("dafs.requests") - reqs;
+  const std::size_t cap = dafs::kMsgBufSize - sizeof(dafs::MsgHeader);
+  EXPECT_EQ(async_reqs, (kLen + cap - 1) / cap) << "one per inline message";
+
+  reqs = stat("dafs.requests");
+  std::fill(back.begin(), back.end(), std::byte{0});
+  ASSERT_EQ(c->pread(fh, 0, back).value(), kLen);
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(stat("dafs.requests") - reqs, async_reqs) << "as pread does";
+  EXPECT_EQ(stat("dafs.direct_read_reqs"), direct);
+  ASSERT_EQ(c->close(fh), PStatus::kOk);
+  c.reset();
 }
 
 // ---------------------------------------------------------------------------

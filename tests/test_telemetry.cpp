@@ -71,7 +71,7 @@ TEST(MetricKey, RejectsMalformedKeys) {
 
 #ifndef NDEBUG
 TEST(MetricKeyDeathTest, CounterRegistrationAsserts) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
   sim::Stats stats;
   EXPECT_DEATH_IF_SUPPORTED(stats.add("NotAValidKey"), "dotted lowercase");
 }
