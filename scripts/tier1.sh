@@ -39,14 +39,16 @@
 # dotted-lowercase keys, percentile ordering, monotone time series) with
 # scripts/check_metrics.py.
 #
-# Two source checks come first. dafs::Client is the one public mount, so the
-# MPI-IO driver, benches, examples and benchmark never name its internal
+# Three source checks come first. dafs::Client is the one public mount, so
+# the MPI-IO driver, benches, examples and benchmark never name its internal
 # per-filer transport (dafs::Session, dafs/session.hpp), and
-# src/dafs/client.hpp only forward-declares it. And every blocking point in
+# src/dafs/client.hpp only forward-declares it. Every blocking point in
 # src/ waits through sim/wait.hpp (sim::Deadline, sim::CondVar, sim::sleep),
 # the one reader of a host clock: no .cpp or .hpp under src/ outside src/sim/
 # names a std::chrono clock, sleep_for, sleep_until, wait_for, wait_until or
-# a condition_variable.
+# a condition_variable. And every request a dafs::Session sends, recovery's
+# included, leaves through its one send helper: post_send( appears exactly
+# once in src/dafs/session.cpp.
 #
 # Every ctest invocation runs under a per-test timeout so a hung recovery
 # path (the exact bug class the chaos suite hunts) fails the gate instead of
@@ -103,6 +105,15 @@ if grep -rnwE --include='*.cpp' --include='*.hpp' --exclude-dir=sim \
     src; then
   echo "tier1: the lines above block or read a clock outside src/sim/;" \
     "wait through sim::Deadline, sim::CondVar and sim::sleep" >&2
+  exit 1
+fi
+
+leg "one send path (dafs::Session)"
+SENDS="$(grep -o 'post_send(' src/dafs/session.cpp | wc -l)"
+if [[ "$SENDS" -ne 1 ]]; then
+  grep -n 'post_send(' src/dafs/session.cpp >&2 || true
+  echo "tier1: src/dafs/session.cpp posts sends in $SENDS places;" \
+    "send every request through Session::send" >&2
   exit 1
 fi
 

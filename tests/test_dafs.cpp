@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "dafs/client.hpp"
 #include "dafs/lock_table.hpp"
@@ -738,6 +742,24 @@ TEST_F(DafsTest, WaitOnAnOpNotInFlightIsInval) {
   ASSERT_TRUE(op.ok());
   ASSERT_EQ(s->wait(op.value()), PStatus::kOk);
   EXPECT_EQ(s->wait(op.value()), PStatus::kInval);
+  // test and wait_any answer the same for the collected op and for one
+  // never submitted, and do not wait for a response that is not coming. A
+  // child under an alarm runs them, so a hang fails in seconds.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        alarm(30);
+        const dafs::OpId collected = op.value();
+        const dafs::OpId never = 1000;
+        const auto inval = [](const auto& r) {
+          return !r.ok() && r.error() == PStatus::kInval;
+        };
+        const bool ok = inval(s->test(collected)) && inval(s->test(never)) &&
+                        inval(s->wait_any(std::span(&collected, 1))) &&
+                        inval(s->wait_any(std::span(&never, 1)));
+        std::_Exit(ok ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
   auto a = s->submit_pwrite(fh, 0, data);
   auto b = s->submit_pwrite(fh, 0, data);
   ASSERT_TRUE(a.ok());

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstring>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dafs/client.hpp"
@@ -400,6 +404,87 @@ TEST(Fault, DuplicateDeliveryIsExactlyOnce) {
   EXPECT_GE(fabric.stats().get("dafs.replay_hits"), 1u);
   EXPECT_GE(fabric.stats().get("dafs.stale_responses"), 1u);
   s.reset();
+}
+
+TEST(Fault, RecoveryWithEveryCreditInFlight) {
+  // Every credit is in flight when the connection dies, so recovery's own
+  // requests — the resume, and after a restart the fresh connect, the
+  // re-open and the re-lock — must ride a slot outside the credit window.
+  constexpr std::size_t kCredits = 4;
+  constexpr std::uint64_t kWrite = 64 * 1024;
+  const auto data = pattern(kCredits * kWrite, 91);
+  for (const bool restart : {false, true}) {
+    SCOPED_TRACE(restart ? "reclaim" : "resume");
+    sim::Fabric fabric;
+    dafs::ServerConfig scfg;
+    scfg.grace_period_ms = 5;
+    dafs::Server server(fabric, fabric.add_node("filer"), scfg);
+    server.start();
+    const auto node = fabric.add_node("client");
+    Actor actor("client", &fabric.node(node));
+    ActorScope scope(actor);
+    via::Nic nic(fabric, node, "nic");
+    dafs::MountSpec spec = recovery_cfg(7, 0);
+    spec.client.credits = kCredits;
+    auto s = std::move(dafs::Session::connect(nic, spec).value());
+    const dafs::Fh fh = s->open("/credits", dafs::kOpenCreate).value();
+    if (restart) {
+      ASSERT_EQ(s->lock(fh, 0, data.size(), /*exclusive=*/true),
+                PStatus::kOk);
+    }
+
+    fabric.faults().arm(7);
+    if (restart) {
+      fabric.faults().crash_server_after_requests(2, /*restart_delay_ms=*/5);
+    } else {
+      fabric.faults().break_conn_after("dafs", 3);
+    }
+    std::vector<dafs::OpId> ops;
+    for (std::size_t i = 0; i < kCredits; ++i) {
+      auto op = s->submit_pwrite(
+          fh, i * kWrite, std::span(data).subspan(i * kWrite, kWrite));
+      ASSERT_TRUE(op.ok()) << "write " << i;
+      ops.push_back(op.value());
+    }
+    for (const dafs::OpId op : ops) EXPECT_EQ(s->wait(op), PStatus::kOk);
+    fabric.faults().clear();
+    const std::uint64_t retransmits = fabric.stats().get("dafs.retransmits");
+    EXPECT_GE(retransmits, 1u);
+    EXPECT_EQ(fabric.stats().get("dafs.session_reclaims"), restart ? 1u : 0u);
+
+    // A resumed session loses nothing. After a restart, a write the filer
+    // acknowledged before the crash was never synced and may read back as
+    // zeros; every retransmitted one landed on the reborn filer.
+    std::size_t zeroed = 0;
+    for (std::size_t i = 0; i < kCredits; ++i) {
+      std::vector<std::byte> back(kWrite, std::byte{0xAA});
+      ASSERT_EQ(s->pread(fh, i * kWrite, back).value(), kWrite);
+      const bool own =
+          std::memcmp(back.data(), data.data() + i * kWrite, kWrite) == 0;
+      const bool zeros = std::all_of(back.begin(), back.end(), [](std::byte b) {
+        return b == std::byte{0};
+      });
+      EXPECT_TRUE(own || (restart && zeros)) << "chunk " << i;
+      zeroed += own ? 0 : 1;
+    }
+    EXPECT_LE(zeroed + std::min<std::uint64_t>(retransmits, kCredits),
+              kCredits);
+
+    if (restart) {
+      // The re-lock is real: another session's acquire is refused once the
+      // grace window no longer sheds it.
+      while (server.in_grace()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      auto other =
+          std::move(dafs::Session::connect(nic, recovery_cfg(7, 1)).value());
+      const dafs::Fh ofh = other->open("/credits").value();
+      EXPECT_EQ(other->try_lock(ofh, 0, data.size(), /*exclusive=*/true),
+                PStatus::kLockConflict);
+      other.reset();
+    }
+    s.reset();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 // scripted unit test would not reach.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -236,6 +237,143 @@ TEST(DafsRobustness, GarbageRequestsGetErrorsNotHangs) {
   EXPECT_TRUE(s->open("/ok", dafs::kOpenCreate).ok());
   s.reset();
   vi.disconnect();
+}
+
+TEST(DafsRobustness, LyingRepliesGetErrorsNotOverreads) {
+  // A fake filer on a raw listener answers the handshake as a filer does,
+  // then lies about the lengths in its replies. The session trusts only the
+  // bytes that arrived: a reply claiming more ends its request with
+  // kProtoError, a reply shorter than a header is a broken connection the
+  // session recovers from, and no lie reads past a buffer (the sanitizer leg
+  // runs this suite).
+  sim::Fabric fabric;
+  const auto fnode = fabric.add_node("fake-filer");
+  via::Nic fnic(fabric, fnode, "fnic");
+  via::Listener lis(fnic, "fake");
+  std::atomic<bool> stop{false};
+  std::thread filer([&] {
+    Actor factor("fake-filer", &fabric.node(fnode));
+    ActorScope fscope(factor);
+    const auto tag = fnic.create_ptag();
+    std::vector<std::byte> rbuf(dafs::kMsgBufSize);
+    std::vector<std::byte> sbuf(dafs::kMsgBufSize);
+    const auto rh = fnic.register_memory(rbuf.data(), rbuf.size(), tag, {});
+    const auto sh = fnic.register_memory(sbuf.data(), sbuf.size(), tag, {});
+    int getattrs = 0;
+    while (!stop) {
+      via::Vi vi(fnic, {});
+      if (lis.accept(vi, 50ms) != via::Status::kSuccess) continue;
+      for (;;) {  // one request, one reply, until the client hangs up
+        via::Descriptor recv;
+        recv.segs = {via::DataSegment{rbuf.data(), rh,
+                                      static_cast<std::uint32_t>(rbuf.size())}};
+        if (vi.post_recv(recv) != via::Status::kSuccess) break;
+        via::Descriptor* rd = nullptr;
+        via::Status st = via::Status::kTimeout;
+        while (!stop && st == via::Status::kTimeout) {
+          st = vi.recv_wait(rd, 50ms);
+        }
+        if (st != via::Status::kSuccess || !rd->ok()) break;
+        const dafs::MsgHeader req =
+            dafs::MsgView(rbuf.data(), rbuf.size()).header();
+        dafs::MsgView resp(sbuf.data(), sbuf.size());
+        dafs::MsgHeader& h = resp.header();
+        h = dafs::MsgHeader{};
+        h.proc = req.proc;
+        h.request_id = req.request_id;
+        h.seq = req.seq;
+        h.session_id = 7;
+        std::size_t wire = 0;  // 0: the header and the payload it claims
+        switch (req.proc) {
+          case dafs::Proc::kConnect:  // a fresh session and a resume alike
+            h.aux = 7;
+            break;
+          case dafs::Proc::kGetattr:
+            if (++getattrs == 1) {
+              h.data_len = 60'000;  // bytes it never sends
+              wire = sizeof(h);
+            } else if (getattrs == 2) {
+              wire = 8;  // less than a header
+            } else {
+              // The retransmission after the short reply gets the truth.
+              fstore::Attrs a;
+              a.size = 1234;
+              h.data_len = sizeof(a);
+              std::memcpy(resp.data_payload(), &a, sizeof(a));
+            }
+            break;
+          case dafs::Proc::kReaddir: {
+            // One entry whose name runs past the payload it arrived in.
+            dafs::WireDirent wd;
+            wd.ino = 9;
+            wd.name_len = 5000;
+            std::memcpy(resp.data_payload(), &wd, sizeof(wd));
+            std::memcpy(resp.data_payload() + sizeof(wd), "abc", 3);
+            h.len = 1;
+            h.flags = 1;  // last batch
+            h.data_len = sizeof(wd) + 3;
+            break;
+          }
+          case dafs::Proc::kReadDirect:
+            // "Moved" far more than the read asked for, under a payload CRC
+            // the client checks against its own buffer.
+            h.flags = dafs::kFlagPayloadCrc;
+            h.len = 1 << 20;
+            break;
+          default:  // the farewell
+            break;
+        }
+        if (wire == 0) wire = resp.wire_size();
+        via::Descriptor send;
+        send.segs = {via::DataSegment{sbuf.data(), sh,
+                                      static_cast<std::uint32_t>(wire)}};
+        via::Descriptor* sd = nullptr;
+        if (vi.post_send(send) != via::Status::kSuccess ||
+            vi.send_wait(sd, 5000ms) != via::Status::kSuccess) {
+          break;
+        }
+      }
+    }
+  });
+
+  const auto cnode = fabric.add_node("client");
+  Actor actor("client", &fabric.node(cnode));
+  ActorScope scope(actor);
+  via::Nic nic(fabric, cnode, "nic");
+  dafs::ClientConfig ccfg;
+  ccfg.integrity = dafs::IntegrityMode::kWire;
+  auto s = std::move(
+      dafs::Session::connect(nic, dafs::single_mount("fake", {}, ccfg))
+          .value());
+  const auto malformed = [&] {
+    return fabric.stats().get("dafs.malformed_replies");
+  };
+  const dafs::Fh fh{5};
+
+  const auto lied = s->getattr(fh);
+  ASSERT_FALSE(lied.ok());
+  EXPECT_EQ(lied.error(), dafs::PStatus::kProtoError);
+  const auto dir = s->readdir("/d");
+  ASSERT_FALSE(dir.ok());
+  EXPECT_EQ(dir.error(), dafs::PStatus::kProtoError);
+  std::vector<std::byte> buf(8192);  // a direct read, verified in place
+  const auto read = s->pread(fh, 0, buf);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.error(), dafs::PStatus::kProtoError);
+  EXPECT_EQ(malformed(), 2u);  // the dirent is the payload's own lie
+  EXPECT_EQ(fabric.stats().get("dafs.recoveries"), 0u);
+
+  // Less than a header: the session resumes on a fresh connection and
+  // retransmits, and the honest answer arrives.
+  const auto honest = s->getattr(fh);
+  ASSERT_TRUE(honest.ok());
+  EXPECT_EQ(honest.value().size, 1234u);
+  EXPECT_EQ(malformed(), 3u);
+  EXPECT_EQ(fabric.stats().get("dafs.recoveries"), 1u);
+  EXPECT_EQ(fabric.stats().get("dafs.retransmits"), 1u);
+  s.reset();
+  stop = true;
+  filer.join();
 }
 
 // ---------------------------------------------------------------------------
