@@ -176,6 +176,33 @@ TEST(Quorum, FollowerOnlyMountDemotesAndGivesUp) {
   EXPECT_GT(fabric.stats().get("dafs.endpoint_demotions"), demoted_before);
 }
 
+TEST(Quorum, MountDuringFirstElectionRidesItOut) {
+  // A mount made the moment the group starts: every member answers
+  // kNotLeader with no hint until the first leader emerges, so the first
+  // connect demotes and pauses pass after pass. Its budget must span an
+  // election that outlasts one timeout window (a split vote does): here no
+  // member may even stand before 120 ms, past the 110 ms that one pass per
+  // endpoint plus slack, at one demotion pause each, would ride out.
+  sim::Fabric fabric;
+  dafs::ServerConfig cfg = dafs_test::quorum_test_config();
+  cfg.election_timeout_min_ms = 120;
+  cfg.election_timeout_max_ms = 140;
+  QuorumBed g(fabric, 3, "dafs-q", cfg);
+  const auto node = fabric.add_node("client");
+  Actor actor("client", &fabric.node(node));
+  ActorScope scope(actor);
+  via::Nic nic(fabric, node, "nic");
+
+  auto s = dafs::Session::connect(nic, g.mount(1, 0));
+  ASSERT_TRUE(s.ok()) << dafs::to_string(s.error());
+  const int l = g.leader();
+  ASSERT_GE(l, 0);
+  EXPECT_EQ(s.value()->active_service(), g.client_service(l));
+  EXPECT_GE(fabric.stats().get("dafs.endpoint_demotions"), 1u);
+  EXPECT_TRUE(s.value()->fetch_add("elect.ctr", 1).ok());
+  s.value().reset();
+}
+
 // ---------------------------------------------------------------------------
 // Hostile wire: the replication channel's one frame check
 // ---------------------------------------------------------------------------
